@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Measures the per-crossing cost of each dispatch tier on four
+/// Measures the per-crossing cost of each boundary treatment on four
 /// representative JNI call classes:
 ///
 ///   get_version       check-free query (pre-only machine coverage)
@@ -13,11 +13,12 @@
 ///   new_delete_local  allocation + free (local-ref lifecycle)
 ///   frame_push_pop    pushdown counters (frame nesting, capacity)
 ///
-/// across five boundary treatments: bare (no dispatcher), interpose-only
-/// (wrapped table, empty dispatcher), and Jinn under dense, sparse, and
-/// fused dispatch. The headline result is ns/crossing per (op, tier) —
-/// the fused tier must sit between interpose-only and sparse, i.e.
-/// fused < sparse < dense on every op class.
+/// across four boundary treatments, all on the one compiled dispatch
+/// table: bare (no dispatcher), interpose-only (a no-op observer slot on
+/// every function), record-only (the trace recorder's slots) and Jinn
+/// inline checking (the machine slots). The headline results are
+/// ns/crossing per (op, treatment) and the intra-run ratios of Jinn and of
+/// recording over interpose-only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +28,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,16 +39,15 @@ namespace {
 struct TierSpec {
   const char *Name;
   CheckerKind Checker;
-  bool Sparse;
-  bool Fused;
+  agent::TraceMode Mode;
 };
 
+enum { Bare, Interpose, Record, Jinn };
 const TierSpec Tiers[] = {
-    {"bare", CheckerKind::None, true, false},
-    {"interpose", CheckerKind::InterposeOnly, true, false},
-    {"jinn_dense", CheckerKind::Jinn, false, false},
-    {"jinn_sparse", CheckerKind::Jinn, true, false},
-    {"jinn_fused", CheckerKind::Jinn, true, true},
+    {"bare", CheckerKind::None, agent::TraceMode::InlineCheck},
+    {"interpose", CheckerKind::InterposeOnly, agent::TraceMode::InlineCheck},
+    {"record", CheckerKind::Jinn, agent::TraceMode::RecordOnly},
+    {"jinn", CheckerKind::Jinn, agent::TraceMode::InlineCheck},
 };
 
 struct OpClass {
@@ -97,8 +96,10 @@ const OpClass Ops[] = {
 WorldConfig tierConfig(const TierSpec &Tier) {
   WorldConfig Config;
   Config.Checker = Tier.Checker;
-  Config.JinnSparseDispatch = Tier.Sparse;
-  Config.JinnFusedDispatch = Tier.Fused;
+  Config.JinnMode = Tier.Mode;
+  // Bounded recording: the ring cost per event is what we measure, so the
+  // oldest chunks may drop instead of holding every event in memory.
+  Config.JinnRecorder.MaxChunksPerThread = 8;
   return Config;
 }
 
@@ -140,22 +141,12 @@ int main(int Argc, char **Argv) {
 
   // Ns[op][tier]
   double Ns[sizeof(Ops) / sizeof(Ops[0])][sizeof(Tiers) / sizeof(Tiers[0])];
-  bool FusedEngaged = true;
   for (size_t T = 0; T < sizeof(Tiers) / sizeof(Tiers[0]); ++T) {
-    const TierSpec &Tier = Tiers[T];
-    ScenarioWorld World(tierConfig(Tier));
-    if (Tier.Fused && (!World.Jinn || !World.Jinn->fusedInstalled())) {
-      std::fprintf(stderr, "bench_crossing_latency: fused tier refused: %s\n",
-                   World.Jinn ? World.Jinn->fusedRefusal().c_str()
-                              : "no agent");
-      FusedEngaged = false;
-    }
+    ScenarioWorld World(tierConfig(Tiers[T]));
     for (size_t O = 0; O < sizeof(Ops) / sizeof(Ops[0]); ++O)
       Ns[O][T] = measureNs(World, Ops[O], Iters);
     World.shutdown();
   }
-  if (!FusedEngaged)
-    return 1;
 
   for (size_t O = 0; O < sizeof(Ops) / sizeof(Ops[0]); ++O) {
     std::printf("%-18s", Ops[O].Name);
@@ -186,17 +177,13 @@ int main(int Argc, char **Argv) {
     std::printf(" %9.1f ns", Gm[T]);
   std::printf("\n");
 
-  double FusedVsSparse = Gm[4] / Gm[3];
-  double FusedVsDense = Gm[4] / Gm[2];
-  Json.add("ratio/fused_vs_sparse", FusedVsSparse, "x");
-  Json.add("ratio/fused_vs_dense", FusedVsDense, "x");
-  std::printf("\nfused/sparse = %.3fx, fused/dense = %.3fx "
-              "(lower is better; expect fused < sparse < dense)\n",
-              FusedVsSparse, FusedVsDense);
-  if (!(Gm[4] < Gm[3] && Gm[3] < Gm[2]))
-    std::printf("NOTE: tier ordering not strictly monotone in this run "
-                "(timing noise at scale 1/%llu)\n",
-                static_cast<unsigned long long>(Scale));
+  double JinnVsInterpose = Gm[Jinn] / Gm[Interpose];
+  double RecordVsInterpose = Gm[Record] / Gm[Interpose];
+  Json.add("ratio/jinn_vs_interpose", JinnVsInterpose, "x");
+  Json.add("ratio/record_vs_interpose", RecordVsInterpose, "x");
+  std::printf("\njinn/interpose = %.3fx, record/interpose = %.3fx "
+              "(lower is better)\n",
+              JinnVsInterpose, RecordVsInterpose);
 
   Json.writeFile();
   return 0;

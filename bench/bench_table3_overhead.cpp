@@ -27,7 +27,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace jinn;
 using namespace jinn::scenarios;
@@ -39,10 +38,6 @@ double runOnce(const WorkloadInfo &Info, CheckerKind Checker,
                uint64_t Scale) {
   WorldConfig Config;
   Config.Checker = Checker;
-  // JINN_BENCH_FUSED=0 pins the Jinn column to the dynamic tier, for
-  // before/after comparisons of the fused dispatch on the same host.
-  if (const char *Fused = std::getenv("JINN_BENCH_FUSED"))
-    Config.JinnFusedDispatch = std::strcmp(Fused, "0") != 0;
   ScenarioWorld World(Config);
   prepareWorkloadWorld(World);
   // Warm-up outside the timed region (ID caches, allocator).

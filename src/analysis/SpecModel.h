@@ -16,9 +16,9 @@
 /// From the models the relevance matrix is derived: per machine, the set
 /// of functions its synthesized pre (Call:C->Java) and post
 /// (Return:Java->C) hooks observe. The matrix re-derives every
-/// SynthesisStats count (the consistency lint) and feeds static check
-/// elision — functions outside every machine's relevance set get no hook
-/// and are skipped by the interpose dispatcher's sparse table.
+/// SynthesisStats count (the consistency lint) and matches the compiled
+/// dispatch program — functions outside every machine's relevance set get
+/// no machine slot and cross bare.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -42,7 +42,13 @@ bool callSucceeded(jni::FnId Fn, const trace::TraceEvent &Post) {
 ClientCfg jinn::analysis::verify::liftTrace(const trace::Trace &T,
                                             jvm::Vm &Vm,
                                             const std::string &Name,
-                                            bool PinWitnessed) {
+                                            bool PinWitnessed,
+                                            std::string *Err) {
+  ClientCfg Cfg;
+  Cfg.Name = Name;
+  if (!T.wellFormed(Err))
+    return Cfg;
+
   // Pass 1: replay the trace so every report the dynamic machines derive
   // is pinned to the trace event that fired it. Foreign traces skip this
   // (their entity words are another process's addresses).
@@ -59,8 +65,6 @@ ClientCfg jinn::analysis::verify::liftTrace(const trace::Trace &T,
   // closes the innermost open call of its thread with the same function
   // (calls nest strictly; opens skipped on the way down were suppressed
   // and correctly keep Success = false).
-  ClientCfg Cfg;
-  Cfg.Name = Name;
   Cfg.Blocks.emplace_back();
   std::vector<CrossEvent> &Events = Cfg.Blocks[0].Events;
 

@@ -50,8 +50,11 @@ struct LiftedProgram {
 /// by another process): its entity identities no longer resolve, so it
 /// cannot be replayed at all — the lifted program then carries no hints
 /// and the verdict covers the spec-decidable counter checks only.
+/// A malformed trace (see trace::Trace::wellFormed) lifts to an empty
+/// program, with the reason in \p Err.
 ClientCfg liftTrace(const trace::Trace &T, jvm::Vm &Vm,
-                    const std::string &Name, bool PinWitnessed = true);
+                    const std::string &Name, bool PinWitnessed = true,
+                    std::string *Err = nullptr);
 
 /// Runs microbenchmark \p Id under the Jinn agent in record+replay mode
 /// and lifts the recorded crossings.

@@ -280,8 +280,14 @@ void XcheckAgent::deathChecks(jvm::Vm &Vm) {
 void XcheckAgent::onLoad(JavaVM *JavaVm, jvmti::JvmtiEnv &Jvmti) {
   jvm::Vm &Vm = *JavaVm->vm;
   Reporter = std::make_unique<XcheckReporter>(Vm, V, NonFatalMode);
-  Jvmti.dispatcher().addPreAll(
-      [this](jvmti::CapturedCall &Call) { preCheck(Call); });
+  jvmti::SlotBatch Batch;
+  Batch.PreAll.push_back({[](const void *Self, jvmti::CapturedCall &Call) {
+                            const_cast<XcheckAgent *>(
+                                static_cast<const XcheckAgent *>(Self))
+                                ->preCheck(Call);
+                          },
+                          this});
+  Jvmti.dispatcher().install(std::move(Batch));
 
   jvmti::EventCallbacks Callbacks;
   Callbacks.VmDeath = [this, &Vm] { deathChecks(Vm); };

@@ -127,8 +127,6 @@ ExecResult jinn::fuzz::runJniSequence(const Sequence &Seq,
   Config.Checker = scenarios::CheckerKind::Jinn;
   Config.JinnMode = Opts.RunReplay ? agent::TraceMode::RecordAndReplay
                                    : agent::TraceMode::InlineCheck;
-  Config.JinnSparseDispatch = Opts.JinnSparseDispatch;
-  Config.JinnFusedDispatch = Opts.JinnFusedDispatch;
   scenarios::ScenarioWorld World(Config);
   R.ExecutedOps = executeOps(World, Seq);
   World.shutdown();

@@ -53,10 +53,6 @@ enum class SeededDefect : uint8_t {
 struct ExecutorOptions {
   bool RunXcheck = true;
   bool RunReplay = true;
-  /// Dispatch-tier knobs for the Jinn world, so the fused-parity suite can
-  /// run the same sequence under dense, sparse, and fused dispatch.
-  bool JinnSparseDispatch = true;
-  bool JinnFusedDispatch = true;
   SeededDefect Defect = SeededDefect::None;
 };
 

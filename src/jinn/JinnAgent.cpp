@@ -8,7 +8,6 @@
 
 #include "jvm/JThread.h"
 #include "support/Rng.h"
-#include "synth/FusedChecks.h"
 
 using namespace jinn;
 using namespace jinn::agent;
@@ -88,58 +87,33 @@ void JinnAgent::onLoad(JavaVM *JavaVm, jvmti::JvmtiEnv &Jvmti) {
   }
   Synth = std::make_unique<synth::Synthesizer>(Active, *Reporter);
 
-  // Static check elision (sparse dispatch). Safe even when recording: the
-  // recorder's all-function hooks defeat elision for every function.
-  Jvmti.dispatcher().setElisionEnabled(Options.SparseDispatch);
+  // Sampled mode, set first so no slot installed below ever runs on an
+  // unsampled thread: the wrapper prologue (and the synthesized native
+  // wrapper) consult this per-thread predicate before running ANY boundary
+  // slot — recorder and machines alike. An unsampled thread costs one
+  // cached predicate lookup per crossing and nothing else; a sampled
+  // thread is fully recorded and fully checked, so each of its inline
+  // reports is byte-replayable from the retained trace.
+  if (Options.SampleRate > 1)
+    Jvmti.dispatcher().setSampler([this](jvm::JThread &Thread) {
+      return sampledThread(Thread.id(), Thread.name());
+    });
 
-  // The recorder's all-function hooks go first: the dispatcher runs them
-  // before per-function machine hooks, so each event freezes the state the
-  // machines were about to observe.
+  // Each installer below publishes once. The recorder's all-function slots
+  // precede per-function machine slots in both phases, so each event
+  // freezes the state the machines were about to observe.
   if (Recording) {
     Recorder = std::make_unique<trace::TraceRecorder>(Vm, Options.Recorder);
     Recorder->installJniHooks(Jvmti.dispatcher());
     Synth->setBoundaryObserver(Recorder.get());
   }
 
-  // Algorithm 1: synthesize the dynamic analysis into the dispatcher.
-  // Under record-only no machine hook is installed — the boundary carries
+  // Algorithm 1: compile the machine checks into the dispatch program.
+  // Under record-only no machine slot is installed — the boundary carries
   // only the recorder, and checking happens offline via replay.
   Stats = Checking ? Synth->installInto(Jvmti.dispatcher())
                    : synth::SynthesisStats{};
-
-  // Sampled mode: the dispatcher (and the synthesized native wrapper)
-  // consult this per-thread predicate before running ANY boundary hook —
-  // recorder and machines alike. An unsampled thread costs one cached
-  // predicate lookup per crossing and nothing else; a sampled thread is
-  // fully recorded and fully checked, so each of its inline reports is
-  // byte-replayable from the retained trace.
-  if (Options.SampleRate > 1)
-    Jvmti.dispatcher().setSampler([this](jvm::JThread &Thread) {
-      return sampledThread(Thread.id(), Thread.name());
-    });
-
-  // Fused (tier-1) dispatch: with nothing but synthesized machine checks
-  // on the boundary, compile the per-FnId straight-line check programs and
-  // install them. This must come after everything above — any later
-  // dynamic mutation of the dispatcher demotes the fused table, so install
-  // order is what proves the table covers exactly the dynamic surface.
-  FusedInstalled = false;
-  FusedRefusal.clear();
-  if (!Options.FusedDispatch) {
-    FusedRefusal = "disabled by options";
-  } else if (Recording || Options.SampleRate > 1) {
-    FusedRefusal = "recording/sampling modes stay on the dynamic tier";
-  } else {
-    synth::FusedCompileResult Fused =
-        synth::compileFusedChecks(Active, *Reporter);
-    if (!Fused.Table) {
-      FusedRefusal = Fused.Error;
-    } else if (!Jvmti.dispatcher().installFused(Fused.Table)) {
-      FusedRefusal = "dispatcher already carries non-machine hooks";
-    } else {
-      FusedInstalled = true;
-    }
-  }
+  Published = true;
 
   const uint32_t FrameCapacity = Vm.options().NativeFrameCapacity;
   auto InfoFor = [FrameCapacity](const jvm::JThread &Thread) {

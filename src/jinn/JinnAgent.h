@@ -59,20 +59,6 @@ struct JinnOptions {
   TraceMode Mode = TraceMode::InlineCheck;
   /// Recorder tuning; only consulted when Mode records.
   trace::TraceRecorderOptions Recorder;
-  /// Static check elision: let the interpose dispatcher's sparse hook
-  /// table skip capture for functions no synthesized check observes (and
-  /// skip post dispatch for functions with pre hooks only). Proven
-  /// report-preserving by the analyzer's relevance matrix; recording modes
-  /// install all-function hooks and are never elided.
-  bool SparseDispatch = true;
-  /// Fused (tier-1) dispatch: compile one straight-line check program per
-  /// JNI function from the machine specs (synth/FusedChecks) and install
-  /// it on the dispatcher, replacing the dynamic hook walk entirely for
-  /// pure inline checking. Only engages when nothing but synthesized
-  /// machines observe the boundary — recording modes and sampling stay
-  /// dynamic, and any later dynamic mutation (a recorder, a monitor, a
-  /// hand-registered hook) atomically demotes back to the dynamic tier.
-  bool FusedDispatch = true;
   /// Lock stripes per global shadow table (GlobalRef/Monitor/Pinned/
   /// EntityTyping); rounded to a power of two in [1, 256].
   unsigned ShardCount = DefaultShardCount;
@@ -90,7 +76,9 @@ struct JinnOptions {
   /// complete event stream is in the trace, so each of its reports is
   /// byte-replayable from the retained segments. Unsampled threads cost
   /// one cached predicate lookup per crossing. Sampling forces a
-  /// recording mode (InlineCheck is promoted to RecordAndReplay).
+  /// recording mode (InlineCheck is promoted to RecordAndReplay). The
+  /// predicate is a flag of the compiled dispatch program, checked once
+  /// per crossing in the wrapper prologue.
   uint32_t SampleRate = 1;
   /// Root seed of the per-thread sampling streams.
   uint64_t SampleSeed = 0x6a696e6e5eedULL;
@@ -119,11 +107,10 @@ public:
   /// The recorder, when mode() records (nullptr under InlineCheck).
   trace::TraceRecorder *recorder() { return Recorder.get(); }
 
-  /// Whether the fused (tier-1) dispatch table was compiled and installed
-  /// at load. The dispatcher may have since demoted to dynamic.
-  bool fusedInstalled() const { return FusedInstalled; }
-  /// Why fused dispatch did not engage ("" when it did).
-  const std::string &fusedRefusal() const { return FusedRefusal; }
+  /// Whether the agent has published its compiled dispatch program (its
+  /// machine checks and, when recording, the recorder's slots) — true once
+  /// onLoad returns. Later installs republish; nothing ever demotes.
+  bool fusedInstalled() const { return Published; }
 
   uint32_t sampleRate() const { return Options.SampleRate; }
   /// The pure per-thread sampling decision: a seeded SplitMix64 stream
@@ -141,8 +128,7 @@ private:
   std::unique_ptr<trace::TraceRecorder> Recorder;
   std::vector<spec::MachineBase *> Active;
   synth::SynthesisStats Stats;
-  bool FusedInstalled = false;
-  std::string FusedRefusal;
+  bool Published = false;
 };
 
 } // namespace jinn::agent

@@ -29,6 +29,12 @@ enum class FnId : uint16_t {
 /// Number of JNI functions (229 in JNI 1.6, as in the paper).
 constexpr size_t NumJniFunctions = static_cast<size_t>(FnId::Count);
 
+/// Most parameters any registry function takes after its JNIEnv*. The one
+/// arity bound: it sizes FnTraits::Params, the captured-argument array of
+/// an in-flight call, and the argument records of a trace event, and
+/// JniTraits.cpp asserts at compile time that every function fits.
+constexpr size_t MaxJniParams = 5;
+
 /// The function's name ("CallStaticVoidMethodA").
 const char *fnName(FnId Id);
 

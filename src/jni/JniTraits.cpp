@@ -13,6 +13,7 @@
 #include "jni/JniEnv.h"
 #include "support/Compiler.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string_view>
 #include <type_traits>
@@ -151,6 +152,7 @@ template <typename T> constexpr RefConstraint classifyReturnConstraint() {
 template <typename F> struct SigExtract;
 
 template <typename R, typename... A> struct SigExtract<R (*)(JNIEnv *, A...)> {
+  static constexpr size_t Arity = sizeof...(A);
   static void apply(FnTraits &T) {
     T.NumParams = sizeof...(A);
     size_t I = 0;
@@ -163,6 +165,7 @@ template <typename R, typename... A> struct SigExtract<R (*)(JNIEnv *, A...)> {
 // Variadic ('...') forms: the trailing varargs do not appear as parameters.
 template <typename R, typename... A>
 struct SigExtract<R (*)(JNIEnv *, A..., ...)> {
+  static constexpr size_t Arity = sizeof...(A);
   static void apply(FnTraits &T) {
     T.NumParams = sizeof...(A);
     size_t I = 0;
@@ -404,6 +407,16 @@ void applyNameRules(FnTraits &T, std::string_view Name) {
   if (Name == "GetObjectRefType")
     MarkNullable(0);
 }
+
+/// The registry's largest arity, which every fixed-capacity argument array
+/// (FnTraits::Params, CapturedCall, TraceEvent::Args) must hold.
+constexpr size_t LargestArity = std::max({
+#define JNI_FN(Name, Ret, Params, Args) SigExtract<Ret(*) Params>::Arity,
+#include "jni/JniFunctions.def"
+#undef JNI_FN
+});
+static_assert(LargestArity <= MaxJniParams,
+              "a registry function takes more parameters than MaxJniParams");
 
 std::array<FnTraits, NumJniFunctions> buildTraits() {
   std::array<FnTraits, NumJniFunctions> Table;

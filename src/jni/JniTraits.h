@@ -106,7 +106,7 @@ enum class PinFamily : uint8_t {
 struct FnTraits {
   FnId Id = FnId::Count;
   uint8_t NumParams = 0; ///< excluding the JNIEnv parameter
-  std::array<ParamTraits, 5> Params;
+  std::array<ParamTraits, MaxJniParams> Params;
 
   bool ExceptionOblivious = false; ///< callable with an exception pending
   bool CriticalAllowed = false;    ///< callable inside a critical section

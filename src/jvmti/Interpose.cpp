@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 
 using namespace jinn;
 using namespace jinn::jvmti;
@@ -88,91 +89,42 @@ bool CapturedCall::materializeCallArgs() {
   return true;
 }
 
-//===----------------------------------------------------------------------===
-// HookList
-//===----------------------------------------------------------------------===
-
-void HookList::push(HookFn Hook) {
-  uint32_t N = Count.load(std::memory_order_relaxed);
-  if (N >= Capacity) {
-    std::fprintf(stderr,
-                 "jinn: HookList capacity (%zu) exceeded — raise "
-                 "jvmti::HookList::Capacity\n",
-                 Capacity);
-    std::abort();
-  }
-  Slots[N] = std::move(Hook);
-  // Publish after the slot is fully constructed: a concurrent crossing
-  // either sees the old count (hook not yet active) or the new count with
-  // a valid slot.
-  Count.store(N + 1, std::memory_order_release);
-}
-
-void HookList::reset() {
-  Count.store(0, std::memory_order_relaxed);
-  for (HookFn &Slot : Slots)
-    Slot = nullptr;
+void CapturedCall::argumentOverflow() const {
+  std::fprintf(stderr,
+               "jinn: %s captured more than %zu arguments (MaxJniParams)\n",
+               jni::fnName(Id), jni::MaxJniParams);
+  std::abort();
 }
 
 //===----------------------------------------------------------------------===
 // InterposeDispatcher
 //===----------------------------------------------------------------------===
 
-void InterposeDispatcher::addPre(FnId Id, HookFn Hook) {
-  std::lock_guard<std::mutex> Lock(InstallMu);
-  demoteToDynamic();
-  Pre[static_cast<size_t>(Id)].push(std::move(Hook));
-  HookMask[static_cast<size_t>(Id)].fetch_or(HasPre,
-                                             std::memory_order_release);
-}
-
-void InterposeDispatcher::addPost(FnId Id, HookFn Hook) {
-  std::lock_guard<std::mutex> Lock(InstallMu);
-  demoteToDynamic();
-  Post[static_cast<size_t>(Id)].push(std::move(Hook));
-  HookMask[static_cast<size_t>(Id)].fetch_or(HasPost,
-                                             std::memory_order_release);
-}
-
-void InterposeDispatcher::addPreAll(HookFn Hook) {
-  std::lock_guard<std::mutex> Lock(InstallMu);
-  demoteToDynamic();
-  PreAll.push(std::move(Hook));
-  AnyPreAll.store(true, std::memory_order_release);
-}
-
-void InterposeDispatcher::addPostAll(HookFn Hook) {
-  std::lock_guard<std::mutex> Lock(InstallMu);
-  demoteToDynamic();
-  PostAll.push(std::move(Hook));
-  AnyPostAll.store(true, std::memory_order_release);
-}
-
-bool InterposeDispatcher::installFused(
-    std::shared_ptr<const FusedTable> Table) {
-  std::lock_guard<std::mutex> Lock(InstallMu);
-  if (!Table || !Table->Run)
-    return false;
-  // An all-function hook (the recorder) or a sampling predicate means the
-  // dynamic surface already carries behavior the fused program does not
-  // encode — stay dynamic.
-  if (AnyPreAll.load(std::memory_order_relaxed) ||
-      AnyPostAll.load(std::memory_order_relaxed) ||
-      SamplerGen.load(std::memory_order_relaxed) != 0)
-    return false;
-  FusedOwner = std::move(Table);
-  FusedPtr.store(FusedOwner.get(), std::memory_order_release);
-  return true;
-}
-
-void InterposeDispatcher::demoteToDynamic() {
-  // One-way: clear the tier pointer but keep the owner, so crossings that
-  // already loaded it finish on a live program.
-  if (FusedPtr.exchange(nullptr, std::memory_order_release))
-    Demotions.fetch_add(1, std::memory_order_relaxed);
-}
-
 namespace {
+
+/// The table every dispatcher publishes before its first install (and
+/// after clear()): no slots, so every crossing takes the bare path.
+const DispatchTable &emptyTable() {
+  static const DispatchTable Empty = [] {
+    DispatchTable T;
+    for (size_t I = 0; I < jni::NumJniFunctions; ++I)
+      T.Fns[I].Traits = &jni::fnTraits(static_cast<FnId>(I));
+    return T;
+  }();
+  return Empty;
+}
+
+void invokeHook(const void *Obj, CapturedCall &Call) {
+  (*static_cast<const HookFn *>(Obj))(Call);
+}
+
+/// Wraps \p Hook as a slot whose callable the batch keeps alive.
+DispatchSlot hookSlot(HookFn Hook, SlotBatch &Batch) {
+  auto Owned = std::make_shared<const HookFn>(std::move(Hook));
+  DispatchSlot Slot{&invokeHook, Owned.get()};
+  Batch.KeepAlive.push_back(std::move(Owned));
+  return Slot;
+}
 
 /// Per-OS-thread cache of the sampling decision, keyed by the dispatcher's
 /// sampler generation and the VM thread id. Thread ids are never reused,
@@ -189,15 +141,73 @@ std::atomic<uint64_t> NextSamplerGen{1};
 
 } // namespace
 
+InterposeDispatcher::InterposeDispatcher() : Current(&emptyTable()) {}
+
+void InterposeDispatcher::install(SlotBatch Batch) {
+  std::lock_guard<std::mutex> Lock(InstallMu);
+  PreAll.insert(PreAll.end(), Batch.PreAll.begin(), Batch.PreAll.end());
+  PostAll.insert(PostAll.end(), Batch.PostAll.begin(), Batch.PostAll.end());
+  for (const auto &[Id, Slot] : Batch.Pre)
+    Pre[static_cast<size_t>(Id)].push_back(Slot);
+  for (const auto &[Id, Slot] : Batch.Post)
+    Post[static_cast<size_t>(Id)].push_back(Slot);
+  for (std::shared_ptr<const void> &Owner : Batch.KeepAlive)
+    KeepAlive.push_back(std::move(Owner));
+  publishLocked();
+}
+
+void InterposeDispatcher::addPre(FnId Id, HookFn Hook) {
+  SlotBatch Batch;
+  Batch.Pre.push_back({Id, hookSlot(std::move(Hook), Batch)});
+  install(std::move(Batch));
+}
+
+void InterposeDispatcher::addPost(FnId Id, HookFn Hook) {
+  SlotBatch Batch;
+  Batch.Post.push_back({Id, hookSlot(std::move(Hook), Batch)});
+  install(std::move(Batch));
+}
+
+void InterposeDispatcher::addPreAll(HookFn Hook) {
+  SlotBatch Batch;
+  Batch.PreAll.push_back(hookSlot(std::move(Hook), Batch));
+  install(std::move(Batch));
+}
+
+void InterposeDispatcher::addPostAll(HookFn Hook) {
+  SlotBatch Batch;
+  Batch.PostAll.push_back(hookSlot(std::move(Hook), Batch));
+  install(std::move(Batch));
+}
+
+void InterposeDispatcher::publishLocked() {
+  auto Table = std::make_unique<DispatchTable>();
+  Table->Sampling = SamplerGen.load(std::memory_order_relaxed) != 0;
+  for (size_t I = 0; I < jni::NumJniFunctions; ++I) {
+    DispatchTable::FnRec &Rec = Table->Fns[I];
+    std::vector<DispatchSlot> &Slots = Table->Slots;
+    Rec.PreBegin = static_cast<uint32_t>(Slots.size());
+    Slots.insert(Slots.end(), PreAll.begin(), PreAll.end());
+    Slots.insert(Slots.end(), Pre[I].begin(), Pre[I].end());
+    Rec.PreCount = static_cast<uint32_t>(Slots.size() - Rec.PreBegin);
+    Rec.PostBegin = static_cast<uint32_t>(Slots.size());
+    Slots.insert(Slots.end(), PostAll.begin(), PostAll.end());
+    Slots.insert(Slots.end(), Post[I].begin(), Post[I].end());
+    Rec.PostCount = static_cast<uint32_t>(Slots.size() - Rec.PostBegin);
+    Rec.Traits = &jni::fnTraits(static_cast<FnId>(I));
+  }
+  Current.store(Table.get(), std::memory_order_release);
+  Tables.push_back(std::move(Table));
+}
+
 void InterposeDispatcher::setSampler(SamplePredicate Fn) {
   std::lock_guard<std::mutex> Lock(InstallMu);
-  // Sampling gates crossings the fused program would run unconditionally.
-  demoteToDynamic();
   Sampler = std::move(Fn);
   SamplerGen.store(Sampler
                        ? NextSamplerGen.fetch_add(1, std::memory_order_relaxed)
                        : 0,
                    std::memory_order_release);
+  publishLocked();
 }
 
 bool InterposeDispatcher::checksThread(jvm::JThread &Thread) const {
@@ -211,8 +221,7 @@ bool InterposeDispatcher::checksThread(jvm::JThread &Thread) const {
   {
     // Cold path (once per thread per sampler generation): the predicate is
     // read under the install mutex so setSampler can swap it safely.
-    std::lock_guard<std::mutex> Lock(
-        const_cast<InterposeDispatcher *>(this)->InstallMu);
+    std::lock_guard<std::mutex> Lock(InstallMu);
     if (Sampler)
       Sampled = Sampler(Thread);
   }
@@ -220,78 +229,35 @@ bool InterposeDispatcher::checksThread(jvm::JThread &Thread) const {
   return Sampled;
 }
 
-void InterposeDispatcher::runPre(CapturedCall &Call) const {
-  // Sampled mode gates the whole boundary per thread: unsampled threads
-  // neither record (all-function hooks) nor check (per-function machine
-  // hooks). That is what makes 1-in-N sampling cheap — the only per-call
-  // cost off the sample is this cached predicate — and it keeps the
-  // replay contract exact: a sampled thread's full event stream is in the
-  // trace, so its inline reports reproduce byte-for-byte offline.
-  if (SamplerGen.load(std::memory_order_relaxed) && Call.env() &&
-      !checksThread(*Call.env()->thread))
-    return;
-  size_t NAll = PreAll.size();
-  for (size_t I = 0; I < NAll; ++I) {
-    PreAll[I](Call);
-    if (Call.aborted())
-      return;
-  }
-  const HookList &List = Pre[static_cast<size_t>(Call.id())];
-  size_t N = List.size();
-  for (size_t I = 0; I < N; ++I) {
-    List[I](Call);
-    if (Call.aborted())
-      return;
-  }
-}
-
-void InterposeDispatcher::runPost(CapturedCall &Call) const {
-  if (SamplerGen.load(std::memory_order_relaxed) && Call.env() &&
-      !checksThread(*Call.env()->thread))
-    return;
-  size_t NAll = PostAll.size();
-  for (size_t I = 0; I < NAll; ++I)
-    PostAll[I](Call);
-  const HookList &List = Post[static_cast<size_t>(Call.id())];
-  size_t N = List.size();
-  for (size_t I = 0; I < N; ++I)
-    List[I](Call);
-}
-
 size_t InterposeDispatcher::hookCount() const {
+  std::lock_guard<std::mutex> Lock(InstallMu);
   size_t N = PreAll.size() + PostAll.size();
-  for (const HookList &List : Pre)
-    N += List.size();
-  for (const HookList &List : Post)
-    N += List.size();
+  for (size_t I = 0; I < jni::NumJniFunctions; ++I)
+    N += Pre[I].size() + Post[I].size();
   return N;
 }
 
 size_t InterposeDispatcher::preCount(FnId Id) const {
-  return Pre[static_cast<size_t>(Id)].size();
+  return table()->Fns[static_cast<size_t>(Id)].PreCount;
 }
 
 size_t InterposeDispatcher::postCount(FnId Id) const {
-  return Post[static_cast<size_t>(Id)].size();
+  return table()->Fns[static_cast<size_t>(Id)].PostCount;
 }
 
 void InterposeDispatcher::clear() {
   std::lock_guard<std::mutex> Lock(InstallMu);
-  for (HookList &List : Pre)
-    List.reset();
-  for (HookList &List : Post)
-    List.reset();
-  PreAll.reset();
-  PostAll.reset();
-  for (auto &Mask : HookMask)
-    Mask.store(0, std::memory_order_relaxed);
-  AnyPreAll.store(false, std::memory_order_relaxed);
-  AnyPostAll.store(false, std::memory_order_relaxed);
+  Current.store(&emptyTable(), std::memory_order_release);
+  Tables.clear();
+  PreAll.clear();
+  PostAll.clear();
+  for (size_t I = 0; I < jni::NumJniFunctions; ++I) {
+    Pre[I].clear();
+    Post[I].clear();
+  }
+  KeepAlive.clear();
   Sampler = nullptr;
   SamplerGen.store(0, std::memory_order_relaxed);
-  FusedPtr.store(nullptr, std::memory_order_relaxed);
-  FusedOwner.reset();
-  Demotions.store(0, std::memory_order_relaxed);
 }
 
 //===----------------------------------------------------------------------===
@@ -305,21 +271,34 @@ template <FnId Id, typename F, F Impl> struct MakeWrapper;
 template <FnId Id, typename Ret, typename... Args,
           Ret (*Impl)(JNIEnv *, Args...)>
 struct MakeWrapper<Id, Ret (*)(JNIEnv *, Args...), Impl> {
-  /// Tier 1: a fused table is installed. The per-function record carries
-  /// everything the crossing needs — slot extents and the hoisted traits
-  /// pointer — so a check-free function costs one load and compare, and a
-  /// checked function runs its straight-line slot program with no hook
-  /// walk, mask test, or std::function dispatch.
-  static Ret runFused(const FusedTable *Fused, JNIEnv *Env, Args... As) {
-    const FusedTable::FnRec &Rec = Fused->Fns[static_cast<size_t>(Id)];
+  static_assert(sizeof...(Args) <= jni::MaxJniParams);
+
+  /// The one specialised wrapper per function: one acquire load of the
+  /// published program, one record, and either the bare call (no slot
+  /// observes this function) or capture plus the pre and post slot runs.
+  static Ret fn(JNIEnv *Env, Args... As) {
+    auto *Dispatcher =
+        static_cast<InterposeDispatcher *>(Env->runtime->Dispatcher);
+    if (!Dispatcher)
+      return Impl(Env, As...);
+    // The program is picked once per crossing: a republish that lands
+    // mid-call finishes this crossing on the (still-owned) old table.
+    const DispatchTable *Table = Dispatcher->table();
+    const DispatchTable::FnRec &Rec = Table->Fns[static_cast<size_t>(Id)];
     if ((Rec.PreCount | Rec.PostCount) == 0)
+      return Impl(Env, As...);
+    // Sampled mode gates the whole boundary per thread: an unsampled
+    // thread neither records nor checks, and pays only the cached
+    // predicate. A sampled thread's full event stream is in the trace, so
+    // its inline reports reproduce byte-for-byte offline.
+    if (Table->Sampling && !Dispatcher->checksThread(*Env->thread))
       return Impl(Env, As...);
     CapturedCall Call(Id, Env, Rec.Traits);
     (Call.captureOne(As), ...);
     if (Rec.PreCount) {
-      Fused->Run(Fused->Program, Rec, Call, /*IsPost=*/false);
+      Table->runPre(Rec, Call);
       if (Call.aborted()) {
-        // The checker suppressed the call (paper Figure 4: "raise a JNI
+        // An observer suppressed the call (paper Figure 4: "raise a JNI
         // exception" instead of executing the faulty call).
         if constexpr (!std::is_void_v<Ret>)
           return Ret{};
@@ -331,63 +310,16 @@ struct MakeWrapper<Id, Ret (*)(JNIEnv *, Args...), Impl> {
       Impl(Env, As...);
       if (Rec.PostCount) {
         Call.setReturnVoid();
-        Fused->Run(Fused->Program, Rec, Call, /*IsPost=*/true);
+        Table->runPost(Rec, Call);
       }
     } else {
       Ret Result = Impl(Env, As...);
       if (Rec.PostCount) {
         Call.setReturn(Result);
-        Fused->Run(Fused->Program, Rec, Call, /*IsPost=*/true);
+        Table->runPost(Rec, Call);
       }
       return Result;
     }
-  }
-
-  /// Tier 2: dynamic hook-list dispatch (sparse when elision is on, dense
-  /// otherwise).
-  static Ret runDynamic(InterposeDispatcher *Dispatcher, JNIEnv *Env,
-                        Args... As) {
-    CapturedCall Call(Id, Env);
-    (Call.captureOne(As), ...);
-    Dispatcher->runPre(Call);
-    if (Call.aborted()) {
-      if constexpr (!std::is_void_v<Ret>)
-        return Ret{};
-      else
-        return;
-    }
-    if constexpr (std::is_void_v<Ret>) {
-      Impl(Env, As...);
-      if (Dispatcher->wantsPost(Id)) {
-        Call.setReturnVoid();
-        Dispatcher->runPost(Call);
-      }
-    } else {
-      Ret Result = Impl(Env, As...);
-      if (Dispatcher->wantsPost(Id)) {
-        Call.setReturn(Result);
-        Dispatcher->runPost(Call);
-      }
-      return Result;
-    }
-  }
-
-  static Ret fn(JNIEnv *Env, Args... As) {
-    auto *Dispatcher =
-        static_cast<InterposeDispatcher *>(Env->runtime->Dispatcher);
-    // Tier 3 (bare): no dispatcher on this runtime.
-    if (!Dispatcher)
-      return Impl(Env, As...);
-    // The tier is picked once per crossing: a demotion that lands mid-call
-    // finishes this crossing on the (still-live) fused program, which runs
-    // the same machine checks the dynamic tier would.
-    if (const FusedTable *Fused = Dispatcher->fused())
-      return runFused(Fused, Env, As...);
-    // Static check elision: when the relevance analysis proved no machine
-    // observes this function, skip capture and dispatch entirely.
-    if (Dispatcher->elides(Id))
-      return Impl(Env, As...);
-    return runDynamic(Dispatcher, Env, As...);
   }
 };
 

@@ -35,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 namespace jinn::jvmti {
@@ -142,11 +143,8 @@ public:
 /// and answer the same queries from the snapshot.
 class CapturedCall {
 public:
-  CapturedCall(jni::FnId Id, JNIEnv *Env)
-      : Id(Id), Env(Env), Traits(&jni::fnTraits(Id)) {}
-
-  /// Fused-tier constructor: the wrapper already holds the traits pointer
-  /// in its per-function record, so the fnTraits() table lookup (and its
+  /// Live constructor: the wrapper already holds the traits pointer in its
+  /// per-function record, so the fnTraits() table lookup (and its
   /// static-init guard) is hoisted out of the crossing entirely.
   CapturedCall(jni::FnId Id, JNIEnv *Env, const jni::FnTraits *Traits)
       : Id(Id), Env(Env), Traits(Traits) {}
@@ -292,14 +290,19 @@ public:
   }
 
 private:
-  void push(CapturedArg Arg) { Args[NumArgs++] = Arg; }
+  void push(CapturedArg Arg) {
+    if (NumArgs == Args.size())
+      argumentOverflow();
+    Args[NumArgs++] = Arg;
+  }
+  [[noreturn]] void argumentOverflow() const;
 
   jni::FnId Id;
   JNIEnv *Env;
   const jni::FnTraits *Traits;
   const BoundarySnapshot *Snap = nullptr;
   const ReplayEnvironment *Renv = nullptr;
-  std::array<CapturedArg, 5> Args;
+  std::array<CapturedArg, jni::MaxJniParams> Args;
   size_t NumArgs = 0;
   std::vector<jvalue> CallArgs;
   bool HasReturn = false;
@@ -315,154 +318,112 @@ private:
 /// Hook invoked before (pre) or after (post) a JNI function executes.
 using HookFn = std::function<void(CapturedCall &)>;
 
-/// The fused (tier-1) dispatch table: one straight-line check program per
-/// JNI function, compiled at agent-load time from the machine specs by
-/// synth/FusedChecks — the runtime analogue of the paper's 22k lines of
-/// generated specialized wrapper code. This layer stores it type-erased
-/// (jvmti cannot depend on spec/synth): the wrapper only needs the
-/// per-function record — slot extents, plus the FnTraits pointer hoisted
-/// into the prologue — and one phase-runner function pointer that the
-/// compiler provides. Crossings whose record is empty skip interposition
-/// with a single load and compare; crossings with checks run them as raw
-/// indirect calls over a flat slot array, with no hook-list walk, no
-/// mask test, and no std::function dispatch.
-class FusedTable {
+/// One observer slot of the compiled dispatch program: a raw indirect
+/// call. The slot's object knows its phase (pre or post), so one signature
+/// serves every observer — the synthesized machine checks, the trace
+/// recorder, the -Xcheck:jni emulation and hand-registered hooks.
+struct DispatchSlot {
+  using Fn = void (*)(const void *Obj, CapturedCall &Call);
+  Fn Invoke = nullptr;
+  const void *Obj = nullptr;
+};
+
+/// The compiled dispatch program: one straight-line slot sequence per JNI
+/// function and phase — the runtime analogue of the paper's one
+/// specialised wrapper per function (Algorithm 1's 22k generated lines).
+/// Immutable once published. A function whose record is empty crosses with
+/// one load and compare; every other crossing captures its arguments once
+/// and runs its slots as plain indirect calls.
+class DispatchTable {
 public:
   struct FnRec {
     uint32_t PreBegin = 0;
     uint32_t PostBegin = 0;
-    uint16_t PreCount = 0;
-    uint16_t PostCount = 0;
+    uint32_t PreCount = 0;
+    uint32_t PostCount = 0;
+    /// Hoisted into the record so the crossing skips the fnTraits() lookup.
     const jni::FnTraits *Traits = nullptr;
   };
 
-  /// Runs the pre or post slot sequence of \p Rec against \p Call.
-  using PhaseRunner = void (*)(const void *Program, const FnRec &Rec,
-                               CapturedCall &Call, bool IsPost);
-
-  const void *Program = nullptr;
-  PhaseRunner Run = nullptr;
+  /// Set when a sampling predicate is installed: the wrapper prologue then
+  /// asks InterposeDispatcher::checksThread once per crossing. Declared
+  /// next to Slots so a crossing touches one header cache line.
+  bool Sampling = false;
+  std::vector<DispatchSlot> Slots;
   std::array<FnRec, jni::NumJniFunctions> Fns{};
+
+  /// Runs \p Rec's pre slots, stopping at the first that aborts the call.
+  void runPre(const FnRec &Rec, CapturedCall &Call) const {
+    const DispatchSlot *Slot = Slots.data() + Rec.PreBegin;
+    for (const DispatchSlot *End = Slot + Rec.PreCount; Slot != End; ++Slot) {
+      Slot->Invoke(Slot->Obj, Call);
+      if (Call.aborted())
+        return;
+    }
+  }
+  /// Runs \p Rec's post slots (the call already happened; all of them run).
+  void runPost(const FnRec &Rec, CapturedCall &Call) const {
+    const DispatchSlot *Slot = Slots.data() + Rec.PostBegin;
+    for (const DispatchSlot *End = Slot + Rec.PostCount; Slot != End; ++Slot)
+      Slot->Invoke(Slot->Obj, Call);
+  }
 };
 
-/// A fixed-capacity hook list with a release-published count, so hook
-/// installation is safe against concurrent crossings: a reader sees either
-/// the old count (hook not yet active) or the new count with the slot
-/// fully constructed. Writers are serialized by the dispatcher's install
-/// mutex. The capacity comfortably covers the worst synthesized density
-/// (~a dozen machine hooks on the busiest call functions) plus
-/// hand-registered test hooks; overflow aborts loudly rather than
-/// dropping a check.
-class HookList {
-public:
-  static constexpr size_t Capacity = 32;
-
-  void push(HookFn Hook);
-  size_t size() const { return Count.load(std::memory_order_acquire); }
-  const HookFn &operator[](size_t I) const { return Slots[I]; }
-  void reset();
-
-private:
-  std::atomic<uint32_t> Count{0};
-  std::array<HookFn, Capacity> Slots;
+/// The slots one installer adds, published together: one recompile for the
+/// whole batch, however many slots it carries.
+struct SlotBatch {
+  /// Slots that run on every function. They precede per-function slots
+  /// in both phases, so the trace recorder (installed this way) snapshots
+  /// exactly the state the machines are about to observe.
+  std::vector<DispatchSlot> PreAll;
+  std::vector<DispatchSlot> PostAll;
+  std::vector<std::pair<jni::FnId, DispatchSlot>> Pre;
+  std::vector<std::pair<jni::FnId, DispatchSlot>> Post;
+  /// Owners of the slot objects, released at InterposeDispatcher::clear().
+  std::vector<std::shared_ptr<const void>> KeepAlive;
 };
 
-/// Per-function hook lists. One dispatcher serves all installed agents;
-/// each agent appends its own hooks.
+/// Owns the observers of one runtime and publishes them, compiled into a
+/// DispatchTable, to the generated wrappers.
 ///
-/// Three dispatch tiers, selected per crossing by the generated wrappers:
-///
-///   1. *Fused* — an installed FusedTable: per-function straight-line
-///      check programs with everything else compiled out. Active only
-///      while the dispatcher's dynamic surface is untouched beyond the
-///      synthesized machine hooks it was compiled from.
-///   2. *Dynamic* — the hook lists below, with the sparse per-function
-///      mask byte (kept in sync by the add* methods) eliding functions no
-///      hook observes when elision is enabled; with elision off this is
-///      the dense legacy path (the Table 3 "interposing only" shape pays
-///      full capture cost).
-///   3. *Bare* — no dispatcher on the runtime at all.
-///
-/// Any dynamic mutation — addPre/addPost, an all-function hook (the trace
-/// recorder), a sampling predicate — *demotes* the dispatcher from fused
-/// to dynamic first (one-way, atomic pointer store), so recording,
-/// sampled checking, and hand-registered hooks work unchanged: crossings
-/// already past the tier check finish on the still-live fused program
-/// (same machine checks), later crossings take the dynamic path and see
-/// the new hook.
+/// Publication is read-copy-update: an installer (serialized by a mutex)
+/// appends its slots to the registry, compiles a fresh table, and
+/// publishes it with a release store. A crossing loads the table once
+/// (acquire) and runs entirely on that snapshot. Superseded tables stay
+/// owned by the dispatcher until clear(), so a crossing that started
+/// before a mid-run install finishes safely on the old program, and every
+/// crossing that starts after the install returns sees the new slot.
 class InterposeDispatcher {
 public:
+  InterposeDispatcher();
+
+  /// Adds \p Batch to the registry and publishes the recompiled table.
+  void install(SlotBatch Batch);
+
+  /// Single-hook installers (tests, debuggers): the dispatcher keeps the
+  /// callable alive and reaches it through a trampoline slot.
   void addPre(jni::FnId Id, HookFn Hook);
   void addPost(jni::FnId Id, HookFn Hook);
-  /// Hooks that run on *every* function (prepended to per-function lists).
+  /// Hooks that run on *every* function, ahead of per-function slots.
   void addPreAll(HookFn Hook);
   void addPostAll(HookFn Hook);
 
-  //===------------------------------------------------------------------===
-  // Fused (tier-1) dispatch
-  //===------------------------------------------------------------------===
-
-  /// Installs the fused table. Refuses (returns false) when the dynamic
-  /// surface is already incompatible — an all-function hook or a sampling
-  /// predicate is present. The caller (the Jinn agent) must install
-  /// immediately after synthesis, while the dispatcher holds exactly the
-  /// hooks the table was compiled from.
-  bool installFused(std::shared_ptr<const FusedTable> Table);
-
-  /// The active fused table, or nullptr when dispatch is dynamic. Read
-  /// once per crossing by the generated wrappers.
-  const FusedTable *fused() const {
-    return FusedPtr.load(std::memory_order_acquire);
-  }
-  bool fusedActive() const { return fused() != nullptr; }
-
-  /// One-way fused -> dynamic fallback. The table owner is retained so
-  /// crossings that already picked the fused tier finish safely.
-  void demoteToDynamic();
-  /// Number of installFused -> dynamic demotions (test/diagnostic aid).
-  uint64_t demotionCount() const {
-    return Demotions.load(std::memory_order_relaxed);
+  /// The published program. Read once per crossing by the generated
+  /// wrappers; never null (an empty table before the first install).
+  const DispatchTable *table() const {
+    return Current.load(std::memory_order_acquire);
   }
 
-  void runPre(CapturedCall &Call) const;
-  void runPost(CapturedCall &Call) const;
+  /// Every change republishes and nothing demotes, so this is always 0;
+  /// kept for the benchmark drivers that report it.
+  uint64_t demotionCount() const { return 0; }
 
-  /// Total number of registered hook attachment points (census support).
+  /// Total number of registered slots (census support).
   size_t hookCount() const;
-  /// Number of pre hooks for one function.
+  /// Number of pre / post slots the published program runs for \p Id,
+  /// all-function slots included.
   size_t preCount(jni::FnId Id) const;
-  /// Number of post hooks for one function.
   size_t postCount(jni::FnId Id) const;
-
-  /// Enables/disables static check elision in the generated wrappers.
-  void setElisionEnabled(bool Enabled) {
-    ElisionEnabled.store(Enabled, std::memory_order_relaxed);
-  }
-  bool elisionEnabled() const {
-    return ElisionEnabled.load(std::memory_order_relaxed);
-  }
-
-  /// True when the wrapper for \p Id may skip interposition entirely: no
-  /// per-function hook and no all-function hook observes it. Any
-  /// all-function hook (the trace recorder) defeats elision for every
-  /// function, which is what keeps recording modes lossless.
-  bool elides(jni::FnId Id) const {
-    return ElisionEnabled.load(std::memory_order_relaxed) &&
-           !AnyPreAll.load(std::memory_order_relaxed) &&
-           !AnyPostAll.load(std::memory_order_relaxed) &&
-           HookMask[static_cast<size_t>(Id)].load(
-               std::memory_order_relaxed) == 0;
-  }
-
-  /// True when the wrapper must capture the return value and run the post
-  /// list. Always true while elision is disabled (legacy dense dispatch).
-  bool wantsPost(jni::FnId Id) const {
-    return !ElisionEnabled.load(std::memory_order_relaxed) ||
-           AnyPostAll.load(std::memory_order_relaxed) ||
-           (HookMask[static_cast<size_t>(Id)].load(
-                std::memory_order_relaxed) &
-            HasPost);
-  }
 
   //===------------------------------------------------------------------===
   // Deterministic sampled checking (production monitoring mode)
@@ -470,47 +431,42 @@ public:
 
   /// Per-thread sampling decision: called once per thread (result cached
   /// in a thread-local keyed by thread id), it decides whether this
-  /// thread's crossings run boundary hooks at all — the all-function
-  /// hooks (the trace recorder) and the per-function machine hooks alike.
-  /// An unsampled thread pays only this cached lookup per crossing; a
-  /// sampled thread is fully recorded and fully checked, which is what
-  /// keeps its reports byte-replayable from the retained trace.
-  /// The predicate must be pure and deterministic (the Jinn agent derives
-  /// it from a seeded SplitMix64 stream over the thread identity).
+  /// thread's crossings run boundary slots at all — the recorder and the
+  /// machine checks alike. An unsampled thread pays only this cached
+  /// lookup per crossing; a sampled thread is fully recorded and fully
+  /// checked, which is what keeps its reports byte-replayable from the
+  /// retained trace. The predicate must be pure and deterministic (the
+  /// Jinn agent derives it from a seeded SplitMix64 stream over the thread
+  /// identity).
   using SamplePredicate = std::function<bool(jvm::JThread &)>;
 
-  /// Installs (or, with nullptr, removes) the sampling predicate.
+  /// Installs (or, with nullptr, removes) the sampling predicate and
+  /// republishes the table with its Sampling flag set accordingly.
   void setSampler(SamplePredicate Fn);
-  bool samplingEnabled() const {
-    return SamplerGen.load(std::memory_order_relaxed) != 0;
-  }
 
   /// Whether \p Thread's crossings are recorded and checked. Always true
-  /// without a sampler. Used by runPre/runPost and by the synthesized
-  /// native wrapper to gate the whole boundary.
+  /// without a sampler. Used by the wrapper prologue and by the
+  /// synthesized native wrapper to gate the whole boundary.
   bool checksThread(jvm::JThread &Thread) const;
 
   /// Teardown-only (not safe against concurrent crossings, unlike the
-  /// add* installers): drops every hook, the sampler, and the fused table.
+  /// installers): drops every slot, the sampler, and every table.
   void clear();
 
 private:
-  static constexpr uint8_t HasPre = 1;
-  static constexpr uint8_t HasPost = 2;
+  /// Compiles the registry and publishes the result. Caller holds InstallMu.
+  void publishLocked();
 
-  std::array<HookList, jni::NumJniFunctions> Pre;
-  std::array<HookList, jni::NumJniFunctions> Post;
-  HookList PreAll;
-  HookList PostAll;
-  /// HasPre/HasPost bits per function, maintained incrementally by addPre
-  /// and addPost — the sparse hook table the wrapper fast path reads.
-  std::array<std::atomic<uint8_t>, jni::NumJniFunctions> HookMask{};
-  std::atomic<bool> AnyPreAll{false};
-  std::atomic<bool> AnyPostAll{false};
-  std::atomic<bool> ElisionEnabled{false};
-  /// Serializes hook/sampler installation (installation is rare; crossings
-  /// never take this lock).
-  std::mutex InstallMu;
+  /// Serializes installation (rare); crossings never take this lock.
+  mutable std::mutex InstallMu;
+  std::vector<DispatchSlot> PreAll;
+  std::vector<DispatchSlot> PostAll;
+  std::array<std::vector<DispatchSlot>, jni::NumJniFunctions> Pre;
+  std::array<std::vector<DispatchSlot>, jni::NumJniFunctions> Post;
+  std::vector<std::shared_ptr<const void>> KeepAlive;
+  /// Every table published since the last clear(); the last is current.
+  std::vector<std::unique_ptr<const DispatchTable>> Tables;
+  std::atomic<const DispatchTable *> Current;
   /// Sampling predicate plus its generation tag: the thread-local decision
   /// cache is keyed by (generation, thread id), so replacing the sampler
   /// or reattaching an OS thread under a new VM thread id invalidates the
@@ -518,12 +474,6 @@ private:
   /// only read under InstallMu, on a cache miss.
   SamplePredicate Sampler;
   std::atomic<uint64_t> SamplerGen{0};
-  /// Fused tier state: the atomic pointer is the per-crossing tier check;
-  /// the owner keeps the table (and its compiled program) alive across
-  /// demotion for crossings already running fused.
-  std::atomic<const FusedTable *> FusedPtr{nullptr};
-  std::shared_ptr<const FusedTable> FusedOwner;
-  std::atomic<uint64_t> Demotions{0};
 };
 
 /// The generated interposed function table (shared, immutable).

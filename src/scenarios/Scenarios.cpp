@@ -80,6 +80,13 @@ const MicroInfo &jinn::scenarios::microInfo(MicroId Id) {
   return allMicrobenchmarks()[static_cast<size_t>(Id)];
 }
 
+namespace {
+
+/// The interpose-only observer: reached through a real slot, does nothing.
+void observeNothing(const void *, jvmti::CapturedCall &) {}
+
+} // namespace
+
 ScenarioWorld::ScenarioWorld(WorldConfig Config)
     : Config(Config),
       Vm([&Config] {
@@ -95,16 +102,18 @@ ScenarioWorld::ScenarioWorld(WorldConfig Config)
   switch (Config.Checker) {
   case CheckerKind::None:
     break;
-  case CheckerKind::InterposeOnly:
-    jvmti::dispatcherFor(Rt); // wrapped table, no hooks
+  case CheckerKind::InterposeOnly: {
+    jvmti::SlotBatch Batch;
+    Batch.PreAll.push_back({&observeNothing, nullptr});
+    Batch.PostAll.push_back({&observeNothing, nullptr});
+    jvmti::dispatcherFor(Rt).install(std::move(Batch));
     break;
+  }
   case CheckerKind::Jinn: {
     agent::JinnOptions Options;
     Options.Mode = Config.JinnMode;
     Options.Recorder = Config.JinnRecorder;
     Options.EnabledMachines = Config.JinnEnabledMachines;
-    Options.SparseDispatch = Config.JinnSparseDispatch;
-    Options.FusedDispatch = Config.JinnFusedDispatch;
     Options.ShardCount = Config.JinnShardCount;
     Options.ReportBufferSize = Config.JinnReportBuffer;
     Options.SampleRate = Config.JinnSampleRate;

@@ -75,8 +75,9 @@ const std::vector<MicroInfo> &allMicrobenchmarks();
 const MicroInfo &microInfo(MicroId Id);
 
 /// Which dynamic checker a run uses. InterposeOnly installs the wrapped
-/// function table with an empty dispatcher — the paper's "Interposing"
-/// column of Table 3, isolating interposition cost from check cost.
+/// function table with one no-op pre and post observer on every function
+/// — the paper's "Interposing" column of Table 3: every call pays argument
+/// capture and an indirect call each way, but no check.
 enum class CheckerKind : uint8_t { None, Xcheck, Jinn, InterposeOnly };
 
 /// Configuration of one scenario run.
@@ -91,10 +92,6 @@ struct WorldConfig {
   trace::TraceRecorderOptions JinnRecorder;
   /// Machine-name filter forwarded to JinnOptions::EnabledMachines.
   std::vector<std::string> JinnEnabledMachines;
-  /// Static check elision, forwarded to JinnOptions::SparseDispatch.
-  bool JinnSparseDispatch = true;
-  /// Fused tier-1 dispatch, forwarded to JinnOptions::FusedDispatch.
-  bool JinnFusedDispatch = true;
   /// Lock stripes per global shadow table, forwarded to
   /// JinnOptions::ShardCount.
   unsigned JinnShardCount = agent::DefaultShardCount;

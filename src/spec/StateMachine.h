@@ -220,11 +220,10 @@ private:
 /// reports violations through the context's Reporter.
 ///
 /// Deliberately not a std::function: the action is stored as a shared
-/// callable plus a raw trampoline pointer so the fused dispatch tier
-/// (synth/FusedChecks) can copy `(rawInvoke, rawObject)` pairs into a flat
-/// per-FnId slot array and run each check as one plain indirect call —
-/// no std::function dispatch on the crossing hot path. The dynamic tier
-/// calls through operator(), which is the same indirect call.
+/// callable plus a raw trampoline pointer so the synthesizer can copy
+/// `(rawInvoke, rawObject)` pairs into its compiled per-function check
+/// program (synth::JniCheckProgram) and run each check as one plain
+/// indirect call — no std::function dispatch on the crossing hot path.
 class TransitionAction {
 public:
   using RawFn = void (*)(void *, TransitionContext &);
@@ -243,7 +242,7 @@ public:
   void operator()(TransitionContext &Ctx) const { Invoke(Obj.get(), Ctx); }
   explicit operator bool() const { return Invoke != nullptr; }
 
-  /// Fused-tier binding: the trampoline and the callable's address. Any
+  /// Compiled-program binding: the trampoline and the callable's address. Any
   /// slot array built from these must keep a copy of the action (or its
   /// owning spec) alive; the callable is shared, not copied.
   RawFn rawInvoke() const { return Invoke; }

@@ -9,23 +9,75 @@
 #include "jni/EnvImplDetail.h"
 #include "jvmti/Interpose.h"
 
+#include <utility>
+
 using namespace jinn;
 using namespace jinn::synth;
 using jinn::jni::FnId;
 using jinn::spec::Direction;
 using jinn::spec::TransitionContext;
 
-SynthesisStats Synthesizer::installInto(
-    jvmti::InterposeDispatcher &Dispatcher) {
+template <bool IsPost, bool Counting>
+void JniCheckProgram::runBlock(const Block &B, jvmti::CapturedCall &Call,
+                               const uint32_t *MachineOf,
+                               uint64_t *PerMachine) {
+  // One context per phase: it is a stateless view over the CapturedCall,
+  // so sharing it across the block's checks is observably identical to
+  // building one per check.
+  TransitionContext Ctx = TransitionContext::jniSite(
+      IsPost ? TransitionContext::Site::JniPost
+             : TransitionContext::Site::JniPre,
+      Call, *B.Rep);
+  for (const Check *C = B.First, *End = B.First + B.Count; C != End; ++C) {
+    if constexpr (Counting)
+      ++PerMachine[MachineOf[C - B.First]];
+    C->Invoke(C->Obj, Ctx);
+    // A pre check that suppresses the call ends the phase; post checks
+    // all run (the call already happened).
+    if (!IsPost && Call.aborted())
+      return;
+  }
+}
+
+void JniCheckProgram::runPreSlot(const void *BlockPtr,
+                                 jvmti::CapturedCall &Call) {
+  runBlock<false, false>(*static_cast<const Block *>(BlockPtr), Call,
+                         nullptr, nullptr);
+}
+
+void JniCheckProgram::runPostSlot(const void *BlockPtr,
+                                  jvmti::CapturedCall &Call) {
+  runBlock<true, false>(*static_cast<const Block *>(BlockPtr), Call,
+                        nullptr, nullptr);
+}
+
+void JniCheckProgram::runCounted(FnId Id, bool IsPost,
+                                 jvmti::CapturedCall &Call,
+                                 uint64_t *PerMachine) const {
+  const Block &B = (IsPost ? Post : Pre)[static_cast<size_t>(Id)];
+  const uint32_t *Machines = MachineOf.data() + (B.First - Checks.data());
+  if (IsPost)
+    runBlock<true, true>(B, Call, Machines, PerMachine);
+  else
+    runBlock<false, true>(B, Call, Machines, PerMachine);
+}
+
+SynthesisStats Synthesizer::synthesize() {
   SynthesisStats Stats;
   Stats.MachineCount = Machines.size();
+  EntryActions.clear();
+  ExitActions.clear();
+  Program = std::make_shared<JniCheckProgram>();
+  // Per function and phase, in walk order: each check with its machine.
+  using Row = std::pair<JniCheckProgram::Check, uint32_t>;
+  std::array<std::vector<Row>, jni::NumJniFunctions> PreChecks, PostChecks;
 
   // Algorithm 1 (paper Figure 5):
   // 1: for each state machine specification Mi
-  for (spec::MachineBase *Machine : Machines) {
+  for (size_t M = 0; M < Machines.size(); ++M) {
     // 2: for each state transition sa -> sb
     for (const spec::StateTransition &Transition :
-         Machine->spec().Transitions) {
+         Machines[M]->spec().Transitions) {
       ++Stats.StateTransitionCount;
       // 3: let L = Mi.languageTransitionsFor(sa -> sb)
       // 4: for each language transition e in L
@@ -37,44 +89,65 @@ SynthesisStats Synthesizer::installInto(
           // wrapper for e.function, by direction. The match set is
           // resolved once through spec::matchedFunctions — the same
           // resolution the static analyzer uses to build the relevance
-          // matrix, so synthesized hooks and the matrix cannot disagree.
+          // matrix, so the compiled checks and the matrix cannot disagree.
           bool IsPre = Lang.Dir == Direction::CallCToJava;
+          JniCheckProgram::Check Check{Transition.Action.rawInvoke(),
+                                       Transition.Action.rawObject()};
           for (FnId Id : spec::matchedFunctions(Lang.Fns)) {
-            spec::TransitionAction Action = Transition.Action;
-            spec::Reporter *Reporter = &Rep;
-            const spec::StateMachineSpec *Owner = &Machine->spec();
-            auto Hook = [this, Action, Reporter, Owner,
-                         IsPre](jvmti::CapturedCall &Call) {
-              TransitionContext Ctx = TransitionContext::jniSite(
-                  IsPre ? TransitionContext::Site::JniPre
-                        : TransitionContext::Site::JniPost,
-                  Call, *Reporter);
-              if (OnActionRun)
-                OnActionRun(*Owner);
-              Action(Ctx);
-            };
-            if (IsPre) {
-              Dispatcher.addPre(Id, std::move(Hook));
-              ++Stats.JniPreHooks;
-            } else {
-              Dispatcher.addPost(Id, std::move(Hook));
-              ++Stats.JniPostHooks;
-            }
+            ++(IsPre ? Stats.JniPreHooks : Stats.JniPostHooks);
+            // An actionless transition has nothing to run; it still counts
+            // as an instrumentation point of the spec.
+            if (Check.Invoke)
+              (IsPre ? PreChecks : PostChecks)[static_cast<size_t>(Id)]
+                  .push_back({Check, static_cast<uint32_t>(M)});
           }
+          Program->Retained.push_back(Transition.Action);
           break;
         }
         case Direction::CallJavaToC:
-          EntryActions.push_back({&Machine->spec(), Transition.Action});
+          EntryActions.push_back({&Machines[M]->spec(), Transition.Action});
           ++Stats.NativeEntryActions;
           break;
         case Direction::ReturnCToJava:
-          ExitActions.push_back({&Machine->spec(), Transition.Action});
+          ExitActions.push_back({&Machines[M]->spec(), Transition.Action});
           ++Stats.NativeExitActions;
           break;
         }
       }
     }
   }
+
+  // Flatten into one arena, function by function; the arena is sized up
+  // front so the blocks' pointers into it stay valid.
+  std::vector<JniCheckProgram::Check> &Checks = Program->Checks;
+  Checks.reserve(Stats.JniPreHooks + Stats.JniPostHooks);
+  auto Fill = [&](JniCheckProgram::Block &B, const std::vector<Row> &From) {
+    B = {&Rep, Checks.data() + Checks.size(), From.size()};
+    for (const auto &[Check, Machine] : From) {
+      Checks.push_back(Check);
+      Program->MachineOf.push_back(Machine);
+    }
+  };
+  for (size_t I = 0; I < jni::NumJniFunctions; ++I) {
+    Fill(Program->Pre[I], PreChecks[I]);
+    Fill(Program->Post[I], PostChecks[I]);
+  }
+  return Stats;
+}
+
+SynthesisStats Synthesizer::installInto(
+    jvmti::InterposeDispatcher &Dispatcher) {
+  SynthesisStats Stats = synthesize();
+  jvmti::SlotBatch Batch;
+  for (size_t I = 0; I < jni::NumJniFunctions; ++I) {
+    FnId Id = static_cast<FnId>(I);
+    if (const JniCheckProgram::Block &B = Program->Pre[I]; B.Count)
+      Batch.Pre.push_back({Id, {&JniCheckProgram::runPreSlot, &B}});
+    if (const JniCheckProgram::Block &B = Program->Post[I]; B.Count)
+      Batch.Post.push_back({Id, {&JniCheckProgram::runPostSlot, &B}});
+  }
+  Batch.KeepAlive.push_back(Program);
+  Dispatcher.install(std::move(Batch));
   return Stats;
 }
 
@@ -102,8 +175,6 @@ Synthesizer::makeNativeBindHandler() {
           nullptr, Rep);
       if (Checked)
         for (const MachineAction &Action : EntryActions) {
-          if (OnActionRun)
-            OnActionRun(*Action.first);
           Action.second(Entry);
           if (Entry.aborted())
             break;
@@ -119,11 +190,8 @@ Synthesizer::makeNativeBindHandler() {
         TransitionContext Exit = TransitionContext::nativeSite(
             TransitionContext::Site::NativeExit, Method, Env, Self, Args,
             &Result, Rep);
-        for (const MachineAction &Action : ExitActions) {
-          if (OnActionRun)
-            OnActionRun(*Action.first);
+        for (const MachineAction &Action : ExitActions)
           Action.second(Exit);
-        }
       }
       return Result;
     };

@@ -60,6 +60,30 @@ void Trace::rebuildThreadNames() {
       ThreadNames[Ev.ThreadId] = Ev.Name;
 }
 
+bool Trace::wellFormed(std::string *Err) const {
+  for (size_t I = 0; I < Events.size(); ++I) {
+    const TraceEvent &Ev = Events[I];
+    const char *Bad = nullptr;
+    bool Jni = Ev.Kind == EventKind::JniPre || Ev.Kind == EventKind::JniPost;
+    if (Jni && Ev.Fn >= jni::NumJniFunctions)
+      Bad = "JNI function id out of range";
+    else if (Jni && Ev.NumArgs > TraceEvent::MaxArgs)
+      Bad = "more JNI arguments than a trace event holds";
+    else if (Ev.NumNativeArgs > TraceEvent::MaxNativeArgs)
+      Bad = "more native arguments than a trace event holds";
+    else if (Ev.Snap.NumPeeks > jvmti::BoundarySnapshot::MaxPeeks ||
+             Ev.Snap.NumCallArgs > jvmti::BoundarySnapshot::MaxCallArgs)
+      Bad = "snapshot count past its capacity";
+    if (Bad) {
+      if (Err)
+        *Err = "malformed trace event " + std::to_string(I) + " (" +
+               eventKindName(Ev.Kind) + "): " + Bad;
+      return false;
+    }
+  }
+  return true;
+}
+
 //===----------------------------------------------------------------------===
 // Per-thread buffers
 //===----------------------------------------------------------------------===
@@ -340,10 +364,20 @@ void TraceRecorder::recordJni(jvmti::CapturedCall &Call, bool IsPost) {
 }
 
 void TraceRecorder::installJniHooks(jvmti::InterposeDispatcher &Dispatcher) {
-  Dispatcher.addPreAll(
-      [this](jvmti::CapturedCall &Call) { recordJni(Call, false); });
-  Dispatcher.addPostAll(
-      [this](jvmti::CapturedCall &Call) { recordJni(Call, true); });
+  jvmti::SlotBatch Batch;
+  Batch.PreAll.push_back({&recordPre, this});
+  Batch.PostAll.push_back({&recordPost, this});
+  Dispatcher.install(std::move(Batch));
+}
+
+void TraceRecorder::recordPre(const void *Self, jvmti::CapturedCall &Call) {
+  const_cast<TraceRecorder *>(static_cast<const TraceRecorder *>(Self))
+      ->recordJni(Call, false);
+}
+
+void TraceRecorder::recordPost(const void *Self, jvmti::CapturedCall &Call) {
+  const_cast<TraceRecorder *>(static_cast<const TraceRecorder *>(Self))
+      ->recordJni(Call, true);
 }
 
 void TraceRecorder::recordThreadAttach(jvm::JThread &Thread) {

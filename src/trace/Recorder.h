@@ -84,10 +84,10 @@ public:
   explicit TraceRecorder(jvm::Vm &Vm, TraceRecorderOptions Opts = {});
   ~TraceRecorder() override;
 
-  /// Installs the recording pre/post hooks on \p Dispatcher. They are
-  /// all-function hooks, which the dispatcher runs before any per-function
-  /// machine hook — so each snapshot freezes the state the machines were
-  /// about to observe.
+  /// Installs the recording pre/post slots on \p Dispatcher (one publish).
+  /// They are all-function slots, which the compiled program runs before
+  /// any per-function machine slot — so each snapshot freezes the state
+  /// the machines were about to observe.
   void installJniHooks(jvmti::InterposeDispatcher &Dispatcher);
 
   void recordThreadAttach(jvm::JThread &Thread);
@@ -139,6 +139,9 @@ private:
   ThreadBuffer &localBuffer();
   TraceEvent &beginEvent(ThreadBuffer &Buffer, EventKind Kind);
   void recordJni(jvmti::CapturedCall &Call, bool IsPost);
+  /// The dispatch slots: \p Self is the recorder.
+  static void recordPre(const void *Self, jvmti::CapturedCall &Call);
+  static void recordPost(const void *Self, jvmti::CapturedCall &Call);
   void capturePeek(jvmti::BoundarySnapshot &Snap, uint64_t Word,
                    const jvm::JThread *Perspective);
   void captureCommon(jvmti::BoundarySnapshot &Snap, JNIEnv *Env);

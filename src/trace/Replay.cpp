@@ -53,15 +53,18 @@ ReplayResult jinn::trace::replayTrace(const Trace &T, jvm::Vm &Vm,
       Active.push_back(Machine);
   }
 
+  // Foreign traces can carry any bytes: refuse one whose fields would
+  // index the check program or the captured-argument array out of range.
+  if (!T.wellFormed(&Result.Error))
+    return Result;
+
+  // The same compiled check program the live wrappers run, driven
+  // directly (no dispatcher) through its counting entry point.
   CollectingReporter Reporter;
   synth::Synthesizer Synth(Active, Reporter);
-  Synth.OnActionRun = [&Result](const spec::StateMachineSpec &Spec) {
-    ++Result.MachineTransitions[Spec.Name];
-  };
-  // A standalone dispatcher: the synthesized hooks run against replayed
-  // calls, not against any live runtime's interposed table.
-  jvmti::InterposeDispatcher Dispatcher;
-  Synth.installInto(Dispatcher);
+  Synth.synthesize();
+  const synth::JniCheckProgram &Checks = Synth.jniChecks();
+  std::vector<uint64_t> PerMachine(Active.size(), 0);
 
   jvmti::ReplayEnvironment Renv;
   Renv.Vm = &Vm;
@@ -72,6 +75,10 @@ ReplayResult jinn::trace::replayTrace(const Trace &T, jvm::Vm &Vm,
   for (size_t EvIndex = 0; EvIndex < T.Events.size(); ++EvIndex) {
     const TraceEvent &Ev = T.Events[EvIndex];
     ++Result.EventsReplayed;
+    // A crossing whose snapshot overflowed its peek capacity answers the
+    // missing peeks from the live VM, which may have moved on since.
+    if (Ev.Snap.PeeksTruncated)
+      ++Result.InexactCrossings;
     switch (Ev.Kind) {
     case EventKind::ThreadAttach: {
       spec::ThreadStartInfo Info;
@@ -91,13 +98,12 @@ ReplayResult jinn::trace::replayTrace(const Trace &T, jvm::Vm &Vm,
       for (size_t I = 0; I < Ev.NumArgs; ++I)
         Call.restoreArg(static_cast<jni::ArgClass>(Ev.Args[I].Cls),
                         Ev.Args[I].Word, Ev.Args[I].PtrWord);
-      if (Ev.Kind == EventKind::JniPost) {
+      bool IsPost = Ev.Kind == EventKind::JniPost;
+      if (IsPost)
         Call.restoreReturn(Ev.HasReturn, Ev.RetIsRef, Ev.RetWord,
                            Ev.RetPtrWord);
-        Dispatcher.runPost(Call);
-      } else {
-        Dispatcher.runPre(Call);
-      }
+      Checks.runCounted(static_cast<jni::FnId>(Ev.Fn), IsPost, Call,
+                        PerMachine.data());
       break;
     }
 
@@ -152,6 +158,9 @@ ReplayResult jinn::trace::replayTrace(const Trace &T, jvm::Vm &Vm,
         Opts.OnReport(EvIndex, Reporter.Reports[Reported]);
   }
 
+  for (size_t M = 0; M < Active.size(); ++M)
+    if (PerMachine[M])
+      Result.MachineTransitions[Active[M]->spec().Name] += PerMachine[M];
   Result.Reports = std::move(Reporter.Reports);
   return Result;
 }

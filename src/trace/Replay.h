@@ -48,6 +48,13 @@ struct ReplayResult {
   std::vector<agent::JinnReport> Reports; ///< inline-equivalent verdicts
   uint64_t EventsReplayed = 0;
   std::map<std::string, uint64_t> MachineTransitions;
+  /// Replayed crossings whose snapshot ran out of peek capacity: a handle
+  /// it did not freeze is answered by the live VM, so the replayed verdict
+  /// for that crossing may differ from the inline one. The replay contract
+  /// (inline reports == replayed reports) is exact only while this is 0.
+  uint64_t InexactCrossings = 0;
+  /// Non-empty when the trace was refused as malformed (nothing replayed).
+  std::string Error;
 
   /// Violation (non-end-of-run) report counts keyed by machine name.
   std::map<std::string, uint64_t> violationsPerMachine() const;

@@ -62,7 +62,7 @@ struct ArgRecord {
 /// path clears only the prefix — slack bytes in the arrays of a recorded
 /// event are indeterminate and must never be read past their counts.
 struct TraceEvent {
-  static constexpr size_t MaxArgs = 5;       ///< JNI functions take <= 5
+  static constexpr size_t MaxArgs = jni::MaxJniParams;
   static constexpr size_t MaxNativeArgs = 8; ///< native formals kept per event
   static constexpr size_t MaxNameLen = 31;   ///< thread name at attach
 
@@ -112,6 +112,13 @@ struct Trace {
 
   /// Repopulates ThreadNames from ThreadAttach events.
   void rebuildThreadNames();
+
+  /// Checks every field replay and lifting index by: JNI function ids and
+  /// argument counts of JniPre/JniPost events, and the snapshot's peek and
+  /// call-argument counts. A trace read from a file is foreign input; a
+  /// consumer calls this first and refuses the trace (with \p Err naming
+  /// the first bad event) instead of reading out of range.
+  bool wellFormed(std::string *Err = nullptr) const;
 };
 
 } // namespace jinn::trace

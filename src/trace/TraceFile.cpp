@@ -115,6 +115,20 @@ bool jinn::trace::readTraceFile(Trace &Out, const std::string &Path,
     Out.ThreadNames[Entry.Id] = Entry.Name;
   }
 
+  // The header is foreign input: size the event array from what the file
+  // can actually hold, not from the count it claims.
+  long Here = std::ftell(File.get());
+  if (Here < 0 || std::fseek(File.get(), 0, SEEK_END) != 0)
+    return fail(Err, "cannot size " + Path);
+  long FileEnd = std::ftell(File.get());
+  if (FileEnd < Here || std::fseek(File.get(), Here, SEEK_SET) != 0)
+    return fail(Err, "cannot size " + Path);
+  uint64_t Left = static_cast<uint64_t>(FileEnd - Here);
+  if (Header.EventCount > Left / sizeof(TraceEvent))
+    return fail(Err, "truncated event stream in " + Path + " (header claims " +
+                         std::to_string(Header.EventCount) + " events, " +
+                         std::to_string(Left / sizeof(TraceEvent)) +
+                         " fit)");
   Out.Events.resize(Header.EventCount);
   if (Header.EventCount &&
       std::fread(Out.Events.data(), sizeof(TraceEvent), Header.EventCount,

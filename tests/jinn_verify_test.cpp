@@ -172,6 +172,30 @@ TEST(JinnVerify, ForeignTraceFileVerdict) {
   EXPECT_TRUE(V.May.empty());
 }
 
+/// A foreign trace whose JNI events carry an out-of-range function id or
+/// argument count is refused with an error, never lifted.
+TEST(JinnVerify, MalformedTraceIsRefused) {
+  scenarios::WorldConfig Config;
+  Config.Checker = scenarios::CheckerKind::Jinn;
+  Config.JinnMode = agent::TraceMode::RecordOnly;
+  scenarios::ScenarioWorld World(Config);
+  scenarios::runMicrobenchmark(scenarios::MicroId::PopWithoutPush, World);
+  World.shutdown();
+  trace::Trace Recorded = World.Jinn->recorder()->collect();
+  for (trace::TraceEvent &Ev : Recorded.Events)
+    if (Ev.Kind == trace::EventKind::JniPost) {
+      Ev.Fn = 0xFFFF;
+      break;
+    }
+
+  std::string Err;
+  ClientCfg Cfg = liftTrace(Recorded, World.Vm, "malformed",
+                            /*PinWitnessed=*/false, &Err);
+  EXPECT_NE(Err.find("JNI function id out of range"), std::string::npos)
+      << Err;
+  EXPECT_TRUE(Cfg.Blocks.empty());
+}
+
 /// The lifter's success gating: a micro whose balance calls all succeed
 /// lifts with Success on those calls, and the balanced fixed variants
 /// stay verdict-free even though they move the counters.

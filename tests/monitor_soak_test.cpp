@@ -161,6 +161,8 @@ TEST(MonitorSoak, SampledReportsReplayFromRetainedTrace) {
   trace::Trace Retained = Sink.retained();
   EXPECT_GT(Retained.Events.size(), 0u);
   trace::ReplayResult Replayed = trace::replayTrace(Retained, World.Vm);
+  EXPECT_EQ(Replayed.InexactCrossings, 0u)
+      << "a replayed crossing fell back to the live VM for a peek";
   std::vector<agent::JinnReport> Offline = violations(Replayed.Reports);
 
   // Replay reproduces the inline reports exactly — same multiset in both

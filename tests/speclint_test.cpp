@@ -8,22 +8,16 @@
 /// The analyzer contract, from both sides: the fourteen shipped machines
 /// (and the Python checker's machines) must lint clean, a fixture spec
 /// with seeded defects must be flagged on every defect, the relevance
-/// matrix must agree with what Algorithm 1 installs into the dispatcher,
-/// and static check elision (sparse dispatch) must preserve every report
-/// list — including under record+replay.
+/// matrix must agree with the program Algorithm 1 compiles into the
+/// dispatcher.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/SpecLint.h"
 #include "jinn/Machines.h"
-#include "scenarios/Scenarios.h"
 #include "synth/Synthesizer.h"
-#include "trace/Replay.h"
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
-#include <tuple>
 
 using namespace jinn;
 using namespace jinn::analysis;
@@ -344,8 +338,9 @@ TEST(SpecLint, ViolationTextMustTargetAnErrorState) {
   // Regression for the mutation campaign's spec-monitorbalance-error-
   // state-swapped survivor: a counter-guard transition whose declared
   // violation text flows to a non-error target used to pass every
-  // analysis (reachability exempts error states, the fused plan records
-  // only hook sites). The lint now makes the target label load-bearing.
+  // analysis (reachability exempts error states, and the compiled check
+  // program records only hook sites). The lint now makes the target label
+  // load-bearing.
   spec::TransitionAction Noop = [](spec::TransitionContext &) {};
   spec::StateMachineSpec Spec;
   Spec.Name = "Mislabeled fixture";
@@ -423,85 +418,9 @@ TEST(RelevanceMatrix, EnvStateObservesAllFunctionsPre) {
   const MachineRelevance *Env = A.Matrix.rowFor("JNIEnv* state");
   ASSERT_NE(Env, nullptr);
   EXPECT_EQ(Env->Pre.count(), jni::NumJniFunctions);
-  // Post hooks are sparse: most functions have none, so the sparse
-  // dispatcher can skip the post path even in the full configuration.
+  // Post checks are sparse: most functions have none, so their compiled
+  // wrappers skip the post phase even in the full configuration.
   EXPECT_LT(A.Matrix.AnyPost.count(), jni::NumJniFunctions / 2);
-}
-
-//===----------------------------------------------------------------------===
-// Elision is report-preserving: sparse and dense dispatch produce the
-// same outcome and byte-identical report lists on every microbenchmark,
-// in the full configuration and under machine ablation.
-//===----------------------------------------------------------------------===
-
-scenarios::WorldConfig jinnConfig(bool Sparse,
-                                  std::vector<std::string> Machines = {}) {
-  scenarios::WorldConfig Config;
-  Config.Checker = scenarios::CheckerKind::Jinn;
-  Config.JinnSparseDispatch = Sparse;
-  Config.JinnEnabledMachines = std::move(Machines);
-  return Config;
-}
-
-void expectSameReports(const std::vector<agent::JinnReport> &Dense,
-                       const std::vector<agent::JinnReport> &Sparse) {
-  ASSERT_EQ(Dense.size(), Sparse.size());
-  for (size_t I = 0; I < Dense.size(); ++I) {
-    EXPECT_EQ(Dense[I].Machine, Sparse[I].Machine) << "#" << I;
-    EXPECT_EQ(Dense[I].Function, Sparse[I].Function) << "#" << I;
-    EXPECT_EQ(Dense[I].Message, Sparse[I].Message) << "#" << I;
-    EXPECT_EQ(Dense[I].EndOfRun, Sparse[I].EndOfRun) << "#" << I;
-  }
-}
-
-void runEquivalence(std::vector<std::string> Machines) {
-  for (const scenarios::MicroInfo &Info : scenarios::allMicrobenchmarks()) {
-    SCOPED_TRACE(Info.ClassName);
-    scenarios::ScenarioWorld Dense(jinnConfig(false, Machines));
-    scenarios::runMicrobenchmark(Info.Id, Dense);
-    Dense.shutdown();
-    scenarios::ScenarioWorld Sparse(jinnConfig(true, Machines));
-    scenarios::runMicrobenchmark(Info.Id, Sparse);
-    Sparse.shutdown();
-    EXPECT_EQ(scenarios::classify(Dense), scenarios::classify(Sparse));
-    expectSameReports(Dense.Jinn->reporter().reports(),
-                      Sparse.Jinn->reporter().reports());
-  }
-}
-
-TEST(SparseDispatch, FullConfigurationReportsIdentical) {
-  runEquivalence({});
-}
-
-TEST(SparseDispatch, AblatedConfigurationReportsIdentical) {
-  // Only the local-reference machine: most functions now carry no hook at
-  // all, so elision actually skips capture — and must change nothing.
-  runEquivalence({"Local reference"});
-}
-
-TEST(SparseDispatch, RecordAndReplayStaysDeterministic) {
-  // Elision must not starve the recorder: recording installs all-function
-  // hooks, which defeat elision, so a sparse-dispatch record+replay run
-  // still replays to the inline checker's exact report list.
-  for (const scenarios::MicroInfo &Info : scenarios::allMicrobenchmarks()) {
-    SCOPED_TRACE(Info.ClassName);
-    scenarios::WorldConfig Config = jinnConfig(true);
-    Config.JinnMode = agent::TraceMode::RecordAndReplay;
-    scenarios::ScenarioWorld World(Config);
-    scenarios::runMicrobenchmark(Info.Id, World);
-    World.shutdown();
-
-    const std::vector<agent::JinnReport> &Inline =
-        World.Jinn->reporter().reports();
-    if (Info.DetectableAtBoundary) {
-      EXPECT_FALSE(Inline.empty()) << "inline checker missed the bug";
-    }
-
-    trace::Trace Recorded = World.Jinn->recorder()->collect();
-    EXPECT_FALSE(Recorded.Events.empty());
-    trace::ReplayResult Replayed = trace::replayTrace(Recorded, World.Vm);
-    expectSameReports(Inline, Replayed.Reports);
-  }
 }
 
 } // namespace

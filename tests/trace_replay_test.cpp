@@ -91,6 +91,7 @@ TEST(ReplayDeterminism, AllMicrosByteIdentical) {
     EXPECT_FALSE(Recorded.Events.empty());
 
     trace::ReplayResult Direct = trace::replayTrace(Recorded, World.Vm);
+    EXPECT_EQ(Direct.InexactCrossings, 0u);
     expectReportsEqual(Inline, Direct.Reports, "direct replay");
 
     std::string Path = tracePath(Info.ClassName);
@@ -101,6 +102,7 @@ TEST(ReplayDeterminism, AllMicrosByteIdentical) {
     std::remove(Path.c_str());
 
     trace::ReplayResult RoundTrip = trace::replayTrace(FromDisk, World.Vm);
+    EXPECT_EQ(RoundTrip.InexactCrossings, 0u);
     expectReportsEqual(Inline, RoundTrip.Reports, "file round-trip replay");
   }
 }
@@ -161,6 +163,7 @@ TEST(ReplayDeterminism, ConcurrentWorkloadRecordReplay) {
 
   trace::ReplayResult Replayed = trace::replayTrace(Recorded, World.Vm);
   EXPECT_EQ(Replayed.EventsReplayed, Recorded.Events.size());
+  EXPECT_EQ(Replayed.InexactCrossings, 0u);
   expectReportsEqual(sorted(World.Jinn->reporter().reports()),
                      sorted(Replayed.Reports), "concurrent replay");
 }
@@ -213,6 +216,94 @@ TEST(TraceFileFormat, RejectsCorruptMagic) {
   EXPECT_FALSE(trace::readTraceFile(Out, Path, &Err));
   EXPECT_FALSE(Err.empty());
   std::remove(Path.c_str());
+}
+
+/// Writes \p T to a scratch file and overwrites the 8-byte event count of
+/// its header (after magic, version, record size, frame capacity and
+/// thread count) with \p Count.
+std::string writeWithEventCount(const trace::Trace &T, const char *Tag,
+                                uint64_t Count) {
+  std::string Path = tracePath(Tag);
+  std::string Err;
+  EXPECT_TRUE(trace::writeTraceFile(T, Path, &Err)) << Err;
+  std::fstream File(Path, std::ios::in | std::ios::out | std::ios::binary);
+  File.seekp(8 + 4 * sizeof(uint32_t));
+  File.write(reinterpret_cast<const char *>(&Count), sizeof(Count));
+  return Path;
+}
+
+// A header claiming more events than the file holds is refused before any
+// allocation sized from it — including counts whose byte size overflows.
+TEST(TraceFileFormat, RejectsEventCountPastTheFileEnd) {
+  ScenarioWorld World(recordingConfig(agent::TraceMode::RecordOnly));
+  runMicrobenchmark(MicroId::NullArgument, World);
+  World.shutdown();
+  trace::Trace Recorded = World.Jinn->recorder()->collect();
+  ASSERT_FALSE(Recorded.Events.empty());
+
+  for (uint64_t Count : {uint64_t(Recorded.Events.size() + 1),
+                         uint64_t(1) << 40, ~uint64_t(0)}) {
+    SCOPED_TRACE(Count);
+    std::string Path = writeWithEventCount(Recorded, "oversized", Count);
+    trace::Trace Out;
+    std::string Err;
+    EXPECT_FALSE(trace::readTraceFile(Out, Path, &Err));
+    EXPECT_NE(Err.find("truncated event stream"), std::string::npos) << Err;
+    std::remove(Path.c_str());
+  }
+}
+
+// Events whose JNI function id or argument count is out of range (a
+// foreign or damaged trace) are refused by replay with a clean error
+// instead of indexing the trait table or the argument array past its end.
+TEST(TraceFileFormat, ReplayRejectsOutOfRangeEvents) {
+  ScenarioWorld World(recordingConfig(agent::TraceMode::RecordAndReplay));
+  runMicrobenchmark(MicroId::LocalDangling, World);
+  World.shutdown();
+  trace::Trace Recorded = World.Jinn->recorder()->collect();
+  auto FirstJni = std::find_if(
+      Recorded.Events.begin(), Recorded.Events.end(),
+      [](const trace::TraceEvent &Ev) {
+        return Ev.Kind == trace::EventKind::JniPre;
+      });
+  ASSERT_NE(FirstJni, Recorded.Events.end());
+  size_t Index = FirstJni - Recorded.Events.begin();
+  EXPECT_TRUE(Recorded.wellFormed());
+
+  struct Corruption {
+    const char *Tag;
+    void (*Apply)(trace::TraceEvent &);
+  };
+  const Corruption Corruptions[] = {
+      {"fn", [](trace::TraceEvent &Ev) { Ev.Fn = 0xFFFF; }},
+      {"fn-count",
+       [](trace::TraceEvent &Ev) {
+         Ev.Fn = static_cast<uint16_t>(jni::NumJniFunctions);
+       }},
+      {"args", [](trace::TraceEvent &Ev) { Ev.NumArgs = 200; }},
+      {"peeks", [](trace::TraceEvent &Ev) { Ev.Snap.NumPeeks = 200; }},
+  };
+  for (const Corruption &C : Corruptions) {
+    SCOPED_TRACE(C.Tag);
+    trace::Trace Bad = Recorded;
+    C.Apply(Bad.Events[Index]);
+
+    // Through the file format, as jinn-replay and jinn-verify read it.
+    std::string Path = tracePath(C.Tag);
+    std::string Err;
+    ASSERT_TRUE(trace::writeTraceFile(Bad, Path, &Err)) << Err;
+    trace::Trace FromDisk;
+    ASSERT_TRUE(trace::readTraceFile(FromDisk, Path, &Err)) << Err;
+    std::remove(Path.c_str());
+
+    trace::ReplayResult Replayed = trace::replayTrace(FromDisk, World.Vm);
+    EXPECT_NE(Replayed.Error.find("malformed trace event " +
+                                  std::to_string(Index)),
+              std::string::npos)
+        << Replayed.Error;
+    EXPECT_EQ(Replayed.EventsReplayed, 0u);
+    EXPECT_TRUE(Replayed.Reports.empty());
+  }
 }
 
 TEST(TraceFileFormat, MissingFileFails) {

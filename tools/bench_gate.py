@@ -14,8 +14,8 @@ Three gates run:
    entries are skipped with a note instead of dividing by them.
 
 2. Ratio ceiling: entries named "ratio/..." with unit "x" are intra-run
-   quotients of two timings from the same process (e.g. fused-tier over
-   sparse-tier ns/crossing in bench_crossing_latency), so the host-speed
+   quotients of two timings from the same process (e.g. Jinn over
+   interpose-only ns/crossing in bench_crossing_latency), so the host-speed
    factor cancels and they stay meaningful on a loaded runner where raw
    "/s" numbers swing several-fold. Lower is better; a fresh ratio above
    baseline / threshold (default: >1.33x the baseline ratio) is a

@@ -8,6 +8,9 @@
 /// jinn-mutate: runs the mutation-testing campaign of DESIGN.md §16.
 ///
 ///   jinn-mutate --list [--json]        print the mutant registry
+///   jinn-mutate --fingerprint          print the unmutated oracle
+///                                      fingerprint (the "same behaviour"
+///                                      reference: diff it across changes)
 ///   jinn-mutate --apply <id|name>      activate one mutant and print its
 ///                                      oracle fingerprint (for diffing)
 ///   jinn-mutate --run [--only a,b,..]  judge mutants: one worker process
@@ -117,6 +120,12 @@ void printList(bool Json) {
   std::printf("  ]\n}\n");
 }
 
+int printFingerprint() {
+  for (const std::string &Line : computeFingerprint())
+    std::printf("%s\n", Line.c_str());
+  return 0;
+}
+
 int runApply(const std::string &Selector) {
   const MutantInfo *Info = findMutant(Selector);
   if (!Info) {
@@ -127,9 +136,7 @@ int runApply(const std::string &Selector) {
   std::fprintf(stderr, "# mutant %d (%s) active: %s\n", Info->Id, Info->Name,
                Info->Mutated);
   setActiveMutant(Info->Id);
-  for (const std::string &Line : computeFingerprint())
-    std::printf("%s\n", Line.c_str());
-  return 0;
+  return printFingerprint();
 }
 
 /// Worker side: judge exactly one mutant against the baseline fingerprint
@@ -402,6 +409,7 @@ int runCampaign(const std::string &Only, const std::string &JsonPath,
 int usage() {
   std::fprintf(stderr,
                "usage: jinn-mutate --list [--json]\n"
+               "       jinn-mutate --fingerprint\n"
                "       jinn-mutate --apply <id|name>\n"
                "       jinn-mutate --run [--only id,id,...] [--json <path>]\n"
                "                   [--check-expectations]\n");
@@ -411,7 +419,8 @@ int usage() {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool List = false, Run = false, Json = false, CheckExpectations = false;
+  bool List = false, Run = false, Json = false, CheckExpectations = false,
+       Fingerprint = false;
   std::string Apply, Only, JsonPath, BaselinePath;
   int WorkerId = 0;
   for (int I = 1; I < Argc; ++I) {
@@ -419,6 +428,8 @@ int main(int Argc, char **Argv) {
       List = true;
     else if (std::strcmp(Argv[I], "--run") == 0)
       Run = true;
+    else if (std::strcmp(Argv[I], "--fingerprint") == 0)
+      Fingerprint = true;
     else if (std::strcmp(Argv[I], "--json") == 0 && Run && I + 1 < Argc)
       JsonPath = Argv[++I];
     else if (std::strcmp(Argv[I], "--json") == 0)
@@ -443,6 +454,8 @@ int main(int Argc, char **Argv) {
     printList(Json);
     return 0;
   }
+  if (Fingerprint)
+    return printFingerprint();
   if (!Apply.empty())
     return runApply(Apply);
   if (Run)

@@ -104,6 +104,8 @@ struct CycleResult {
   uint64_t Events = 0;
   size_t InlineReports = 0;
   size_t ReplayReports = 0;
+  /// Replayed crossings that fell back to the live VM for a peek.
+  uint64_t Inexact = 0;
   bool Match = false;
   std::string Error; ///< non-empty on file/infrastructure failure
 };
@@ -144,6 +146,10 @@ CycleResult runCycle(ScenarioWorld &World, const DriverOptions &Opts,
   ReplayOpts.EnabledMachines = Opts.Machines;
   trace::ReplayResult Replayed =
       trace::replayTrace(FromDisk, World.Vm, ReplayOpts);
+  if (!Replayed.Error.empty()) {
+    Out.Error = Replayed.Error;
+    return Out;
+  }
 
   if (Opts.Counters) {
     trace::TraceCounters Counters = trace::computeCounters(FromDisk);
@@ -154,6 +160,7 @@ CycleResult runCycle(ScenarioWorld &World, const DriverOptions &Opts,
 
   Out.Events = Replayed.EventsReplayed;
   Out.ReplayReports = Replayed.Reports.size();
+  Out.Inexact = Replayed.InexactCrossings;
   if (World.Jinn->mode() == agent::TraceMode::RecordAndReplay) {
     const auto &Inline = World.Jinn->reporter().reports();
     Out.InlineReports = Inline.size();
@@ -175,8 +182,8 @@ WorldConfig configFor(const DriverOptions &Opts) {
 }
 
 int runMicros(const DriverOptions &Opts) {
-  std::printf("%-22s %8s %8s %8s  %s\n", "microbenchmark", "events", "inline",
-              "replay", "verdict");
+  std::printf("%-22s %8s %8s %8s %8s  %s\n", "microbenchmark", "events",
+              "inline", "replay", "inexact", "verdict");
   int Failures = 0;
   for (const scenarios::MicroInfo &Info : scenarios::allMicrobenchmarks()) {
     if (!Opts.Micro.empty() && Opts.Micro != Info.ClassName)
@@ -191,10 +198,10 @@ int runMicros(const DriverOptions &Opts) {
       Pass = Pass && R.ReplayReports > 0; // replay must catch the bug
     if (!Pass)
       ++Failures;
-    std::printf("%-22s %8llu %8zu %8zu  %s%s%s\n", Info.ClassName,
+    std::printf("%-22s %8llu %8zu %8zu %8llu  %s%s%s\n", Info.ClassName,
                 (unsigned long long)R.Events, R.InlineReports, R.ReplayReports,
-                Pass ? "PASS" : "FAIL", R.Error.empty() ? "" : " ",
-                R.Error.c_str());
+                (unsigned long long)R.Inexact, Pass ? "PASS" : "FAIL",
+                R.Error.empty() ? "" : " ", R.Error.c_str());
   }
   if (!Opts.Micro.empty() && Failures == 0) {
     // Verify the filter actually matched something.
@@ -236,12 +243,12 @@ int runWorkload(const DriverOptions &Opts) {
     std::fprintf(stderr, "jinn-replay: %s\n", R.Error.c_str());
     return 1;
   }
-  std::printf("workload %s: %llu crossings, %llu events, inline %zu / "
-              "replay %zu reports -> %s\n",
+  std::printf("workload %s: %llu crossings, %llu events (%llu replay-"
+              "inexact), inline %zu / replay %zu reports -> %s\n",
               Info->Name,
               (unsigned long long)(Run.JniCalls + Run.NativeTransitions),
-              (unsigned long long)R.Events, R.InlineReports, R.ReplayReports,
-              R.Match ? "PASS" : "FAIL");
+              (unsigned long long)R.Events, (unsigned long long)R.Inexact,
+              R.InlineReports, R.ReplayReports, R.Match ? "PASS" : "FAIL");
   return R.Match ? 0 : 1;
 }
 

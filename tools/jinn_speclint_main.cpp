@@ -18,7 +18,6 @@
 #include "jinn/Census.h"
 #include "jinn/Machines.h"
 #include "jvmti/Interpose.h"
-#include "synth/FusedChecks.h"
 #include "synth/Synthesizer.h"
 
 #include <cstdio>
@@ -46,8 +45,8 @@ struct UniverseReport {
   LintReport Lint;
 };
 
-/// Cross-checks the dispatcher's sparse hook table against the relevance
-/// matrix: a function must carry a pre/post hook exactly when some
+/// Cross-checks the dispatcher's compiled program against the relevance
+/// matrix: a function must carry a pre/post slot exactly when some
 /// machine's matrix row observes it there.
 void checkDispatcherAgainstMatrix(const jvmti::InterposeDispatcher &Dispatcher,
                                   const RelevanceMatrix &Matrix,
@@ -71,113 +70,6 @@ void checkDispatcherAgainstMatrix(const jvmti::InterposeDispatcher &Dispatcher,
         {Severity::Info, "consistency/dispatcher-mask", "",
          "the dispatcher's per-function hook table matches the relevance "
          "matrix for all 229 functions (elision is report-preserving)"});
-}
-
-std::string jsonEscaped(const std::string &Text);
-
-/// Cross-checks the fused (tier-1) dispatch against the analysis:
-///  - the checked-in FusedPlan.inc must match the live Algorithm-1 walk
-///    (regeneration drift is an error — the fused compiler would refuse
-///    to install and silently fall back to dynamic dispatch);
-///  - each machine's compiled-in fused function set must equal its
-///    relevance-matrix row, pre and post;
-///  - the compiled table's per-function slot counts must equal the plan's
-///    row counts.
-void checkFusedAgainstMatrix(const std::vector<spec::MachineBase *> &Machines,
-                             const RelevanceMatrix &Matrix,
-                             spec::Reporter &Reporter, LintReport &Lint) {
-  std::string Drift;
-  if (!synth::checkAgainstFusedPlan(Machines, Drift)) {
-    Lint.Findings.push_back(
-        {Severity::Error, "consistency/fused-plan", "", Drift});
-    return;
-  }
-
-  synth::DerivedFusedPlan Plan = synth::deriveFusedPlan(Machines);
-  size_t Mismatches = 0;
-  for (size_t M = 0; M < Machines.size(); ++M) {
-    const std::string &Name = Machines[M]->spec().Name;
-    const MachineRelevance *Row = Matrix.rowFor(Name);
-    if (!Row) {
-      Lint.Findings.push_back({Severity::Error, "consistency/fused-machine-set",
-                               Name, "machine has no relevance-matrix row"});
-      ++Mismatches;
-      continue;
-    }
-    FnSet FusedPre(Matrix.Universe->size());
-    FnSet FusedPost(Matrix.Universe->size());
-    for (const synth::FusedPlanRow &R : Plan.Rows) {
-      if (R.Machine != M)
-        continue;
-      (R.Post ? FusedPost : FusedPre).set(R.Fn);
-    }
-    for (size_t I = 0; I < Matrix.Universe->size(); ++I) {
-      if (FusedPre.test(I) == Row->Pre.test(I) &&
-          FusedPost.test(I) == Row->Post.test(I))
-        continue;
-      ++Mismatches;
-      Lint.Findings.push_back(
-          {Severity::Error, "consistency/fused-machine-set", Name,
-           std::string("function ") + Matrix.Universe->Functions[I] +
-               ": the fused wrapper's compiled-in machine set disagrees "
-               "with the relevance matrix"});
-    }
-  }
-
-  synth::FusedCompileResult Compiled =
-      synth::compileFusedChecks(Machines, Reporter);
-  if (!Compiled.Table) {
-    Lint.Findings.push_back({Severity::Error, "consistency/fused-compile", "",
-                             Compiled.Error});
-    return;
-  }
-  for (size_t I = 0; I < jni::NumJniFunctions; ++I) {
-    size_t PlanPre = 0, PlanPost = 0;
-    for (const synth::FusedPlanRow &R : Plan.Rows)
-      if (R.Fn == I)
-        ++(R.Post ? PlanPost : PlanPre);
-    const jvmti::FusedTable::FnRec &Rec = Compiled.Table->Fns[I];
-    if (Rec.PreCount == PlanPre && Rec.PostCount == PlanPost)
-      continue;
-    ++Mismatches;
-    Lint.Findings.push_back(
-        {Severity::Error, "consistency/fused-slot-count", "",
-         std::string("function ") + Matrix.Universe->Functions[I] +
-             ": compiled slot counts disagree with the fused plan"});
-  }
-
-  if (!Mismatches)
-    Lint.Findings.push_back(
-        {Severity::Info, "consistency/fused-plan", "",
-         "the checked-in fused plan matches the live specs (" +
-             std::to_string(Plan.Rows.size()) + " rows, " +
-             std::to_string(Compiled.SlotCount) + " compiled slots over " +
-             std::to_string(Compiled.CheckedFunctions) +
-             " functions); every fused wrapper's machine set equals its "
-             "relevance-matrix row"});
-}
-
-/// --fused-plan: dump the live Algorithm-1 walk as JSON for
-/// tools/gen_fused_checks.py, which turns it into src/synth/FusedPlan.inc.
-int printFusedPlan(const std::vector<spec::MachineBase *> &Machines) {
-  synth::DerivedFusedPlan Plan = synth::deriveFusedPlan(Machines);
-  std::printf("{\n  \"tool\": \"jinn-speclint\",\n  \"fusedPlan\": {\n");
-  std::printf("    \"machines\": [");
-  for (size_t I = 0; I < Plan.MachineNames.size(); ++I)
-    std::printf("%s\"%s\"", I ? ", " : "",
-                jsonEscaped(Plan.MachineNames[I]).c_str());
-  std::printf("],\n    \"functions\": [");
-  for (size_t I = 0; I < jni::NumJniFunctions; ++I)
-    std::printf("%s\"%s\"", I ? ", " : "",
-                jni::fnName(static_cast<jni::FnId>(I)));
-  std::printf("],\n    \"rows\": [\n");
-  for (size_t I = 0; I < Plan.Rows.size(); ++I) {
-    const synth::FusedPlanRow &R = Plan.Rows[I];
-    std::printf("      [%u, %u, %u, %u]%s\n", R.Fn, R.Machine, R.Transition,
-                R.Post, I + 1 < Plan.Rows.size() ? "," : "");
-  }
-  std::printf("    ]\n  }\n}\n");
-  return 0;
 }
 
 void printFindings(const LintReport &Lint) {
@@ -307,34 +199,23 @@ void printJson(const std::vector<UniverseReport> &Reports,
 
 int main(int Argc, char **Argv) {
   bool Json = false;
-  bool FusedPlanMode = false;
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--json") == 0) {
       Json = true;
-    } else if (std::strcmp(Argv[I], "--fused-plan") == 0) {
-      FusedPlanMode = true;
     } else if (std::strcmp(Argv[I], "--help") == 0 ||
                std::strcmp(Argv[I], "-h") == 0) {
       std::printf(
-          "usage: jinn-speclint [--json] [--fused-plan]\n\n"
+          "usage: jinn-speclint [--json]\n\n"
           "Statically analyzes the fourteen JNI machine specifications and\n"
           "the Python checker's machines: reachability, determinism,\n"
           "coverage (the per-function relevance matrix), and consistency\n"
-          "with what Algorithm 1 synthesizes — including the fused\n"
-          "(tier-1) check plan checked in at src/synth/FusedPlan.inc.\n"
-          "Exits non-zero on any ERROR-class finding.\n\n"
-          "--fused-plan dumps the live Algorithm-1 walk as JSON for\n"
-          "tools/gen_fused_checks.py, which regenerates FusedPlan.inc.\n");
+          "with what Algorithm 1 synthesizes and compiles into the\n"
+          "dispatch program. Exits non-zero on any ERROR-class finding.\n");
       return 0;
     } else {
       std::fprintf(stderr, "jinn-speclint: unknown option %s\n", Argv[I]);
       return 2;
     }
-  }
-
-  if (FusedPlanMode) {
-    agent::MachineSet PlanMachines;
-    return printFusedPlan(PlanMachines.all());
   }
 
   // Load the fourteen machines and run Algorithm 1 against a scratch
@@ -356,7 +237,6 @@ int main(int Argc, char **Argv) {
   JniOpts.Stats = &Stats;
   Jni.Lint = lintMachines(Jni.Models, JniOpts);
   checkDispatcherAgainstMatrix(Scratch, Jni.Matrix, Jni.Lint);
-  checkFusedAgainstMatrix(Machines.all(), Jni.Matrix, Reporter, Jni.Lint);
 
   UniverseReport &Py = Reports[1];
   Py.Name = "Python/C";

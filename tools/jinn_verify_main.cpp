@@ -200,8 +200,12 @@ SourceResult runTraceFile(const std::string &Path,
   // verdict covers the spec-decidable counter checks only.
   scenarios::WorldConfig Config;
   scenarios::ScenarioWorld World(Config);
-  R.V = verifyCfg(liftTrace(T, World.Vm, Path, /*PinWitnessed=*/false),
-                  Models);
+  ClientCfg Cfg = liftTrace(T, World.Vm, Path, /*PinWitnessed=*/false, &Err);
+  if (!Err.empty()) {
+    R.Failures.push_back("cannot lift trace file: " + Err);
+    return R;
+  }
+  R.V = verifyCfg(Cfg, Models);
   return R;
 }
 

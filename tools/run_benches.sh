@@ -34,7 +34,7 @@ bench_table3_overhead bench_crossing_latency bench_coverage \
 bench_fig9_messages \
 bench_fig10_localrefs bench_synthesis_loc bench_ablation_machines \
 bench_mt_scaling bench_pyc_checker bench_trace_modes \
-bench_speclint_elision bench_monitor_soak"
+bench_monitor_soak"
 if [ -n "${JINN_BENCH_ONLY:-}" ]; then
   BENCHES=$JINN_BENCH_ONLY
 fi

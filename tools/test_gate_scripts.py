@@ -1,21 +1,16 @@
 #!/usr/bin/env python3
 """Unit tests for the CI gate scripts (registered as jinn_gate_script_tests).
 
-The gates (bench_gate, fuzz_gate, verify_gate, monitor_gate, mutate_gate,
-gen_fused_checks --check) are the repository's acceptance layer: a silent
-bug in one of them weakens every suite they guard. Each test drives the
-real script as a subprocess against canned good/bad fixtures and asserts
-the documented exit codes: 0 pass, 1 gate failure, 2 usage/malformed.
+The gates (bench_gate, fuzz_gate, verify_gate, monitor_gate, mutate_gate)
+are the repository's acceptance layer: a silent bug in one of them weakens
+every suite they guard. Each test drives the real script as a subprocess
+against canned good/bad fixtures and asserts the documented exit codes:
+0 pass, 1 gate failure, 2 usage/malformed. Runs standalone:
 
-The fused-plan negative test needs the built jinn-speclint binary and the
-checked-in plan; ctest passes both via JINN_SPECLINT_BIN and
-JINN_FUSED_PLAN (plus JINN_GEN_FUSED for the generator path). Those cases
-skip when the environment lacks the binary so the suite still runs
-standalone:  python3 tools/test_gate_scripts.py -v
+    python3 tools/test_gate_scripts.py -v
 """
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -58,7 +53,7 @@ def bench_doc(**entries):
 class BenchGateTest(GateFixtureTest):
     def test_equal_runs_pass(self):
         base = self.write("base.json", bench_doc(**{
-            "crossings": (1e6, "ops/s"), "ratio/fused_vs_sparse": (0.5, "x")}))
+            "crossings": (1e6, "ops/s"), "ratio/jinn_vs_interpose": (0.5, "x")}))
         rc, _, err = run_gate("bench_gate.py", base, base)
         self.assertEqual(rc, 0, err)
 
@@ -344,53 +339,6 @@ class MutateGateTest(GateFixtureTest):
         base = self.write("base.json", mutate_doc([mutant_row(1)]))
         bad = self.write("bad.json", "{}")
         self.assertEqual(run_gate("mutate_gate.py", base, bad)[0], 2)
-
-
-@unittest.skipUnless(
-    os.environ.get("JINN_SPECLINT_BIN") and os.environ.get("JINN_FUSED_PLAN"),
-    "needs the built jinn-speclint (set JINN_SPECLINT_BIN/JINN_FUSED_PLAN)")
-class FusedPlanGateTest(GateFixtureTest):
-    """The drift gate must reject a hand-mutated FusedPlan.inc row."""
-
-    def run_check(self, plan_path):
-        gen = os.environ.get("JINN_GEN_FUSED",
-                             os.path.join(TOOLS, "gen_fused_checks.py"))
-        proc = subprocess.run(
-            [sys.executable, gen,
-             "--speclint", os.environ["JINN_SPECLINT_BIN"],
-             "--check", plan_path],
-            capture_output=True, text=True)
-        return proc.returncode, proc.stderr + proc.stdout
-
-    def test_checked_in_plan_passes(self):
-        rc, out = self.run_check(os.environ["JINN_FUSED_PLAN"])
-        self.assertEqual(rc, 0, out)
-
-    def test_mutated_plan_row_is_rejected(self):
-        with open(os.environ["JINN_FUSED_PLAN"]) as f:
-            text = f.read()
-        # Flip the first plan row's Post flag: {fn, machine, transition, 0}
-        # becomes a post-hook slot the live walk never emits.
-        mutated, n = re.subn(r"\{(\d+), (\d+), (\d+), 0\},",
-                             r"{\1, \2, \3, 1},", text, count=1)
-        self.assertEqual(n, 1, "no mutable row found in FusedPlan.inc")
-        self.assertNotEqual(mutated, text)
-        path = self.write("FusedPlanMutated.inc", mutated)
-        rc, out = self.run_check(path)
-        self.assertNotEqual(rc, 0,
-                            "drift gate accepted a hand-mutated plan row")
-
-    def test_truncated_plan_is_rejected(self):
-        with open(os.environ["JINN_FUSED_PLAN"]) as f:
-            lines = f.read().splitlines(True)
-        row_indices = [i for i, line in enumerate(lines)
-                       if re.match(r"\s*\{\d+, \d+, \d+, [01]\},", line)]
-        self.assertGreater(len(row_indices), 1)
-        del lines[row_indices[-1]]
-        path = self.write("FusedPlanTruncated.inc", "".join(lines))
-        rc, out = self.run_check(path)
-        self.assertNotEqual(rc, 0,
-                            "drift gate accepted a truncated plan")
 
 
 if __name__ == "__main__":
