@@ -222,6 +222,11 @@ struct Kind {
   jvm::JType T;
 };
 
+// gtest's default printer dumps the raw bytes of Kind -- the Name pointer and
+// the padding after T -- and gtest_discover_tests bakes that dump into the
+// ctest name, so the name would change with every build. Print the kind name.
+void PrintTo(const Kind &K, std::ostream *OS) { *OS << K.Name; }
+
 class AllPrimArrays : public ::testing::TestWithParam<Kind> {};
 
 TEST_P(AllPrimArrays, NewFillReadBack) {
