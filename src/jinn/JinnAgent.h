@@ -54,7 +54,8 @@ const char *traceModeName(TraceMode Mode);
 /// Agent options (the "-agentlib:jinn=..." string of a real deployment).
 struct JinnOptions {
   /// When non-empty, only machines whose names appear here are synthesized
-  /// — the ablation knob used by bench_ablation_machines.
+  /// — the ablation knob behind the per-machine rows of
+  /// bench_crossing_latency.
   std::vector<std::string> EnabledMachines;
   TraceMode Mode = TraceMode::InlineCheck;
   /// Recorder tuning; only consulted when Mode records.

@@ -149,7 +149,9 @@ EntityTypingMachine::EntityTypingMachine(const MachineTuning &Tuning)
             jvm::Vm::PeekResult Peek = peekRef(Ctx, Recv);
             if (Peek.S == jvm::Vm::PeekResult::Status::Live) {
               if (jvm::Klass *Kl = Vm.klassFromMirror(Peek.Target)) {
-                if (Traits.Call == CallKind::Static &&
+                // A method is declared by its owner by construction, so
+                // only a call through another class needs the lookup.
+                if (Traits.Call == CallKind::Static && Kl != M->Owner &&
                     !Kl->findDeclaredMethod(M->Name, M->Desc, true)) {
                   // The Eclipse/SWT case: the class only inherits it.
                   Ctx.reporter().violation(
@@ -186,7 +188,7 @@ EntityTypingMachine::EntityTypingMachine(const MachineTuning &Tuning)
 
           // Reference-argument conformance (A forms carry jvalue arrays).
           if (Ctx.call().materializeCallArgs()) {
-            const std::vector<jvalue> &Args = Ctx.call().callArgs();
+            std::span<const jvalue> Args = Ctx.call().callArgs();
             for (size_t K = 0; K < M->Sig.Params.size(); ++K) {
               const jvm::TypeDesc &Formal = M->Sig.Params[K];
               if (!Formal.isReference())

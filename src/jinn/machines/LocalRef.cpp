@@ -66,6 +66,17 @@ thread_local ShadowCacheEntry LocalShadowCache;
 
 std::atomic<uint64_t> NextLocalRefInstanceId{1};
 
+/// useCheck's position for a native method's returned reference.
+constexpr int ReturnValue = -1;
+
+/// What a use-check report calls the reference at \p ArgIndex. Built only
+/// on a violation path, so a clean crossing formats nothing.
+std::string usedRefName(int ArgIndex) {
+  if (ArgIndex == ReturnValue)
+    return "the native method's return value";
+  return formatString("argument %d", ArgIndex + 1);
+}
+
 } // namespace
 
 LocalRefMachine::~LocalRefMachine() = default;
@@ -173,7 +184,7 @@ void LocalRefMachine::acquire(TransitionContext &Ctx, uint64_t Word) {
 }
 
 void LocalRefMachine::useCheck(TransitionContext &Ctx, uint64_t Word,
-                               const char *What) {
+                               int ArgIndex) {
   if (!Word)
     return;
   std::optional<jvm::HandleBits> Bits = jvm::decodeHandle(Word);
@@ -182,7 +193,7 @@ void LocalRefMachine::useCheck(TransitionContext &Ctx, uint64_t Word,
         Ctx, Spec,
         formatString("%s is not a JNI reference (a method or field ID, or "
                      "a stray pointer?)",
-                     What));
+                     usedRefName(ArgIndex).c_str()));
     return;
   }
   if (Bits->Kind != RefKind::Local)
@@ -195,12 +206,13 @@ void LocalRefMachine::useCheck(TransitionContext &Ctx, uint64_t Word,
         Ctx, Spec,
         formatString("%s is a local reference that belongs to thread %u, "
                      "not to the current thread %u",
-                     What, Bits->Thread, Tid));
+                     usedRefName(ArgIndex).c_str(), Bits->Thread, Tid));
     return;
   }
   ThreadShadow &Shadow = shadowAt(Ctx);
-  for (const ShadowFrame &Frame : Shadow.Frames)
-    if (Frame.Live.count(Word))
+  // Newest frame first: most used references were made in the top frame.
+  for (auto It = Shadow.Frames.rbegin(); It != Shadow.Frames.rend(); ++It)
+    if (It->Live.count(Word))
       return; // tracked and live
   // Untracked: adopt pre-agent references; report dead ones.
   jvm::Vm::PeekResult Peek = peekRef(Ctx, Word);
@@ -212,7 +224,7 @@ void LocalRefMachine::useCheck(TransitionContext &Ctx, uint64_t Word,
       Ctx, Spec,
       formatString("%s is a dangling local reference (its frame was popped "
                    "or it was deleted)",
-                   What));
+                   usedRefName(ArgIndex).c_str()));
 }
 
 LocalRefMachine::LocalRefMachine()
@@ -295,8 +307,7 @@ LocalRefMachine::LocalRefMachine()
         const FnTraits &Traits = Ctx.call().traits();
         for (int I = 0; I < Traits.NumParams && !Ctx.aborted(); ++I)
           if (Traits.Params[I].Cls == ArgClass::Ref)
-            useCheck(Ctx, Ctx.call().refWord(I),
-                     formatString("argument %d", I + 1).c_str());
+            useCheck(Ctx, Ctx.call().refWord(I), I);
       }));
 
   // Use at Return:C->Java: a native method returning a reference. Listed
@@ -308,8 +319,7 @@ LocalRefMachine::LocalRefMachine()
       [this](TransitionContext &Ctx) {
         if (!Ctx.ret() || !Ctx.method().Sig.Ret.isReference())
           return;
-        useCheck(Ctx, jni::handleWord(Ctx.ret()->l),
-                 "the native method's return value");
+        useCheck(Ctx, jni::handleWord(Ctx.ret()->l), ReturnValue);
       }));
 
   // Release at Call:C->Java of DeleteLocalRef.

@@ -863,12 +863,20 @@ LocalRefState Vm::globalRefState(const HandleBits &Bits) const {
   return globalRefStateLocked(Bits);
 }
 
-ObjectId Vm::resolveGlobal(const HandleBits &Bits) const {
+LocalRefState Vm::lookupGlobal(const HandleBits &Bits,
+                               ObjectId &Target) const {
   std::lock_guard<std::mutex> Lock(GlobalsMutex);
-  if (globalRefStateLocked(Bits) != LocalRefState::Live)
-    return ObjectId();
-  const GlobalSlot &Slot = Globals[Bits.Slot];
-  return Slot.Cleared ? ObjectId() : Slot.Target;
+  LocalRefState State = globalRefStateLocked(Bits);
+  const GlobalSlot *Slot =
+      State == LocalRefState::Live ? &Globals[Bits.Slot] : nullptr;
+  Target = Slot && !Slot->Cleared ? Slot->Target : ObjectId();
+  return State;
+}
+
+ObjectId Vm::resolveGlobal(const HandleBits &Bits) const {
+  ObjectId Target;
+  lookupGlobal(Bits, Target);
+  return Target;
 }
 
 bool Vm::deleteGlobalRef(const HandleBits &Bits) {
@@ -960,7 +968,8 @@ ObjectId Vm::resolveHandle(JThread &Current, uint64_t Word,
   }
 
   // Global / weak global.
-  LocalRefState State = globalRefState(*Bits);
+  ObjectId Target;
+  LocalRefState State = lookupGlobal(*Bits, Target);
   if (State != LocalRefState::Live) {
     if (WasUndefined)
       *WasUndefined = true;
@@ -973,7 +982,7 @@ ObjectId Vm::resolveHandle(JThread &Current, uint64_t Word,
                                                          : "unknown"));
     return ObjectId();
   }
-  return resolveGlobal(*Bits);
+  return Target;
 }
 
 Vm::PeekResult Vm::peekHandle(uint64_t Word, const JThread *Perspective) {
@@ -1004,12 +1013,10 @@ Vm::PeekResult Vm::peekHandle(uint64_t Word, const JThread *Perspective) {
                 : PeekResult::Status::Live;
     return Out;
   }
-  LocalRefState State = globalRefState(*Bits);
-  if (State != LocalRefState::Live) {
+  if (lookupGlobal(*Bits, Out.Target) != LocalRefState::Live) {
     Out.S = PeekResult::Status::Stale;
     return Out;
   }
-  Out.Target = resolveGlobal(*Bits);
   Out.S = (Bits->Kind == RefKind::WeakGlobal && Out.Target.isNull())
               ? PeekResult::Status::ClearedWeak
               : PeekResult::Status::Live;

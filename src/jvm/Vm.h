@@ -359,6 +359,10 @@ private:
   Klass *lookupClassLocked(std::string_view Name) const;
   void registerClassLocked(const std::string &Name, Klass *Kl);
   LocalRefState globalRefStateLocked(const HandleBits &Bits) const;
+  /// State of a global handle and, when Live, its target (null for a
+  /// cleared weak), decided under one GlobalsMutex acquisition so a
+  /// concurrent delete cannot tear the pair.
+  LocalRefState lookupGlobal(const HandleBits &Bits, ObjectId &Target) const;
   void collectRoots(std::vector<ObjectId> &Roots);
   std::vector<VmEventObserver *> observersSnapshot() const;
 

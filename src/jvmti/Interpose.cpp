@@ -66,13 +66,13 @@ bool CapturedCall::returnFieldIdValid() const {
 }
 
 bool CapturedCall::materializeCallArgs() {
-  CallArgs.clear();
+  CallArgs = {};
   if (Snap) {
     // The recorder materialized (and bounds-capped) the argument vector at
     // crossing time; the raw jvalue array pointer in the trace is dead.
     if (!Snap->HasCallArgs)
       return false;
-    CallArgs.assign(Snap->CallArgs, Snap->CallArgs + Snap->NumCallArgs);
+    CallArgs = {Snap->CallArgs, Snap->NumCallArgs};
     return true;
   }
   int ArrIndex = Traits->firstParam(ArgClass::JvalueArray);
@@ -85,7 +85,7 @@ bool CapturedCall::materializeCallArgs() {
   size_t N = M->Sig.Params.size();
   if (!Raw && N > 0)
     return false;
-  CallArgs.assign(Raw, Raw + N);
+  CallArgs = {Raw, N};
   return true;
 }
 

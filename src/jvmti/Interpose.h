@@ -35,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -185,8 +186,10 @@ public:
 
   /// Decodes the jvalue-array argument against the method signature into
   /// callArgs(). Returns false when there is no decodable argument vector.
+  /// Nothing is copied: callArgs() views the caller's array (live) or the
+  /// snapshot's (replay), both of which outlive the crossing.
   bool materializeCallArgs();
-  const std::vector<jvalue> &callArgs() const { return CallArgs; }
+  std::span<const jvalue> callArgs() const { return CallArgs; }
 
   //===------------------------------------------------------------------===
   // Return value (valid in post hooks)
@@ -304,7 +307,7 @@ private:
   const ReplayEnvironment *Renv = nullptr;
   std::array<CapturedArg, jni::MaxJniParams> Args;
   size_t NumArgs = 0;
-  std::vector<jvalue> CallArgs;
+  std::span<const jvalue> CallArgs;
   bool HasReturn = false;
   bool RetIsRef = false;
   uint64_t RetWord = 0;

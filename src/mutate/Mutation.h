@@ -71,9 +71,11 @@ const MutantInfo *findMutant(int Id);
 const MutantInfo *findMutant(const std::string &NameOrId);
 
 namespace detail {
-/// The process-wide active mutant id (0 = none), initialized once from
-/// the JINN_MUTANT environment variable.
-std::atomic<int> &activeSlot();
+/// The process-wide active mutant id (0 = none). Mutation.cpp initializes
+/// it from the JINN_MUTANT environment variable during static
+/// initialization, so a guarded site reads it with one plain load and no
+/// first-use guard.
+extern std::atomic<int> ActiveId;
 } // namespace detail
 
 /// Id of the active mutant (0 when running unmutated). Under a pinned
@@ -83,7 +85,7 @@ inline int activeMutant() {
 #ifdef JINN_MUTANT_PINNED
   return JINN_MUTANT_PINNED;
 #else
-  return detail::activeSlot().load(std::memory_order_relaxed);
+  return detail::ActiveId.load(std::memory_order_relaxed);
 #endif
 }
 

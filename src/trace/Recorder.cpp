@@ -322,7 +322,7 @@ void TraceRecorder::captureJniSnapshot(jvmti::BoundarySnapshot &Snap,
   // reference formals the entity-typing machine conforms.
   if (!IsPost && Traits.hasParam(jni::ArgClass::JvalueArray) &&
       Call.materializeCallArgs()) {
-    const std::vector<jvalue> &CallArgs = Call.callArgs();
+    std::span<const jvalue> CallArgs = Call.callArgs();
     if (CallArgs.size() <= jvmti::BoundarySnapshot::MaxCallArgs) {
       Snap.HasCallArgs = true;
       Snap.NumCallArgs = static_cast<uint8_t>(CallArgs.size());

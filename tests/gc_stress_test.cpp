@@ -133,8 +133,15 @@ TEST(GcStress, MovingGcInvalidatesDroppedIdsAndPreservesRootedOnes) {
   for (int T = 0; T < NumThreads; ++T)
     Threads.emplace_back([&, T] {
       for (int I = 0; I < 150; ++I) {
-        ObjectId Keep = W.Vm.newStringUtf16(u"rooted-payload");
-        W.Vm.newGlobalRef(Keep, /*Weak=*/false); // root it for the VM's life
+        ObjectId Keep;
+        {
+          // Allocate and root inside one mutator scope, the way a JNI
+          // call does: outside it the collector may run between the two
+          // and reclaim the still-unrooted string.
+          jvm::Vm::MutatorScope Scope(W.Vm);
+          Keep = W.Vm.newStringUtf16(u"rooted-payload");
+          W.Vm.newGlobalRef(Keep, /*Weak=*/false); // root it for the VM's life
+        }
         Rooted[T].push_back(Keep);
         // Allocated and immediately dropped: reclaimable garbage.
         Dropped[T].push_back(W.Vm.newPrimArray(jvm::JType::Int, 16));

@@ -29,6 +29,14 @@ struct Machines : ::testing::Test {
   size_t reportsFor(const char *Machine) {
     return W.Jinn.reporter().countFor(Machine);
   }
+  /// Full report messages of \p Machine, in report order.
+  std::vector<std::string> messagesFor(const char *Machine) {
+    std::vector<std::string> Out;
+    for (const agent::JinnReport &Report : W.Jinn.reporter().reports())
+      if (Report.Machine == Machine)
+        Out.push_back(Report.Message);
+    return Out;
+  }
   void clearPending() { W.main().Pending = jvm::ObjectId(); }
 };
 
@@ -592,6 +600,100 @@ TEST_F(Machines, CriticalNesting_DepthTracksAcquireRelease) {
   Fns->ReleasePrimitiveArrayCritical(Env, Arr, P, 0);
   EXPECT_EQ(W.Jinn.machines().CriticalNesting.depthOf(W.main().id()), 0);
   EXPECT_EQ(W.reportCount(), 0u);
+}
+
+//===----------------------------------------------------------------------===
+// Argument-position report text: the machines name the offending argument
+// only on the violation path, so these pin the exact text at position 1
+// and past it.
+//===----------------------------------------------------------------------===
+
+using Messages = std::vector<std::string>;
+
+TEST_F(Machines, ArgText_LocalNotAReference) {
+  jvm::ClassDef Def;
+  Def.Name = "l/ArgText";
+  Def.method("m", "()V",
+             [](jvm::Vm &, jvm::JThread &, const jvm::Value &,
+                const std::vector<jvm::Value> &) {
+               return jvm::Value::makeVoid();
+             },
+             true);
+  W.define(Def);
+  jclass C = Fns->FindClass(Env, "l/ArgText");
+  jmethodID M = Fns->GetStaticMethodID(Env, C, "m", "()V");
+  ASSERT_NE(M, nullptr);
+  jobject Garbage = reinterpret_cast<jobject>(M);
+  Fns->IsSameObject(Env, Garbage, nullptr);
+  clearPending();
+  Fns->IsSameObject(Env, C, Garbage);
+  EXPECT_EQ(messagesFor("Local reference"),
+            (Messages{"argument 1 is not a JNI reference (a method or field "
+                      "ID, or a stray pointer?) in IsSameObject.",
+                      "argument 2 is not a JNI reference (a method or field "
+                      "ID, or a stray pointer?) in IsSameObject."}));
+}
+
+TEST_F(Machines, ArgText_LocalWrongThread) {
+  jstring Mine = Fns->NewStringUTF(Env, "mine");
+  jvm::JThread &Worker = W.Vm.attachThread("worker");
+  JNIEnv *WorkerEnv = W.Rt.envFor(Worker);
+  const JNINativeInterface_ *WFns = WorkerEnv->functions;
+  jstring Theirs = WFns->NewStringUTF(WorkerEnv, "theirs");
+  WFns->IsSameObject(WorkerEnv, Mine, nullptr);
+  Worker.Pending = jvm::ObjectId();
+  WFns->IsSameObject(WorkerEnv, Theirs, Mine);
+  std::string Owner = std::to_string(W.main().id());
+  std::string Current = std::to_string(Worker.id());
+  EXPECT_EQ(messagesFor("Local reference"),
+            (Messages{"argument 1 is a local reference that belongs to "
+                      "thread " + Owner + ", not to the current thread " +
+                          Current + " in IsSameObject.",
+                      "argument 2 is a local reference that belongs to "
+                      "thread " + Owner + ", not to the current thread " +
+                          Current + " in IsSameObject."}));
+}
+
+TEST_F(Machines, ArgText_LocalDangling) {
+  jstring Ok = Fns->NewStringUTF(Env, "ok");
+  jstring Dead = Fns->NewStringUTF(Env, "dead");
+  Fns->DeleteLocalRef(Env, Dead);
+  Fns->IsSameObject(Env, Dead, nullptr);
+  clearPending();
+  Fns->IsSameObject(Env, Ok, Dead);
+  EXPECT_EQ(messagesFor("Local reference"),
+            (Messages{"argument 1 is a dangling local reference (its frame "
+                      "was popped or it was deleted) in IsSameObject.",
+                      "argument 2 is a dangling local reference (its frame "
+                      "was popped or it was deleted) in IsSameObject."}));
+}
+
+TEST_F(Machines, ArgText_GlobalDangling) {
+  jstring S = Fns->NewStringUTF(Env, "g");
+  jobject G = Fns->NewGlobalRef(Env, S);
+  jweak Wk = Fns->NewWeakGlobalRef(Env, S);
+  Fns->DeleteGlobalRef(Env, G);
+  Fns->DeleteWeakGlobalRef(Env, Wk);
+  Fns->IsSameObject(Env, G, nullptr);
+  clearPending();
+  Fns->IsSameObject(Env, S, Wk);
+  EXPECT_EQ(messagesFor("Global or weak global reference"),
+            (Messages{"argument 1 is a dangling global reference (deleted "
+                      "earlier) in IsSameObject.",
+                      "argument 2 is a dangling weak global reference "
+                      "(deleted earlier) in IsSameObject."}));
+}
+
+TEST_F(Machines, ArgText_FixedTypingNotAssignable) {
+  jstring S = Fns->NewStringUTF(Env, "not a class");
+  Fns->GetMethodID(Env, reinterpret_cast<jclass>(S), "m", "()V");
+  clearPending();
+  Fns->IsInstanceOf(Env, S, reinterpret_cast<jclass>(S));
+  EXPECT_EQ(messagesFor("Fixed typing"),
+            (Messages{"argument 1 is not assignable to the expected type "
+                      "java/lang/Class in GetMethodID.",
+                      "argument 2 is not assignable to the expected type "
+                      "java/lang/Class in IsInstanceOf."}));
 }
 
 } // namespace

@@ -149,7 +149,7 @@ TEST_F(JvmtiTest, MaterializeCallArgsDecodesAgainstTheSignature) {
   std::vector<jvalue> Seen;
   D.addPre(FnId::CallStaticVoidMethodA, [&](jvmti::CapturedCall &Call) {
     if (Call.materializeCallArgs())
-      Seen = Call.callArgs();
+      Seen.assign(Call.callArgs().begin(), Call.callArgs().end());
     EXPECT_NE(Call.methodArg(), nullptr);
   });
   jclass Cls = Env->functions->FindClass(Env, "t/Args");

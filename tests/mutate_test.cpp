@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -170,6 +171,34 @@ TEST(BlindSpotRegression, NullnessInversionFlipsACleanMicro) {
   }
   EXPECT_EQ(runMicroToOutcome(MicroId::PopWithoutPushFixed, Cfg),
             Outcome::Running);
+}
+
+TEST(MutantSwitch, EnvironmentSelectsTheActiveMutant) {
+  // The JINN_MUTANT environment variable (a name or an id) selects the
+  // mutant every guarded site sees from process start. Run plainly, this
+  // asserts the unmutated default; the mutate_env_* ctests rerun it with
+  // the variable set and check that a clean micro flips.
+#ifdef JINN_MUTANT_PINNED
+  GTEST_SKIP() << "a pinned build ignores the environment";
+#else
+  const char *Env = std::getenv("JINN_MUTANT");
+  int Expected = 0;
+  if (Env && *Env) {
+    const MutantInfo *Info = findMutant(std::string(Env));
+    ASSERT_NE(Info, nullptr) << Env;
+    Expected = Info->Id;
+  }
+  EXPECT_EQ(activeMutant(), Expected);
+  for (const MutantInfo &Info : allMutants())
+    EXPECT_EQ(active(Info.Which), Info.Id == Expected) << Info.Name;
+  if (Expected == static_cast<int>(M::SpecNullnessInverted)) {
+    using namespace jinn::scenarios;
+    WorldConfig Cfg;
+    Cfg.Checker = CheckerKind::Jinn;
+    EXPECT_NE(runMicroToOutcome(MicroId::PopWithoutPushFixed, Cfg),
+              Outcome::Running);
+  }
+#endif
 }
 
 TEST(KillJudge, EquivalentMutantProducesIdenticalFingerprint) {

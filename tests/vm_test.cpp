@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 using namespace jinn;
 using namespace jinn::jvm;
 
@@ -212,6 +215,42 @@ TEST_F(VmTest, DeleteGlobalRefInvalidatesAndRecycles) {
   uint64_t Ref2 = V.newGlobalRef(Obj, false);
   EXPECT_EQ(decodeHandle(Ref2)->Slot, decodeHandle(Ref)->Slot);
   EXPECT_GT(decodeHandle(Ref2)->Gen, decodeHandle(Ref)->Gen);
+}
+
+TEST_F(VmTest, ConcurrentGlobalDeleteNeverTearsAPeek) {
+  // One thread deletes and reissues a strong global while another peeks
+  // the newest handle. A peek decides state and target together, so it
+  // reports Stale or Live-with-the-target, never Live with a null target.
+  ObjectId Obj = V.newString("g");
+  uint64_t Anchor = V.newGlobalRef(Obj, false); // keeps Obj reachable
+  std::atomic<uint64_t> Word{V.newGlobalRef(Obj, false)};
+  std::atomic<bool> Stop{false};
+  std::thread Churn([&] {
+    while (!Stop.load(std::memory_order_relaxed)) {
+      V.deleteGlobalRef(*decodeHandle(Word.load()));
+      Word.store(V.newGlobalRef(Obj, false));
+      // Leave each handle live for a moment, so peeks also see Live when
+      // the two threads share a core or run back to back.
+      for (int Spin = 0; Spin < 4; ++Spin)
+        std::this_thread::yield();
+    }
+  });
+  size_t Live = 0, Torn = 0, Wrong = 0;
+  for (int I = 0; I < 200000; ++I) {
+    Vm::PeekResult Peek = V.peekHandle(Word.load(), nullptr);
+    if (Peek.S != Vm::PeekResult::Status::Live)
+      continue;
+    ++Live;
+    Torn += Peek.Target.isNull();
+    Wrong += !Peek.Target.isNull() && Peek.Target != Obj;
+  }
+  Stop = true;
+  Churn.join();
+  EXPECT_GT(Live, 0u);
+  EXPECT_EQ(Torn, 0u);
+  EXPECT_EQ(Wrong, 0u);
+  V.deleteGlobalRef(*decodeHandle(Word.load()));
+  V.deleteGlobalRef(*decodeHandle(Anchor));
 }
 
 TEST_F(VmTest, MonitorsNestAndRequireOwner) {

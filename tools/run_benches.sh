@@ -32,7 +32,7 @@ cmake --build "$BUILD" -j >/dev/null
 BENCHES="bench_table1_pitfalls bench_table2_constraints \
 bench_table3_overhead bench_crossing_latency bench_coverage \
 bench_fig9_messages \
-bench_fig10_localrefs bench_synthesis_loc bench_ablation_machines \
+bench_fig10_localrefs bench_synthesis_loc \
 bench_mt_scaling bench_pyc_checker bench_trace_modes \
 bench_monitor_soak"
 if [ -n "${JINN_BENCH_ONLY:-}" ]; then
