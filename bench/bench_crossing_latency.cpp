@@ -13,12 +13,19 @@
 ///   new_delete_local  allocation + free (local-ref lifecycle)
 ///   frame_push_pop    pushdown counters (frame nesting, capacity)
 ///
+/// and on two native-method calls made from Java, one native entry and
+/// exit per iteration (the local-reference frame push and pop):
+///
+///   native_empty      a static ()V native
+///   native_ref_args   an instance native taking two references and
+///                     returning one
+///
 /// across four boundary treatments, all on the one compiled dispatch
 /// table: bare (no dispatcher), interpose-only (a no-op observer slot on
 /// every function), record-only (the trace recorder's slots) and Jinn
 /// inline checking (the machine slots). The headline results are
 /// ns/crossing per (op, treatment) and the intra-run ratios of Jinn and of
-/// recording over interpose-only.
+/// recording over interpose-only, both over the four JNI call classes.
 ///
 /// The per-machine mode then builds one Jinn world per machine of the
 /// registry (JinnEnabledMachines = {that machine}) and a floor world with
@@ -59,10 +66,14 @@ const TierSpec Tiers[] = {
     {"jinn", CheckerKind::Jinn, agent::TraceMode::InlineCheck},
 };
 
+/// One op class. A JNI call class runs C-side (Run, inside a native
+/// frame); a native-method call runs Java-side (Invoke, from the main
+/// thread). Exactly one of the two is set.
 struct OpClass {
   const char *Name;
   uint64_t CrossingsPerIter;
   void (*Run)(JNIEnv *, uint64_t Iters);
+  void (*Invoke)(ScenarioWorld &, uint64_t Iters);
 };
 
 void runGetVersion(JNIEnv *Env, uint64_t Iters) {
@@ -95,12 +106,86 @@ void runFramePushPop(JNIEnv *Env, uint64_t Iters) {
   }
 }
 
+constexpr const char *NativesClass = "BenchNatives";
+constexpr const char *RefArgsDesc =
+    "(Ljava/lang/Object;Ljava/lang/Object;)Ljava/lang/Object;";
+
+/// The class whose natives the Java-side ops call, defined on first use.
+jvm::Klass *nativesClass(ScenarioWorld &World) {
+  if (jvm::Klass *Kl = World.Vm.findClass(NativesClass))
+    return Kl;
+  jvm::ClassDef Def;
+  Def.Name = NativesClass;
+  Def.nativeMethod("empty", "()V", /*IsStatic=*/true);
+  Def.nativeMethod("refArgs", RefArgsDesc);
+  jvm::Klass *Kl = World.Vm.defineClass(Def);
+  World.Rt.registerNative(
+      Kl, "empty", "()V",
+      [](JNIEnv *, jobject, const jvalue *) -> jvalue { return jvalue{}; });
+  World.Rt.registerNative(Kl, "refArgs", RefArgsDesc,
+                          [](JNIEnv *, jobject, const jvalue *Args) {
+                            jvalue R;
+                            R.l = Args[0].l;
+                            return R;
+                          });
+  return Kl;
+}
+
+void runNativeEmpty(ScenarioWorld &World, uint64_t Iters) {
+  jvm::MethodInfo *Empty =
+      nativesClass(World)->findMethod("empty", "()V", /*WantStatic=*/true);
+  jvm::JThread &Main = World.Vm.mainThread();
+  const std::vector<jvm::Value> NoArgs;
+  for (uint64_t I = 0; I < Iters; ++I)
+    World.Vm.invoke(Main, Empty, jvm::Value::makeNull(), NoArgs,
+                    /*VirtualDispatch=*/false);
+}
+
+void runNativeRefArgs(ScenarioWorld &World, uint64_t Iters) {
+  jvm::Vm &Vm = World.Vm;
+  jvm::Klass *Kl = nativesClass(World);
+  jvm::MethodInfo *RefArgs =
+      Kl->findMethod("refArgs", RefArgsDesc, /*WantStatic=*/false);
+  // Receiver and arguments, each rooted by a global reference as soon as
+  // it exists.
+  std::vector<uint64_t> Roots;
+  auto rooted = [&](jvm::ObjectId Obj) {
+    Roots.push_back(Vm.newGlobalRef(Obj, /*Weak=*/false));
+    return jvm::Value::makeRef(Obj);
+  };
+  const jvm::Value Self = rooted(Vm.newObject(Kl));
+  const std::vector<jvm::Value> Args = {rooted(Vm.newString("a")),
+                                        rooted(Vm.newString("b"))};
+  jvm::JThread &Main = Vm.mainThread();
+  for (uint64_t I = 0; I < Iters; ++I)
+    Vm.invoke(Main, RefArgs, Self, Args, /*VirtualDispatch=*/false);
+  for (uint64_t Root : Roots)
+    Vm.deleteGlobalRef(*jvm::decodeHandle(Root));
+}
+
 const OpClass Ops[] = {
-    {"get_version", 1, runGetVersion},
-    {"string_utf_length", 1, runStringUtfLength},
-    {"new_delete_local", 2, runNewDeleteLocal},
-    {"frame_push_pop", 2, runFramePushPop},
+    {"get_version", 1, runGetVersion, nullptr},
+    {"string_utf_length", 1, runStringUtfLength, nullptr},
+    {"new_delete_local", 2, runNewDeleteLocal, nullptr},
+    {"frame_push_pop", 2, runFramePushPop, nullptr},
+    {"native_empty", 1, nullptr, runNativeEmpty},
+    {"native_ref_args", 1, nullptr, runNativeRefArgs},
 };
+
+/// Calls \p Body with a runner for \p Op in \p World: a JNI call class
+/// runs inside a native frame, so every call crosses the interposed
+/// boundary the way client code does; a native-method call runs from the
+/// main thread.
+template <typename Fn>
+void withRunner(ScenarioWorld &World, const OpClass &Op, Fn Body) {
+  if (Op.Invoke) {
+    Body([&](uint64_t Iters) { Op.Invoke(World, Iters); });
+    return;
+  }
+  World.runAsNative("BenchCrossing", [&](JNIEnv *Env) {
+    Body([&](uint64_t Iters) { Op.Run(Env, Iters); });
+  });
+}
 
 WorldConfig tierConfig(const TierSpec &Tier) {
   WorldConfig Config;
@@ -112,14 +197,12 @@ WorldConfig tierConfig(const TierSpec &Tier) {
   return Config;
 }
 
-/// Median-of-5 ns/crossing for one (world, op) pair, measured inside a
-/// native frame so every call crosses the interposed boundary exactly the
-/// way client code does.
+/// Median-of-5 ns/crossing for one (world, op) pair.
 double measureNs(ScenarioWorld &World, const OpClass &Op, uint64_t Iters) {
   double Seconds = 0;
-  World.runAsNative("BenchCrossing", [&](JNIEnv *Env) {
-    Op.Run(Env, Iters / 4 + 1); // warm-up: ID caches, TLS, allocator
-    Seconds = bench::medianSeconds([&] { Op.Run(Env, Iters); }, 5);
+  withRunner(World, Op, [&](auto Run) {
+    Run(Iters / 4 + 1); // warm-up: ID caches, TLS, allocator
+    Seconds = bench::medianSeconds([&] { Run(Iters); }, 5);
   });
   return Seconds * 1e9 / static_cast<double>(Iters * Op.CrossingsPerIter);
 }
@@ -161,8 +244,8 @@ double pairedRatio(ScenarioWorld &World, ScenarioWorld &Floor,
   auto sample = [&](ScenarioWorld &W) {
     W.Vm.gc();
     double Seconds = 0;
-    W.runAsNative("BenchCrossing", [&](JNIEnv *Env) {
-      Seconds = bench::timeSeconds([&] { Op.Run(Env, Iters); });
+    withRunner(W, Op, [&](auto Run) {
+      Seconds = bench::timeSeconds([&] { Run(Iters); });
     });
     return Seconds;
   };
@@ -225,13 +308,18 @@ int main(int Argc, char **Argv) {
   }
   bench::printRule();
 
-  // Geomean per tier over the op classes, plus the headline ratios.
+  // Geomean per tier over the JNI call classes, plus the headline ratios.
+  // The native-method rows stand on their own above.
   double Gm[sizeof(Tiers) / sizeof(Tiers[0])];
   for (size_t T = 0; T < sizeof(Tiers) / sizeof(Tiers[0]); ++T) {
     double Acc = 0;
+    size_t N = 0;
     for (size_t O = 0; O < sizeof(Ops) / sizeof(Ops[0]); ++O)
-      Acc += std::log(Ns[O][T]);
-    Gm[T] = std::exp(Acc / (sizeof(Ops) / sizeof(Ops[0])));
+      if (Ops[O].Run) {
+        Acc += std::log(Ns[O][T]);
+        ++N;
+      }
+    Gm[T] = std::exp(Acc / static_cast<double>(N));
     Json.add(std::string("geomean/") + Tiers[T].Name + "/ns", Gm[T], "ns");
   }
   std::printf("%-18s", "geomean");
@@ -249,8 +337,7 @@ int main(int Argc, char **Argv) {
 
   // Per-machine mode: each registry machine alone over the no-machine
   // floor, at 8x the iterations of the tier table. Every machine gets a
-  // fresh floor world: one shared floor would recycle its local-reference
-  // slot more times than a handle's generation field counts.
+  // fresh floor world, so each pair starts from the same VM state.
   constexpr size_t NumOps = sizeof(Ops) / sizeof(Ops[0]);
   const uint64_t MachineIters = Iters * 8;
   auto machineWorld = [](std::vector<std::string> Enabled) {

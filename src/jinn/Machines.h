@@ -39,6 +39,7 @@
 #ifndef JINN_JINN_MACHINES_H
 #define JINN_JINN_MACHINES_H
 
+#include "jinn/LocalRefShadow.h"
 #include "jinn/ShardedState.h"
 #include "spec/StateMachine.h"
 
@@ -46,7 +47,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace jinn::agent {
@@ -237,7 +237,7 @@ private:
 /// dangling, double-free, wrong thread, and ID/reference confusion.
 ///
 /// JNI local references are thread-confined by specification, so the
-/// shadow tables are too: each VM thread owns a ThreadShadow reached
+/// shadow tables are too: each VM thread owns a LocalRefShadow reached
 /// through a thread-local cache — no lock on the hot path. Cross-thread
 /// *use* of a local reference is a detected violation (the wrong-thread
 /// check in useCheck), not a supported access pattern. The registry that
@@ -264,41 +264,36 @@ public:
   }
 
 private:
-  struct ShadowFrame {
-    uint32_t Capacity = 16;
-    bool Explicit = false;
-    std::unordered_set<uint64_t> Live;
-  };
-  struct ThreadShadow {
-    uint32_t ThreadId = 0;
-    std::vector<ShadowFrame> Frames;
-    std::vector<size_t> EntryDepths; ///< frame depth at each native entry
-  };
-
   /// RegistryMu guards only the map structure (insertion of new per-thread
-  /// entries). The *contents* of a ThreadShadow are only touched by the
+  /// entries). The *contents* of a LocalRefShadow are only touched by the
   /// thread whose transitions they shadow (machine transitions run on the
   /// thread making the JNI call; offline replay runs every logical thread
   /// on one OS thread), so the hot path is a two-word thread-local cache
   /// compare and no lock.
   mutable std::mutex RegistryMu;
   mutable std::atomic<uint64_t> RegistryAcquires{0};
-  std::unordered_map<uint32_t, std::unique_ptr<ThreadShadow>> Shadows;
+  std::unordered_map<uint32_t, std::unique_ptr<LocalRefShadow>> Shadows;
   const uint64_t InstanceId; ///< keys the thread-local cache
 
-  ThreadShadow &shadowOf(uint32_t ThreadId);
+  LocalRefShadow &shadowOf(uint32_t ThreadId);
   /// shadowOf with the lookup hoisted to once per crossing: at JNI sites
   /// the resolved shadow is memoized on the CapturedCall, so a crossing
   /// that runs several of this machine's actions (or one action with many
   /// reference arguments) pays the thread-local cache compare once.
-  ThreadShadow &shadowAt(spec::TransitionContext &Ctx);
-  ThreadShadow *findShadow(uint32_t ThreadId) const;
-  void acquire(spec::TransitionContext &Ctx, uint64_t Word);
+  LocalRefShadow &shadowAt(spec::TransitionContext &Ctx);
+  LocalRefShadow *findShadow(uint32_t ThreadId) const;
+  /// Adds local reference \p Word to \p Shadow's top frame and checks
+  /// the frame's capacity.
+  void acquire(spec::TransitionContext &Ctx, LocalRefShadow &Shadow,
+               uint64_t Word);
   /// Checks one used reference. \p ArgIndex is the 0-based JNI argument
   /// position, or -1 for a native method's returned reference; the text
   /// naming it is built only when a violation is reported.
   void useCheck(spec::TransitionContext &Ctx, uint64_t Word, int ArgIndex);
-  void countChanged(uint32_t ThreadId, const ThreadShadow &Shadow);
+  void countChanged(uint32_t ThreadId, const LocalRefShadow &Shadow) {
+    if (OnCountChange)
+      OnCountChange(ThreadId, Shadow.liveCount());
+  }
 };
 
 //===----------------------------------------------------------------------===

@@ -12,10 +12,10 @@
 ///   StripedTable   lock-striped shards for the genuinely-global shadow
 ///                  tables (global refs, monitors, pinned resources,
 ///                  entity IDs). Each shard pairs a shared_mutex with a
-///                  small open-addressed map whose entries live in one
-///                  flat slab — inserts and erases never malloc except on
-///                  the amortized slab doubling, so shard critical
-///                  sections stay allocation-free and short.
+///                  small open-addressed map (OpenMap) whose entries live
+///                  in one flat slab — inserts and erases never malloc
+///                  except on the amortized slab doubling, so shard
+///                  critical sections stay allocation-free and short.
 ///
 ///   AtomicWordArray  a grow-only, chunked array of atomic words indexed
 ///                  by thread id, for the read-dominated per-thread
@@ -36,10 +36,13 @@
 #define JINN_JINN_SHARDEDSTATE_H
 
 #include <atomic>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <type_traits>
 #include <vector>
 
 namespace jinn::agent {
@@ -48,7 +51,7 @@ namespace jinn::agent {
 inline constexpr unsigned DefaultShardCount = 16;
 
 /// splitmix64 finalizer: spreads handle words (whose low bits carry the
-/// RefKind/thread fields) uniformly across shards and probe sequences.
+/// RefKind/thread fields) uniformly across shards.
 inline uint64_t mixBits(uint64_t X) {
   X += 0x9e3779b97f4a7c15ULL;
   X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -57,113 +60,126 @@ inline uint64_t mixBits(uint64_t X) {
 }
 
 /// Open-addressed hash map from nonzero uint64 keys to small trivially
-/// copyable values. Linear probing over a power-of-two slab with
-/// tombstoned erase; the slab is the arena — no per-entry allocation.
-/// Not thread-safe by itself; a StripedTable shard provides the lock.
+/// copyable values. Linear probing over a power-of-two slab; key 0 marks an
+/// empty slot. Erase shifts the rest of the probe cluster back into the
+/// hole (backward-shift deletion), so the map keeps no tombstones: a
+/// probe stops at the first empty slot, and insert/erase churn at a fixed
+/// live size never grows or rehashes the slab. The slab is the arena — no
+/// per-entry allocation. Not thread-safe by itself; a StripedTable shard
+/// (or a thread-confined owner) provides the exclusion.
 template <typename ValueT> class OpenMap {
 public:
   ValueT *find(uint64_t Key) {
     if (Slots.empty())
       return nullptr;
-    size_t I = probeStart(Key);
-    for (size_t N = 0; N < Slots.size(); ++N, I = (I + 1) & Mask) {
+    for (size_t I = homeSlot(Key);; I = (I + 1) & Mask) {
       Slot &S = Slots[I];
-      if (S.State == SlotState::Empty)
+      if (S.Key == 0) // checked first: key 0 is never found
         return nullptr;
-      if (S.State == SlotState::Full && S.Key == Key)
+      if (S.Key == Key)
         return &S.Value;
     }
-    return nullptr;
   }
   const ValueT *find(uint64_t Key) const {
     return const_cast<OpenMap *>(this)->find(Key);
   }
 
-  /// Returns the value for \p Key, inserting \p Init first when absent.
+  /// Returns the value for nonzero \p Key, inserting \p Init first when
+  /// absent.
   ValueT &findOrEmplace(uint64_t Key, const ValueT &Init = ValueT()) {
-    if (Slots.empty() || (Live + Tombs + 1) * 4 > Slots.size() * 3)
+    assert(Key != 0 && "key 0 marks an empty slot");
+    if ((Live + 1) * 4 > Slots.size() * 3)
       grow();
-    size_t I = probeStart(Key);
-    size_t FirstTomb = SIZE_MAX;
-    for (;; I = (I + 1) & Mask) {
-      Slot &S = Slots[I];
-      if (S.State == SlotState::Full && S.Key == Key)
-        return S.Value;
-      if (S.State == SlotState::Tomb && FirstTomb == SIZE_MAX)
-        FirstTomb = I;
-      if (S.State == SlotState::Empty)
-        break;
-    }
-    if (FirstTomb != SIZE_MAX) {
-      I = FirstTomb;
-      --Tombs;
-    }
-    Slot &S = Slots[I];
-    S.State = SlotState::Full;
-    S.Key = Key;
-    S.Value = Init;
+    size_t I = homeSlot(Key);
+    for (; Slots[I].Key != 0; I = (I + 1) & Mask)
+      if (Slots[I].Key == Key)
+        return Slots[I].Value;
+    Slots[I] = Slot{Init, Key};
     ++Live;
-    return S.Value;
+    return Slots[I].Value;
   }
 
   bool erase(uint64_t Key) {
-    if (Slots.empty())
+    ValueT *Found = find(Key);
+    if (!Found)
       return false;
-    size_t I = probeStart(Key);
-    for (size_t N = 0; N < Slots.size(); ++N, I = (I + 1) & Mask) {
-      Slot &S = Slots[I];
-      if (S.State == SlotState::Empty)
-        return false;
-      if (S.State == SlotState::Full && S.Key == Key) {
-        S.State = SlotState::Tomb;
-        S.Value = ValueT();
-        --Live;
-        ++Tombs;
-        return true;
+    eraseFound(Found);
+    return true;
+  }
+
+  /// Erases the entry \p Found points at — a find() result with no insert
+  /// or erase since — without probing for it again.
+  void eraseFound(ValueT *Found) {
+    size_t Hole = static_cast<size_t>(reinterpret_cast<Slot *>(Found) -
+                                      Slots.data());
+    // Walk the rest of the cluster; move back every entry whose probe
+    // path from its home slot passes through the hole.
+    for (size_t I = (Hole + 1) & Mask; Slots[I].Key != 0; I = (I + 1) & Mask) {
+      size_t Home = homeSlot(Slots[I].Key);
+      if (((I - Home) & Mask) >= ((I - Hole) & Mask)) {
+        Slots[Hole] = Slots[I];
+        Hole = I;
       }
     }
-    return false;
+    Slots[Hole] = Slot{};
+    --Live;
   }
 
   size_t size() const { return Live; }
+  /// Slab slots currently allocated (0 before the first insert).
+  size_t capacity() const { return Slots.size(); }
+
+  /// The slot where the probe for \p Key starts in a slab of \p Capacity
+  /// slots (a power of two, at least 2): the top bits of a multiplicative
+  /// hash. StripedTable picks a key's shard from the low bits of mixBits,
+  /// so the probe start stays independent of the shard.
+  static size_t homeSlot(uint64_t Key, size_t Capacity) {
+    return static_cast<size_t>((Key * HashMultiplier) >>
+                               (64 - std::countr_zero(Capacity)));
+  }
 
   template <typename Fn> void forEach(Fn &&Visit) const {
     for (const Slot &S : Slots)
-      if (S.State == SlotState::Full)
+      if (S.Key != 0)
         Visit(S.Key, S.Value);
   }
 
 private:
-  enum class SlotState : uint8_t { Empty = 0, Full, Tomb };
+  /// Value first: eraseFound maps a value pointer back to its slot.
   struct Slot {
-    uint64_t Key = 0;
     ValueT Value{};
-    SlotState State = SlotState::Empty;
+    uint64_t Key = 0;
   };
+  static_assert(std::is_standard_layout_v<Slot>);
 
-  size_t probeStart(uint64_t Key) const { return mixBits(Key) & Mask; }
+  static constexpr uint64_t HashMultiplier = 0x9e3779b97f4a7c15ULL;
 
+  /// homeSlot(Key, capacity()), with the shift kept from the last grow().
+  size_t homeSlot(uint64_t Key) const {
+    return static_cast<size_t>((Key * HashMultiplier) >> Shift);
+  }
+
+  /// Doubles the slab (16 slots at first) and reinserts every entry.
   void grow() {
     std::vector<Slot> Old = std::move(Slots);
-    // Double when genuinely full; rehash in place when the load is mostly
-    // tombstones (acquire/release churn), so cycling entries cannot grow
-    // the slab without bound.
-    size_t NewCap = Old.empty()
-                        ? 16
-                        : (Live * 4 >= Old.size() ? Old.size() * 2
-                                                  : Old.size());
+    size_t NewCap = Old.empty() ? 16 : Old.size() * 2;
     Slots.assign(NewCap, Slot{});
     Mask = NewCap - 1;
-    Live = Tombs = 0;
-    for (Slot &S : Old)
-      if (S.State == SlotState::Full)
-        findOrEmplace(S.Key, S.Value);
+    Shift = 64 - std::countr_zero(NewCap);
+    for (const Slot &S : Old) {
+      if (S.Key == 0)
+        continue;
+      size_t I = homeSlot(S.Key);
+      while (Slots[I].Key != 0)
+        I = (I + 1) & Mask;
+      Slots[I] = S;
+    }
   }
 
   std::vector<Slot> Slots;
   size_t Mask = 0;
+  unsigned Shift = 64; ///< 64 - log2(capacity())
   size_t Live = 0;
-  size_t Tombs = 0;
 };
 
 /// Lock-striped table: N shards, each an independently locked OpenMap.

@@ -11,12 +11,14 @@
 /// function returns one, released implicitly when the native method
 /// returns (or explicitly via DeleteLocalRef/PopLocalFrame). The shadow
 /// encoding is, per thread, a stack of frames, each with a capacity and the
-/// set of live reference words. Detected errors: overflow (more than the
-/// ensured capacity, default 16), dangling use, double free, cross-thread
-/// use, leaked explicit frames, and ID/reference confusion (pitfall 6).
+/// set of live reference words (LocalRefShadow keeps those semantics
+/// without allocating in the steady state). Detected errors: overflow
+/// (more than the ensured capacity, default 16), dangling use, double
+/// free, cross-thread use, leaked explicit frames, and ID/reference
+/// confusion (pitfall 6).
 ///
 /// Concurrency: local references are thread-confined by the JNI spec, and
-/// so is the shadow. Each thread's ThreadShadow is reached through a
+/// so is the shadow. Each thread's LocalRefShadow is reached through a
 /// thread-local cache keyed by (machine instance, logical thread id) — the
 /// logical id matters because offline trace replay runs every recorded
 /// thread on one OS thread. The hot path is a two-word compare and no
@@ -66,6 +68,12 @@ thread_local ShadowCacheEntry LocalShadowCache;
 
 std::atomic<uint64_t> NextLocalRefInstanceId{1};
 
+/// True for a local reference word: the only words this machine acquires.
+bool isLocalWord(uint64_t Word) {
+  std::optional<jvm::HandleBits> Bits = jvm::decodeHandle(Word);
+  return Word && Bits && Bits->Kind == RefKind::Local;
+}
+
 /// useCheck's position for a native method's returned reference.
 constexpr int ReturnValue = -1;
 
@@ -81,38 +89,32 @@ std::string usedRefName(int ArgIndex) {
 
 LocalRefMachine::~LocalRefMachine() = default;
 
-LocalRefMachine::ThreadShadow &LocalRefMachine::shadowOf(uint32_t ThreadId) {
+LocalRefShadow &LocalRefMachine::shadowOf(uint32_t ThreadId) {
   ShadowCacheEntry &Cache = LocalShadowCache;
   if (Cache.Instance == InstanceId && Cache.Tid == ThreadId)
-    return *static_cast<ThreadShadow *>(Cache.Shadow);
+    return *static_cast<LocalRefShadow *>(Cache.Shadow);
   RegistryAcquires.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> Lock(RegistryMu);
-  std::unique_ptr<ThreadShadow> &Slot = Shadows[ThreadId];
-  if (!Slot) {
-    Slot = std::make_unique<ThreadShadow>();
-    Slot->ThreadId = ThreadId;
-  }
-  if (Slot->Frames.empty())
-    Slot->Frames.emplace_back(); // base frame for detached-style use
+  std::unique_ptr<LocalRefShadow> &Slot = Shadows[ThreadId];
+  if (!Slot) // base frame of the default capacity for detached-style use
+    Slot = std::make_unique<LocalRefShadow>();
   Cache = {InstanceId, ThreadId, Slot.get()};
   return *Slot;
 }
 
-LocalRefMachine::ThreadShadow &
-LocalRefMachine::shadowAt(TransitionContext &Ctx) {
+LocalRefShadow &LocalRefMachine::shadowAt(TransitionContext &Ctx) {
   if (Ctx.isJniSite()) {
     jvmti::CapturedCall &Call = Ctx.call();
     if (void *Memo = Call.memo(this))
-      return *static_cast<ThreadShadow *>(Memo);
-    ThreadShadow &Shadow = shadowOf(Ctx.threadId());
+      return *static_cast<LocalRefShadow *>(Memo);
+    LocalRefShadow &Shadow = shadowOf(Ctx.threadId());
     Call.setMemo(this, &Shadow);
     return Shadow;
   }
   return shadowOf(Ctx.threadId());
 }
 
-LocalRefMachine::ThreadShadow *
-LocalRefMachine::findShadow(uint32_t ThreadId) const {
+LocalRefShadow *LocalRefMachine::findShadow(uint32_t ThreadId) const {
   RegistryAcquires.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> Lock(RegistryMu);
   auto It = Shadows.find(ThreadId);
@@ -122,65 +124,34 @@ LocalRefMachine::findShadow(uint32_t ThreadId) const {
 void LocalRefMachine::onThreadStart(const spec::ThreadStartInfo &Info) {
   RegistryAcquires.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> Lock(RegistryMu);
-  std::unique_ptr<ThreadShadow> &Slot = Shadows[Info.Id];
-  if (!Slot) {
-    Slot = std::make_unique<ThreadShadow>();
-    Slot->ThreadId = Info.Id;
-  }
-  if (Slot->Frames.empty()) {
-    ShadowFrame Base;
-    Base.Capacity = Info.FrameCapacity;
-    Slot->Frames.push_back(std::move(Base));
-  }
+  std::unique_ptr<LocalRefShadow> &Slot = Shadows[Info.Id];
+  if (!Slot)
+    Slot = std::make_unique<LocalRefShadow>(Info.FrameCapacity);
 }
 
 size_t LocalRefMachine::liveCount(uint32_t ThreadId) const {
-  const ThreadShadow *Shadow = findShadow(ThreadId);
-  if (!Shadow)
-    return 0;
-  size_t N = 0;
-  for (const ShadowFrame &Frame : Shadow->Frames)
-    N += Frame.Live.size();
-  return N;
+  const LocalRefShadow *Shadow = findShadow(ThreadId);
+  return Shadow ? Shadow->liveCount() : 0;
 }
 
 uint32_t LocalRefMachine::topCapacity(uint32_t ThreadId) const {
-  const ThreadShadow *Shadow = findShadow(ThreadId);
-  if (!Shadow || Shadow->Frames.empty())
-    return 0;
-  return Shadow->Frames.back().Capacity;
+  const LocalRefShadow *Shadow = findShadow(ThreadId);
+  return Shadow ? Shadow->topCapacity() : 0;
 }
 
-void LocalRefMachine::countChanged(uint32_t ThreadId,
-                                   const ThreadShadow &Shadow) {
-  if (!OnCountChange)
-    return;
-  // Tally straight from the shadow we already own — no registry lock.
-  size_t N = 0;
-  for (const ShadowFrame &Frame : Shadow.Frames)
-    N += Frame.Live.size();
-  OnCountChange(ThreadId, N);
-}
-
-void LocalRefMachine::acquire(TransitionContext &Ctx, uint64_t Word) {
-  if (!Word)
-    return;
-  std::optional<jvm::HandleBits> Bits = jvm::decodeHandle(Word);
-  if (!Bits || Bits->Kind != RefKind::Local)
-    return; // only local references are tracked here
-  ThreadShadow &Shadow = shadowAt(Ctx);
-  ShadowFrame &Top = Shadow.Frames.back();
-  Top.Live.insert(Word);
+void LocalRefMachine::acquire(TransitionContext &Ctx, LocalRefShadow &Shadow,
+                              uint64_t Word) {
+  size_t TopLive = Shadow.acquire(Word);
   countChanged(Ctx.threadId(), Shadow);
-  uint32_t Limit = Top.Capacity;
+  uint32_t Limit = Shadow.topCapacity();
   if (mutate::active(mutate::M::SpecLocalRefOverflowOffByOne))
     Limit += 1;
-  if (Top.Live.size() > Limit)
+  if (TopLive > Limit)
     Ctx.reporter().violation(
         Ctx, Spec,
         formatString("local reference overflow: %zu live references exceed "
                      "the ensured capacity of %u",
-                     Top.Live.size(), Top.Capacity));
+                     TopLive, Shadow.topCapacity()));
 }
 
 void LocalRefMachine::useCheck(TransitionContext &Ctx, uint64_t Word,
@@ -209,15 +180,13 @@ void LocalRefMachine::useCheck(TransitionContext &Ctx, uint64_t Word,
                      usedRefName(ArgIndex).c_str(), Bits->Thread, Tid));
     return;
   }
-  ThreadShadow &Shadow = shadowAt(Ctx);
-  // Newest frame first: most used references were made in the top frame.
-  for (auto It = Shadow.Frames.rbegin(); It != Shadow.Frames.rend(); ++It)
-    if (It->Live.count(Word))
-      return; // tracked and live
+  LocalRefShadow &Shadow = shadowAt(Ctx);
+  if (Shadow.tracks(Word))
+    return; // tracked and live
   // Untracked: adopt pre-agent references; report dead ones.
   jvm::Vm::PeekResult Peek = peekRef(Ctx, Word);
   if (Peek.S == jvm::Vm::PeekResult::Status::Live) {
-    Shadow.Frames.back().Live.insert(Word);
+    Shadow.acquire(Word);
     return;
   }
   Ctx.reporter().violation(
@@ -245,16 +214,18 @@ LocalRefMachine::LocalRefMachine()
       {{FunctionSelector::nativeMethods("native method taking reference"),
         Direction::CallJavaToC}},
       [this](TransitionContext &Ctx) {
-        ThreadShadow &Shadow = shadowOf(Ctx.threadId());
-        Shadow.EntryDepths.push_back(Shadow.Frames.size());
-        ShadowFrame Frame;
-        Frame.Capacity = Ctx.nativeFrameCapacity();
-        Shadow.Frames.push_back(std::move(Frame));
-        acquire(Ctx, jni::handleWord(Ctx.self()));
+        LocalRefShadow &Shadow = shadowOf(Ctx.threadId());
+        Shadow.enterNative(Ctx.nativeFrameCapacity());
+        if (uint64_t Self = jni::handleWord(Ctx.self()); isLocalWord(Self))
+          acquire(Ctx, Shadow, Self);
         const jvm::MethodDesc &Sig = Ctx.method().Sig;
-        for (size_t I = 0; I < Sig.Params.size(); ++I)
-          if (Sig.Params[I].isReference() && Ctx.args())
-            acquire(Ctx, jni::handleWord(Ctx.args()[I].l));
+        for (size_t I = 0; I < Sig.Params.size(); ++I) {
+          if (!Sig.Params[I].isReference() || !Ctx.args())
+            continue;
+          uint64_t Arg = jni::handleWord(Ctx.args()[I].l);
+          if (isLocalWord(Arg))
+            acquire(Ctx, Shadow, Arg);
+        }
       }));
 
   // Acquire at Return:Java->C: a JNI function returned a reference.
@@ -265,8 +236,11 @@ LocalRefMachine::LocalRefMachine()
             [](const FnTraits &Traits) { return Traits.ReturnsRef; }),
         Direction::ReturnJavaToC}},
       [this](TransitionContext &Ctx) {
-        if (Ctx.call().returnIsRef())
-          acquire(Ctx, Ctx.call().returnWord());
+        if (!Ctx.call().returnIsRef())
+          return;
+        uint64_t Word = Ctx.call().returnWord();
+        if (isLocalWord(Word))
+          acquire(Ctx, shadowAt(Ctx), Word);
       }));
 
   // Frame management: PushLocalFrame / EnsureLocalCapacity extend the
@@ -278,10 +252,8 @@ LocalRefMachine::LocalRefMachine()
       [this](TransitionContext &Ctx) {
         if (static_cast<jint>(Ctx.call().returnWord()) != JNI_OK)
           return;
-        ShadowFrame Frame;
-        Frame.Capacity = static_cast<uint32_t>(Ctx.call().arg(0).Word);
-        Frame.Explicit = true;
-        shadowAt(Ctx).Frames.push_back(std::move(Frame));
+        shadowAt(Ctx).pushFrame(static_cast<uint32_t>(Ctx.call().arg(0).Word),
+                                /*Explicit=*/true);
       }));
   Spec.Transitions.push_back(makeTransition(
       "Acquired", "Acquired",
@@ -290,10 +262,8 @@ LocalRefMachine::LocalRefMachine()
       [this](TransitionContext &Ctx) {
         if (static_cast<jint>(Ctx.call().returnWord()) != JNI_OK)
           return;
-        ShadowFrame &Top = shadowAt(Ctx).Frames.back();
-        uint32_t Wanted = static_cast<uint32_t>(Ctx.call().arg(0).Word);
-        if (Top.Capacity < Wanted)
-          Top.Capacity = Wanted;
+        shadowAt(Ctx).ensureCapacity(
+            static_cast<uint32_t>(Ctx.call().arg(0).Word));
       }));
 
   // Use at Call:C->Java: any JNI function taking a reference.
@@ -331,13 +301,11 @@ LocalRefMachine::LocalRefMachine()
         uint64_t Word = Ctx.call().refWord(0);
         if (!Word)
           return;
-        ThreadShadow &Shadow = shadowAt(Ctx);
-        for (auto It = Shadow.Frames.rbegin(); It != Shadow.Frames.rend();
-             ++It)
-          if (It->Live.erase(Word)) {
-            countChanged(Ctx.threadId(), Shadow);
-            return;
-          }
+        LocalRefShadow &Shadow = shadowAt(Ctx);
+        if (Shadow.release(Word)) {
+          countChanged(Ctx.threadId(), Shadow);
+          return;
+        }
         jvm::Vm::PeekResult Peek = peekRef(Ctx, Word);
         if (Peek.S == jvm::Vm::PeekResult::Status::Live)
           return; // pre-agent reference; the delete is legitimate
@@ -357,11 +325,9 @@ LocalRefMachine::LocalRefMachine()
       {{FunctionSelector::one(jni::FnId::PopLocalFrame),
         Direction::CallCToJava}},
       [this](TransitionContext &Ctx) {
-        ThreadShadow &Shadow = shadowAt(Ctx);
-        if (Shadow.Frames.empty() || !Shadow.Frames.back().Explicit)
-          return;
-        Shadow.Frames.pop_back();
-        countChanged(Ctx.threadId(), Shadow);
+        LocalRefShadow &Shadow = shadowAt(Ctx);
+        if (Shadow.popExplicitFrame())
+          countChanged(Ctx.threadId(), Shadow);
       }));
 
   // Release at Return:C->Java: the VM frees the native frame; explicit
@@ -371,17 +337,10 @@ LocalRefMachine::LocalRefMachine()
       {{FunctionSelector::nativeMethods("return from any native method"),
         Direction::ReturnCToJava}},
       [this](TransitionContext &Ctx) {
-        ThreadShadow &Shadow = shadowOf(Ctx.threadId());
-        if (Shadow.EntryDepths.empty())
+        LocalRefShadow &Shadow = shadowOf(Ctx.threadId());
+        if (!Shadow.inNative())
           return;
-        size_t Depth = Shadow.EntryDepths.back();
-        Shadow.EntryDepths.pop_back();
-        size_t ExplicitLeaks = 0;
-        while (Shadow.Frames.size() > Depth) {
-          if (Shadow.Frames.back().Explicit)
-            ++ExplicitLeaks;
-          Shadow.Frames.pop_back();
-        }
+        size_t ExplicitLeaks = Shadow.exitNative();
         countChanged(Ctx.threadId(), Shadow);
         if (ExplicitLeaks > 0)
           Ctx.reporter().violation(

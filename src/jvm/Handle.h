@@ -80,6 +80,21 @@ inline uint64_t encodeHandle(const HandleBits &Bits) {
          static_cast<uint64_t>(Bits.Kind);
 }
 
+/// A table slot counts its generations in a wider counter than a handle
+/// carries, so a handle names its slot's generation modulo 2^23. The two
+/// helpers below compare a handle's generation \p HandleGen with slot
+/// generation \p SlotGen on that basis: a slot recycled past 2^23 times
+/// still recognises its newest handle.
+inline bool sameGeneration(uint64_t SlotGen, uint32_t HandleGen) {
+  return (SlotGen & handle_detail::GenMask) == HandleGen;
+}
+/// True when the slot has issued a handle of generation \p HandleGen: one
+/// at most its current generation before the counter first wraps, any
+/// after it.
+inline bool generationIssued(uint64_t SlotGen, uint32_t HandleGen) {
+  return SlotGen > handle_detail::GenMask || HandleGen <= SlotGen;
+}
+
 /// Decodes \p Word. Returns std::nullopt when the word is not a plausible
 /// handle (wrong magic or kind) — the signature of an ID/reference mixup or
 /// a stray pointer. Zero decodes to the null handle.

@@ -57,7 +57,7 @@ uint64_t JThread::newLocalRef(ObjectId Target) {
     Index = static_cast<uint32_t>(Arena.grow(1));
   }
   LocalSlot &Slot = Arena[Index];
-  uint32_t Gen = LocalSlot::genOf(Slot.State.load(std::memory_order_relaxed));
+  uint64_t Gen = LocalSlot::genOf(Slot.State.load(std::memory_order_relaxed));
   Gen += 1;
   // Target first, then State with release: a reader that observes the live
   // state is guaranteed to read this target (or detect the State change).
@@ -76,7 +76,7 @@ uint64_t JThread::newLocalRef(ObjectId Target) {
   Bits.Kind = RefKind::Local;
   Bits.Thread = Id;
   Bits.Slot = Index;
-  Bits.Gen = Gen;
+  Bits.Gen = static_cast<uint32_t>(Gen); // encodeHandle keeps 23 bits
   return encodeHandle(Bits);
 }
 
@@ -85,9 +85,10 @@ LocalRefState JThread::localRefState(const HandleBits &Bits) const {
   if (Bits.Slot >= Arena.size())
     return LocalRefState::NeverIssued;
   uint64_t State = Arena[Bits.Slot].State.load(std::memory_order_acquire);
-  if (Bits.Gen > LocalSlot::genOf(State))
+  if (!generationIssued(LocalSlot::genOf(State), Bits.Gen))
     return LocalRefState::NeverIssued;
-  if (!LocalSlot::liveOf(State) || LocalSlot::genOf(State) != Bits.Gen)
+  if (!LocalSlot::liveOf(State) ||
+      !sameGeneration(LocalSlot::genOf(State), Bits.Gen))
     return LocalRefState::Stale;
   return LocalRefState::Live;
 }
@@ -97,7 +98,8 @@ ObjectId JThread::resolveLocal(const HandleBits &Bits) const {
     return ObjectId();
   const LocalSlot &Slot = Arena[Bits.Slot];
   uint64_t Before = Slot.State.load(std::memory_order_acquire);
-  if (!LocalSlot::liveOf(Before) || LocalSlot::genOf(Before) != Bits.Gen)
+  if (!LocalSlot::liveOf(Before) ||
+      !sameGeneration(LocalSlot::genOf(Before), Bits.Gen))
     return ObjectId();
   uint64_t Target = Slot.Target.load(std::memory_order_acquire);
   // Seqlock-style re-check: if the slot was recycled between the two State
@@ -116,7 +118,8 @@ bool JThread::deleteLocal(const HandleBits &Bits) {
       if (Index != Bits.Slot)
         continue;
       uint64_t State = Arena[Index].State.load(std::memory_order_relaxed);
-      if (LocalSlot::liveOf(State) && LocalSlot::genOf(State) == Bits.Gen) {
+      if (LocalSlot::liveOf(State) &&
+          sameGeneration(LocalSlot::genOf(State), Bits.Gen)) {
         It->LiveCount -= 1;
         invalidateSlot(Index);
         return true;

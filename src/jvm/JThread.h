@@ -187,12 +187,10 @@ private:
     std::atomic<uint64_t> State{0};
     std::atomic<uint64_t> Target{0};
 
-    static uint64_t packState(uint32_t Gen, bool Live) {
-      return (static_cast<uint64_t>(Gen) << 1) | (Live ? 1 : 0);
+    static uint64_t packState(uint64_t Gen, bool Live) {
+      return (Gen << 1) | (Live ? 1 : 0);
     }
-    static uint32_t genOf(uint64_t State) {
-      return static_cast<uint32_t>(State >> 1);
-    }
+    static uint64_t genOf(uint64_t State) { return State >> 1; }
     static bool liveOf(uint64_t State) { return State & 1; }
   };
 

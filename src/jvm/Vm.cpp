@@ -843,7 +843,7 @@ uint64_t Vm::newGlobalRef(ObjectId Target, bool Weak) {
   Bits.Kind = Weak ? RefKind::WeakGlobal : RefKind::Global;
   Bits.Thread = 0;
   Bits.Slot = Index;
-  Bits.Gen = Slot.Gen;
+  Bits.Gen = static_cast<uint32_t>(Slot.Gen); // encodeHandle keeps 23 bits
   return encodeHandle(Bits);
 }
 
@@ -851,9 +851,9 @@ LocalRefState Vm::globalRefStateLocked(const HandleBits &Bits) const {
   if (Bits.Slot >= Globals.size())
     return LocalRefState::NeverIssued;
   const GlobalSlot &Slot = Globals[Bits.Slot];
-  if (Bits.Gen > Slot.Gen)
+  if (!generationIssued(Slot.Gen, Bits.Gen))
     return LocalRefState::NeverIssued;
-  if (!Slot.Live || Slot.Gen != Bits.Gen)
+  if (!Slot.Live || !sameGeneration(Slot.Gen, Bits.Gen))
     return LocalRefState::Stale;
   return LocalRefState::Live;
 }

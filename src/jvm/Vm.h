@@ -407,7 +407,7 @@ private:
 
   struct GlobalSlot {
     ObjectId Target;
-    uint32_t Gen = 0;
+    uint64_t Gen = 0; ///< handles carry its low 23 bits
     bool Live = false;
     bool Weak = false;
     bool Cleared = false; ///< weak target collected

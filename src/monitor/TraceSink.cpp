@@ -23,15 +23,31 @@ uint64_t traceBytes(const trace::Trace &T) {
 
 } // namespace
 
-trace::Trace monitor::mergeSegments(std::vector<trace::Trace> Segments) {
-  trace::Trace Out;
+bool monitor::mergeSegments(std::vector<trace::Trace> Segments,
+                            trace::Trace &Out, std::string *Err) {
+  Out = trace::Trace();
   size_t Total = 0;
-  for (const trace::Trace &Seg : Segments)
-    Total += Seg.Events.size();
+  for (size_t I = 0; I < Segments.size(); ++I) {
+    const trace::Trace::Header &Head = Segments[I].Head;
+    const trace::Trace::Header &First = Segments[0].Head;
+    if (Head.Version != First.Version ||
+        Head.NativeFrameCapacity != First.NativeFrameCapacity) {
+      if (Err)
+        *Err = formatString(
+            "segment %zu has header (version %u, native frame capacity %u), "
+            "segment 0 has (version %u, native frame capacity %u)",
+            I, Head.Version, Head.NativeFrameCapacity, First.Version,
+            First.NativeFrameCapacity);
+      return false;
+    }
+    Total += Segments[I].Events.size();
+  }
+  if (!Segments.empty()) {
+    Out.Head.Version = Segments[0].Head.Version;
+    Out.Head.NativeFrameCapacity = Segments[0].Head.NativeFrameCapacity;
+  }
   Out.Events.reserve(Total);
   for (trace::Trace &Seg : Segments) {
-    Out.Head.Version = Seg.Head.Version;
-    Out.Head.NativeFrameCapacity = Seg.Head.NativeFrameCapacity;
     Out.Head.DroppedEvents += Seg.Head.DroppedEvents;
     Out.Events.insert(Out.Events.end(),
                       std::make_move_iterator(Seg.Events.begin()),
@@ -51,7 +67,11 @@ trace::Trace monitor::mergeSegments(std::vector<trace::Trace> Segments) {
   for (size_t I = 0; I < Out.Events.size(); ++I)
     Out.Events[I].Epoch = I;
   Out.rebuildThreadNames();
-  return Out;
+  if (!Out.wellFormed(Err)) {
+    Out = trace::Trace();
+    return false;
+  }
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -94,12 +114,22 @@ trace::Trace RingSink::retained() {
     std::lock_guard<std::mutex> Lock(Mu);
     Copy.assign(Segments.begin(), Segments.end());
   }
-  return mergeSegments(std::move(Copy));
+  trace::Trace Merged;
+  std::string Err;
+  bool Ok = mergeSegments(std::move(Copy), Merged, &Err);
+  std::lock_guard<std::mutex> Lock(Mu);
+  MergeError = Ok ? "" : "merge: " + Err;
+  return Merged;
 }
 
 SinkStats RingSink::stats() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Stats;
+}
+
+std::string RingSink::lastError() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return MergeError;
 }
 
 //===----------------------------------------------------------------------===//
@@ -136,8 +166,20 @@ void RotatingFileSink::rotate() {
 void RotatingFileSink::rotateLocked() {
   if (Pending.empty())
     return;
-  trace::Trace Merged = mergeSegments(std::move(Pending));
+  trace::Trace Merged;
+  std::string Err;
+  bool Ok = mergeSegments(std::move(Pending), Merged, &Err);
   Pending.clear();
+  uint64_t Events = PendingEvents;
+  PendingBytes = 0;
+  PendingEvents = 0;
+  if (!Ok) {
+    // Segments of different recordings: refused, counted as dropped.
+    WriteError = "merge: " + Err;
+    Stats.DroppedSegments += 1;
+    Stats.DroppedEvents += Events;
+    return;
+  }
   SegmentFile File;
   File.Path = Opts.Directory + "/" +
               formatString("seg-%06llu.jinntrace",
@@ -145,9 +187,6 @@ void RotatingFileSink::rotateLocked() {
   File.Events = Merged.Events.size();
   File.Bytes = traceBytes(Merged);
   File.Born = std::chrono::steady_clock::now();
-  PendingBytes = 0;
-  PendingEvents = 0;
-  std::string Err;
   if (!trace::writeTraceFile(Merged, File.Path, &Err)) {
     // The events in this rotation are lost; count them as dropped rather
     // than pretending the file exists.
@@ -204,7 +243,14 @@ trace::Trace RotatingFileSink::retained() {
     if (trace::readTraceFile(Part, Path, &Err))
       Parts.push_back(std::move(Part));
   }
-  return mergeSegments(std::move(Parts));
+  trace::Trace Merged;
+  std::string Err;
+  bool Ok = mergeSegments(std::move(Parts), Merged, &Err);
+  if (!Ok) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    WriteError = "merge: " + Err;
+  }
+  return Merged;
 }
 
 SinkStats RotatingFileSink::stats() const {

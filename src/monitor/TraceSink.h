@@ -64,17 +64,25 @@ public:
 
   /// The merged view of everything currently retained, re-sorted into one
   /// (TimeNs, ThreadId, Seq) order with fresh epochs — the trace a sampled
-  /// report is replayed from.
+  /// report is replayed from. Empty, with lastError() saying why, when
+  /// mergeSegments refuses the retained segments.
   virtual trace::Trace retained() = 0;
 
   virtual SinkStats stats() const = 0;
+
+  /// Last write or merge error, if any ("" when healthy).
+  virtual std::string lastError() const = 0;
 };
 
-/// Merges \p Segments into one trace: concatenates events, restores the
+/// Merges \p Segments into \p Out: concatenates events, restores the
 /// global (TimeNs, ThreadId, Seq) order, reassigns epochs, rebuilds the
 /// thread-name table, and sums header drop counts. Valid because every
 /// segment of one recording shares the recorder's cached tick calibration.
-trace::Trace mergeSegments(std::vector<trace::Trace> Segments);
+/// Refuses (returns false, naming the reason in \p Err) segments whose
+/// Version or NativeFrameCapacity differ — they come from different
+/// recordings — and a merged trace that is not Trace::wellFormed.
+bool mergeSegments(std::vector<trace::Trace> Segments, trace::Trace &Out,
+                   std::string *Err = nullptr);
 
 /// In-memory sink: a deque of the most recent segments.
 class RingSink : public TraceSink {
@@ -90,6 +98,7 @@ public:
   void append(trace::Trace Segment) override;
   trace::Trace retained() override;
   SinkStats stats() const override;
+  std::string lastError() const override;
 
 private:
   void pruneLocked();
@@ -98,6 +107,7 @@ private:
   Options Opts;
   std::deque<trace::Trace> Segments;
   SinkStats Stats;
+  std::string MergeError;
 };
 
 /// On-disk sink: numbered segment files in a directory, rotated by size
@@ -126,8 +136,7 @@ public:
   /// Paths of the currently retained segment files, oldest first.
   std::vector<std::string> segmentFiles() const;
 
-  /// Last write error, if any ("" when healthy).
-  std::string lastError() const;
+  std::string lastError() const override;
 
 private:
   struct SegmentFile {

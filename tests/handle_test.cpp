@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "jvm/Handle.h"
+#include "jvm/Vm.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -94,6 +95,63 @@ TEST(Handle, DistinctFieldsGiveDistinctWords) {
   A.Gen = 1;
   B.Gen = 2; // recycled slot: new generation
   EXPECT_NE(encodeHandle(A), encodeHandle(B));
+}
+
+// A handle keeps 23 generation bits; a slot's generation counter keeps
+// counting past them. A slot recycled more than 2^23 times must still read
+// its newest handle as Live (and its previous one as Stale), not as
+// NeverIssued. The newest handle's word then repeats an early one's: the
+// only way this VM reissues a handle word.
+constexpr uint64_t GenerationWidth = 1ull << 23;
+
+TEST(Handle, LocalSlotRecycledPastGenerationWidthReadsLive) {
+  Vm V;
+  JThread &Main = V.mainThread();
+  ObjectId Obj = V.newString("target");
+  uint64_t First = 0, Previous = 0, Newest = 0;
+  for (uint64_t I = 0; I <= GenerationWidth + 1; ++I) {
+    Main.pushFrame(1, /*Explicit=*/true);
+    Previous = Newest;
+    Newest = Main.newLocalRef(Obj);
+    if (I == 0)
+      First = Newest;
+    if (I != GenerationWidth + 1)
+      Main.popFrame(); // invalidates the slot and frees it for reuse
+  }
+  HandleBits Bits = *decodeHandle(Newest);
+  EXPECT_EQ(Bits.Slot, decodeHandle(First)->Slot);
+  EXPECT_EQ(Main.localRefState(Bits), LocalRefState::Live);
+  EXPECT_EQ(Main.resolveLocal(Bits), Obj);
+  EXPECT_EQ(Main.localRefState(*decodeHandle(Previous)), LocalRefState::Stale);
+  EXPECT_TRUE(Main.deleteLocal(Bits));
+  EXPECT_EQ(Main.localRefState(Bits), LocalRefState::Stale);
+  Main.popFrame();
+}
+
+TEST(Handle, GlobalSlotRecycledPastGenerationWidthReadsLive) {
+  Vm V;
+  ObjectId Obj = V.newString("target");
+  uint64_t Previous = 0, Newest = 0;
+  for (uint64_t I = 0; I <= GenerationWidth + 1; ++I) {
+    if (Newest) {
+      ASSERT_TRUE(V.deleteGlobalRef(*decodeHandle(Newest)));
+    }
+    Previous = Newest;
+    Newest = V.newGlobalRef(Obj, /*Weak=*/false);
+  }
+  HandleBits Bits = *decodeHandle(Newest);
+  EXPECT_EQ(V.globalRefState(Bits), LocalRefState::Live);
+  EXPECT_EQ(V.resolveGlobal(Bits), Obj);
+  EXPECT_EQ(V.globalRefState(*decodeHandle(Previous)), LocalRefState::Stale);
+  EXPECT_TRUE(V.deleteGlobalRef(Bits));
+}
+
+TEST(Handle, GenerationAheadOfAFreshSlotIsNeverIssued) {
+  Vm V;
+  JThread &Main = V.mainThread();
+  HandleBits Bits = *decodeHandle(Main.newLocalRef(V.newString("target")));
+  Bits.Gen += 1;
+  EXPECT_EQ(Main.localRefState(Bits), LocalRefState::NeverIssued);
 }
 
 } // namespace

@@ -284,6 +284,71 @@ TEST(MonitorSoak, RingSinkEvictsOldest) {
   EXPECT_EQ(Merged.Events.front().TimeNs, 300u); // segments 0-2 evicted
 }
 
+namespace {
+
+/// A four-event GcEpoch segment at time base \p Base with header facts
+/// \p Version and \p Capacity.
+trace::Trace headedSegment(uint64_t Base, uint32_t Version,
+                           uint32_t Capacity) {
+  trace::Trace Seg;
+  Seg.Head.Version = Version;
+  Seg.Head.NativeFrameCapacity = Capacity;
+  Seg.Events.resize(4);
+  for (size_t E = 0; E < Seg.Events.size(); ++E) {
+    Seg.Events[E].TimeNs = Base + E;
+    Seg.Events[E].ThreadId = 1;
+    Seg.Events[E].Seq = Base + E;
+    Seg.Events[E].Kind = trace::EventKind::GcEpoch;
+  }
+  return Seg;
+}
+
+} // namespace
+
+// Segments of different recordings disagree on their header facts; the
+// merge refuses them instead of letting the last segment's header win.
+TEST(MonitorSoak, MergeRefusesMixedHeaders) {
+  trace::Trace Out;
+  std::string Err;
+  std::vector<trace::Trace> Same = {headedSegment(0, 1, 32),
+                                    headedSegment(100, 1, 32)};
+  ASSERT_TRUE(monitor::mergeSegments(std::move(Same), Out, &Err)) << Err;
+  EXPECT_EQ(Out.Events.size(), 8u);
+  EXPECT_EQ(Out.Head.NativeFrameCapacity, 32u);
+
+  std::vector<trace::Trace> MixedCapacity = {headedSegment(0, 1, 16),
+                                             headedSegment(100, 1, 32)};
+  EXPECT_FALSE(monitor::mergeSegments(std::move(MixedCapacity), Out, &Err));
+  EXPECT_NE(Err.find("native frame capacity 32"), std::string::npos) << Err;
+  EXPECT_TRUE(Out.Events.empty());
+
+  std::vector<trace::Trace> MixedVersion = {headedSegment(0, 1, 16),
+                                            headedSegment(100, 2, 16)};
+  EXPECT_FALSE(monitor::mergeSegments(std::move(MixedVersion), Out, &Err));
+  EXPECT_NE(Err.find("version 2"), std::string::npos) << Err;
+
+  // A sink holding mixed segments hands back nothing and says why.
+  monitor::RingSink Sink;
+  Sink.append(headedSegment(0, 1, 16));
+  Sink.append(headedSegment(100, 1, 64));
+  EXPECT_TRUE(Sink.retained().Events.empty());
+  EXPECT_NE(Sink.lastError().find("segment 1"), std::string::npos)
+      << Sink.lastError();
+}
+
+// The merged trace is checked like any trace read from a file: an event
+// naming an out-of-range JNI function is refused.
+TEST(MonitorSoak, MergeRefusesMalformedEvents) {
+  std::vector<trace::Trace> Segments = {headedSegment(0, 1, 16)};
+  Segments[0].Events[2].Kind = trace::EventKind::JniPre;
+  Segments[0].Events[2].Fn = 0xFFFF;
+  trace::Trace Out;
+  std::string Err;
+  EXPECT_FALSE(monitor::mergeSegments(std::move(Segments), Out, &Err));
+  EXPECT_FALSE(Err.empty());
+  EXPECT_TRUE(Out.Events.empty());
+}
+
 // RotatingFileSink writes segment files, prunes past MaxSegments, and
 // retained() reads the survivors (plus pending) back as one trace.
 TEST(MonitorSoak, RotatingFileSinkRotatesAndPrunes) {

@@ -11,11 +11,14 @@
 /// violations. The merged report list must match a single-threaded run of
 /// the same logical scenarios, shard-count and report-buffer knobs must
 /// not change what is reported, and the whole suite must run clean under
-/// -fsanitize=thread (configure with -DJINN_TSAN=ON).
+/// -fsanitize=thread (configure with -DJINN_TSAN=ON). The OpenMap each
+/// shard holds is checked on its own: backward-shift erase across the
+/// slab's wrap-around, and a fixed slab under insert/erase churn.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestHarness.h"
+#include "support/Rng.h"
 
 #include <algorithm>
 #include <atomic>
@@ -221,6 +224,86 @@ TEST(ShardStress, SingleThreadProgramOrderIsPreserved) {
               "Pinned or copied string or array");
     EXPECT_EQ(Reports[I * 3 + 2].Machine, "Local reference");
   }
+}
+
+//===----------------------------------------------------------------------===
+// OpenMap: backward-shift erase
+//===----------------------------------------------------------------------===
+
+/// The first \p Count keys (from 1 up, skipping \p Exclude) whose probe
+/// starts at slot \p Home of a 16-slot map.
+std::vector<uint64_t> keysHomedAt(size_t Home, size_t Count,
+                                  const std::vector<uint64_t> &Exclude = {}) {
+  std::vector<uint64_t> Keys;
+  for (uint64_t K = 1; Keys.size() < Count; ++K)
+    if (agent::OpenMap<uint64_t>::homeSlot(K, 16) == Home &&
+        std::find(Exclude.begin(), Exclude.end(), K) == Exclude.end())
+      Keys.push_back(K);
+  return Keys;
+}
+
+TEST(OpenMap, EraseInClusterWrappingTheSlabEndKeepsEveryKeyFindable) {
+  // Keys homed at slots 14 and 15 spill over the end into 0, 1, ...; keys
+  // homed at 0 and 1 then sit behind them. Twelve keys: no growth.
+  std::vector<uint64_t> Keys = keysHomedAt(14, 2);
+  for (size_t Home : {15, 0, 1}) {
+    std::vector<uint64_t> More = keysHomedAt(Home, Home == 15 ? 4 : 3);
+    Keys.insert(Keys.end(), More.begin(), More.end());
+  }
+  ASSERT_EQ(Keys.size(), 12u);
+  // Erase each key alone, then every key in a seeded order.
+  for (size_t Victim = 0; Victim <= Keys.size(); ++Victim) {
+    agent::OpenMap<uint64_t> Map;
+    for (uint64_t K : Keys)
+      Map.findOrEmplace(K, K * 3);
+    ASSERT_EQ(Map.capacity(), 16u);
+    std::vector<uint64_t> Order = Keys;
+    if (Victim < Keys.size()) {
+      Order = {Keys[Victim]};
+    } else {
+      SplitMix64 Rng(42);
+      for (size_t I = Order.size(); I > 1; --I)
+        std::swap(Order[I - 1], Order[Rng.nextBelow(I)]);
+    }
+    std::vector<uint64_t> Erased;
+    for (uint64_t Gone : Order) {
+      ASSERT_TRUE(Map.erase(Gone));
+      ASSERT_FALSE(Map.erase(Gone));
+      Erased.push_back(Gone);
+      for (uint64_t K : Keys) {
+        bool WasErased =
+            std::find(Erased.begin(), Erased.end(), K) != Erased.end();
+        const uint64_t *V = Map.find(K);
+        if (WasErased) {
+          EXPECT_EQ(V, nullptr) << "erased key " << K;
+        } else {
+          ASSERT_NE(V, nullptr) << "key " << K << " lost after erasing "
+                                << Gone;
+          EXPECT_EQ(*V, K * 3);
+        }
+      }
+      EXPECT_EQ(Map.size(), Keys.size() - Erased.size());
+    }
+  }
+}
+
+TEST(OpenMap, ChurnAtFixedLiveSizeNeverResizesTheSlab) {
+  constexpr uint64_t LiveSize = 1000;
+  agent::OpenMap<uint32_t> Map;
+  for (uint64_t K = 1; K <= LiveSize; ++K)
+    Map.findOrEmplace(K, static_cast<uint32_t>(K));
+  const size_t Capacity = Map.capacity();
+  // Erase the oldest key, insert a fresh one: a million times.
+  for (uint64_t K = LiveSize + 1; K <= LiveSize + 1000000; ++K) {
+    ASSERT_TRUE(Map.erase(K - LiveSize));
+    Map.findOrEmplace(K, static_cast<uint32_t>(K));
+    ASSERT_EQ(Map.capacity(), Capacity);
+  }
+  EXPECT_EQ(Map.size(), LiveSize);
+  for (uint64_t K = 1000001; K <= LiveSize + 1000000; ++K)
+    ASSERT_NE(Map.find(K), nullptr) << K;
+  EXPECT_EQ(Map.find(1000), nullptr);
+  EXPECT_EQ(Map.find(0), nullptr); // key 0 marks empty slots
 }
 
 } // namespace
