@@ -25,7 +25,10 @@
 /// every function), record-only (the trace recorder's slots) and Jinn
 /// inline checking (the machine slots). The headline results are
 /// ns/crossing per (op, treatment) and the intra-run ratios of Jinn and of
-/// recording over interpose-only, both over the four JNI call classes.
+/// recording over interpose-only: ratio/* over the four JNI call classes,
+/// and ratio/native/* over the two native-method calls from paired
+/// samples. Interpose-only has no agent, so its native calls run
+/// unwrapped.
 ///
 /// The per-machine mode then builds one Jinn world per machine of the
 /// registry (JinnEnabledMachines = {that machine}) and a floor world with
@@ -335,11 +338,37 @@ int main(int Argc, char **Argv) {
               "(lower is better)\n",
               JinnVsInterpose, RecordVsInterpose);
 
+  // The native-call ratios, geomean over the native ops: each op's ratio
+  // pairs the tier's samples with interpose-only's back to back (see
+  // pairedRatio), since the tier table times its worlds too far apart for
+  // a gate.
+  constexpr size_t NumOps = sizeof(Ops) / sizeof(Ops[0]);
+  const uint64_t MachineIters = Iters * 8;
+  {
+    ScenarioWorld Floor(tierConfig(Tiers[Interpose]));
+    for (size_t T : {Jinn, Record}) {
+      ScenarioWorld World(tierConfig(Tiers[T]));
+      double Acc = 0;
+      size_t N = 0;
+      for (const OpClass &Op : Ops)
+        if (Op.Invoke) {
+          Acc += std::log(pairedRatio(World, Floor, Op, MachineIters));
+          ++N;
+        }
+      double Ratio = std::exp(Acc / static_cast<double>(N));
+      Json.add(std::string("ratio/native/") + Tiers[T].Name +
+                   "_vs_interpose",
+               Ratio, "x");
+      std::printf("native calls: %s/interpose = %.3fx\n", Tiers[T].Name,
+                  Ratio);
+      World.shutdown();
+    }
+    Floor.shutdown();
+  }
+
   // Per-machine mode: each registry machine alone over the no-machine
   // floor, at 8x the iterations of the tier table. Every machine gets a
   // fresh floor world, so each pair starts from the same VM state.
-  constexpr size_t NumOps = sizeof(Ops) / sizeof(Ops[0]);
-  const uint64_t MachineIters = Iters * 8;
   auto machineWorld = [](std::vector<std::string> Enabled) {
     WorldConfig Config = tierConfig(Tiers[Jinn]);
     Config.JinnEnabledMachines = std::move(Enabled);

@@ -179,8 +179,7 @@ void XcheckAgent::preCheck(jvmti::CapturedCall &Call) {
   jvm::JThread &Thread = Call.thread();
   jvm::Vm &Vm = Call.vm();
   const jni::FnTraits &Traits = Call.traits();
-  spec::TransitionContext Ctx = spec::TransitionContext::jniSite(
-      spec::TransitionContext::Site::JniPre, Call, *Reporter);
+  spec::TransitionContext Ctx(Call, *Reporter);
 
   // JNIEnv/thread mismatch (pitfall 14).
   if (jvm::JThread *Current = Call.runtime().currentThread();

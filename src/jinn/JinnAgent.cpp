@@ -88,24 +88,24 @@ void JinnAgent::onLoad(JavaVM *JavaVm, jvmti::JvmtiEnv &Jvmti) {
   Synth = std::make_unique<synth::Synthesizer>(Active, *Reporter);
 
   // Sampled mode, set first so no slot installed below ever runs on an
-  // unsampled thread: the wrapper prologue (and the synthesized native
-  // wrapper) consult this per-thread predicate before running ANY boundary
-  // slot — recorder and machines alike. An unsampled thread costs one
-  // cached predicate lookup per crossing and nothing else; a sampled
-  // thread is fully recorded and fully checked, so each of its inline
-  // reports is byte-replayable from the retained trace.
+  // unsampled thread: the JNI and native-method wrappers consult this
+  // per-thread predicate before running ANY boundary slot — recorder and
+  // machines alike. An unsampled thread costs one cached predicate lookup
+  // per crossing and nothing else; a sampled thread is fully recorded and
+  // fully checked, so each of its inline reports is byte-replayable from
+  // the retained trace.
   if (Options.SampleRate > 1)
     Jvmti.dispatcher().setSampler([this](jvm::JThread &Thread) {
       return sampledThread(Thread.id(), Thread.name());
     });
 
-  // Each installer below publishes once. The recorder's all-function slots
-  // precede per-function machine slots in both phases, so each event
-  // freezes the state the machines were about to observe.
+  // Each installer below publishes once. The recorder's slots precede the
+  // machine slots in every phase of both directions (all-function JNI
+  // slots lead per-function ones; native slots run in install order), so
+  // each event freezes the state the machines were about to observe.
   if (Recording) {
     Recorder = std::make_unique<trace::TraceRecorder>(Vm, Options.Recorder);
-    Recorder->installJniHooks(Jvmti.dispatcher());
-    Synth->setBoundaryObserver(Recorder.get());
+    Recorder->installInto(Jvmti.dispatcher());
   }
 
   // Algorithm 1: compile the machine checks into the dispatch program.
@@ -127,13 +127,11 @@ void JinnAgent::onLoad(JavaVM *JavaVm, jvmti::JvmtiEnv &Jvmti) {
   };
 
   jvmti::EventCallbacks Callbacks;
-  auto BindHandler = Synth->makeNativeBindHandler();
-  Callbacks.NativeMethodBind = [this, BindHandler](
-                                   jvm::MethodInfo &Method,
-                                   jni::JniNativeStdFn &Bound) {
+  Callbacks.NativeMethodBind = [this](jvm::MethodInfo &Method,
+                                      jni::JniNativeStdFn &Bound) {
     if (Recorder)
       Recorder->recordNativeBind(Method);
-    BindHandler(Method, Bound);
+    jvmti::wrapNativeMethod(Method, Bound);
   };
   Callbacks.ThreadStart = [this, Checking, InfoFor](jvm::JThread &Thread) {
     // Unsampled threads never reach a boundary hook, so skip their trace

@@ -276,10 +276,10 @@ private:
   const uint64_t InstanceId; ///< keys the thread-local cache
 
   LocalRefShadow &shadowOf(uint32_t ThreadId);
-  /// shadowOf with the lookup hoisted to once per crossing: at JNI sites
-  /// the resolved shadow is memoized on the CapturedCall, so a crossing
-  /// that runs several of this machine's actions (or one action with many
-  /// reference arguments) pays the thread-local cache compare once.
+  /// shadowOf with the lookup hoisted to once per crossing: the resolved
+  /// shadow is memoized on the CapturedCall, so a crossing that runs
+  /// several of this machine's actions (or one action with many reference
+  /// arguments) pays the thread-local cache compare once.
   LocalRefShadow &shadowAt(spec::TransitionContext &Ctx);
   LocalRefShadow *findShadow(uint32_t ThreadId) const;
   /// Adds local reference \p Word to \p Shadow's top frame and checks

@@ -153,10 +153,8 @@ GlobalRefMachine::GlobalRefMachine(const MachineTuning &Tuning)
       {{FunctionSelector::nativeMethods("native method returning reference"),
         Direction::ReturnCToJava}},
       [this](TransitionContext &Ctx) {
-        if (!Ctx.ret() || !Ctx.method().Sig.Ret.isReference())
-          return;
-        uint64_t Word = jni::handleWord(Ctx.ret()->l);
-        if (!Word)
+        uint64_t Word = Ctx.call().returnWord();
+        if (!Ctx.call().returnIsRef() || !Word)
           return;
         std::optional<jvm::HandleBits> Bits = jvm::decodeHandle(Word);
         if (!Bits || (Bits->Kind != RefKind::Global &&

@@ -103,15 +103,12 @@ LocalRefShadow &LocalRefMachine::shadowOf(uint32_t ThreadId) {
 }
 
 LocalRefShadow &LocalRefMachine::shadowAt(TransitionContext &Ctx) {
-  if (Ctx.isJniSite()) {
-    jvmti::CapturedCall &Call = Ctx.call();
-    if (void *Memo = Call.memo(this))
-      return *static_cast<LocalRefShadow *>(Memo);
-    LocalRefShadow &Shadow = shadowOf(Ctx.threadId());
-    Call.setMemo(this, &Shadow);
-    return Shadow;
-  }
-  return shadowOf(Ctx.threadId());
+  jvmti::CapturedCall &Call = Ctx.call();
+  if (void *Memo = Call.memo(this))
+    return *static_cast<LocalRefShadow *>(Memo);
+  LocalRefShadow &Shadow = shadowOf(Ctx.threadId());
+  Call.setMemo(this, &Shadow);
+  return Shadow;
 }
 
 LocalRefShadow *LocalRefMachine::findShadow(uint32_t ThreadId) const {
@@ -214,15 +211,19 @@ LocalRefMachine::LocalRefMachine()
       {{FunctionSelector::nativeMethods("native method taking reference"),
         Direction::CallJavaToC}},
       [this](TransitionContext &Ctx) {
-        LocalRefShadow &Shadow = shadowOf(Ctx.threadId());
+        jvmti::CapturedCall &Call = Ctx.call();
+        LocalRefShadow &Shadow = shadowAt(Ctx);
         Shadow.enterNative(Ctx.nativeFrameCapacity());
-        if (uint64_t Self = jni::handleWord(Ctx.self()); isLocalWord(Self))
+        if (uint64_t Self = jni::handleWord(Call.self()); isLocalWord(Self))
           acquire(Ctx, Shadow, Self);
-        const jvm::MethodDesc &Sig = Ctx.method().Sig;
-        for (size_t I = 0; I < Sig.Params.size(); ++I) {
-          if (!Sig.Params[I].isReference() || !Ctx.args())
-            continue;
-          uint64_t Arg = jni::handleWord(Ctx.args()[I].l);
+        // The actuals the crossing carries: every formal live, the first
+        // TraceEvent::MaxNativeArgs under replay.
+        std::span<const jvalue> Args = Call.callArgs();
+        const std::vector<jvm::TypeDesc> &Params =
+            Call.nativeMethod()->Sig.Params;
+        for (size_t I = 0; I < Args.size(); ++I) {
+          uint64_t Arg = Params[I].isReference() ? jni::handleWord(Args[I].l)
+                                                 : 0;
           if (isLocalWord(Arg))
             acquire(Ctx, Shadow, Arg);
         }
@@ -287,9 +288,8 @@ LocalRefMachine::LocalRefMachine()
       {{FunctionSelector::nativeMethods("native method returning reference"),
         Direction::ReturnCToJava}},
       [this](TransitionContext &Ctx) {
-        if (!Ctx.ret() || !Ctx.method().Sig.Ret.isReference())
-          return;
-        useCheck(Ctx, jni::handleWord(Ctx.ret()->l), ReturnValue);
+        if (Ctx.call().returnIsRef())
+          useCheck(Ctx, Ctx.call().returnWord(), ReturnValue);
       }));
 
   // Release at Call:C->Java of DeleteLocalRef.
@@ -337,7 +337,7 @@ LocalRefMachine::LocalRefMachine()
       {{FunctionSelector::nativeMethods("return from any native method"),
         Direction::ReturnCToJava}},
       [this](TransitionContext &Ctx) {
-        LocalRefShadow &Shadow = shadowOf(Ctx.threadId());
+        LocalRefShadow &Shadow = shadowAt(Ctx);
         if (!Shadow.inNative())
           return;
         size_t ExplicitLeaks = Shadow.exitNative();

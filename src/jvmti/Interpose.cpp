@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <tuple>
 #include <utility>
 
 using namespace jinn;
@@ -151,6 +152,10 @@ void InterposeDispatcher::install(SlotBatch Batch) {
     Pre[static_cast<size_t>(Id)].push_back(Slot);
   for (const auto &[Id, Slot] : Batch.Post)
     Post[static_cast<size_t>(Id)].push_back(Slot);
+  NativeEntry.insert(NativeEntry.end(), Batch.NativeEntry.begin(),
+                     Batch.NativeEntry.end());
+  NativeExit.insert(NativeExit.end(), Batch.NativeExit.begin(),
+                    Batch.NativeExit.end());
   for (std::shared_ptr<const void> &Owner : Batch.KeepAlive)
     KeepAlive.push_back(std::move(Owner));
   publishLocked();
@@ -183,19 +188,24 @@ void InterposeDispatcher::addPostAll(HookFn Hook) {
 void InterposeDispatcher::publishLocked() {
   auto Table = std::make_unique<DispatchTable>();
   Table->Sampling = SamplerGen.load(std::memory_order_relaxed) != 0;
+  std::vector<DispatchSlot> &Slots = Table->Slots;
+  // Appends one run (All, then Own); returns its begin and count.
+  auto Run = [&Slots](const std::vector<DispatchSlot> &All,
+                      const std::vector<DispatchSlot> &Own) {
+    auto Begin = static_cast<uint32_t>(Slots.size());
+    Slots.insert(Slots.end(), All.begin(), All.end());
+    Slots.insert(Slots.end(), Own.begin(), Own.end());
+    return std::pair(Begin, static_cast<uint32_t>(Slots.size() - Begin));
+  };
   for (size_t I = 0; I < jni::NumJniFunctions; ++I) {
     DispatchTable::FnRec &Rec = Table->Fns[I];
-    std::vector<DispatchSlot> &Slots = Table->Slots;
-    Rec.PreBegin = static_cast<uint32_t>(Slots.size());
-    Slots.insert(Slots.end(), PreAll.begin(), PreAll.end());
-    Slots.insert(Slots.end(), Pre[I].begin(), Pre[I].end());
-    Rec.PreCount = static_cast<uint32_t>(Slots.size() - Rec.PreBegin);
-    Rec.PostBegin = static_cast<uint32_t>(Slots.size());
-    Slots.insert(Slots.end(), PostAll.begin(), PostAll.end());
-    Slots.insert(Slots.end(), Post[I].begin(), Post[I].end());
-    Rec.PostCount = static_cast<uint32_t>(Slots.size() - Rec.PostBegin);
+    std::tie(Rec.PreBegin, Rec.PreCount) = Run(PreAll, Pre[I]);
+    std::tie(Rec.PostBegin, Rec.PostCount) = Run(PostAll, Post[I]);
     Rec.Traits = &jni::fnTraits(static_cast<FnId>(I));
   }
+  DispatchTable::FnRec &Native = Table->Native;
+  std::tie(Native.PreBegin, Native.PreCount) = Run({}, NativeEntry);
+  std::tie(Native.PostBegin, Native.PostCount) = Run({}, NativeExit);
   Current.store(Table.get(), std::memory_order_release);
   Tables.push_back(std::move(Table));
 }
@@ -231,7 +241,8 @@ bool InterposeDispatcher::checksThread(jvm::JThread &Thread) const {
 
 size_t InterposeDispatcher::hookCount() const {
   std::lock_guard<std::mutex> Lock(InstallMu);
-  size_t N = PreAll.size() + PostAll.size();
+  size_t N = PreAll.size() + PostAll.size() + NativeEntry.size() +
+             NativeExit.size();
   for (size_t I = 0; I < jni::NumJniFunctions; ++I)
     N += Pre[I].size() + Post[I].size();
   return N;
@@ -255,6 +266,8 @@ void InterposeDispatcher::clear() {
     Pre[I].clear();
     Post[I].clear();
   }
+  NativeEntry.clear();
+  NativeExit.clear();
   KeepAlive.clear();
   Sampler = nullptr;
   SamplerGen.store(0, std::memory_order_relaxed);
@@ -265,6 +278,32 @@ void InterposeDispatcher::clear() {
 //===----------------------------------------------------------------------===
 
 namespace {
+
+/// The prologue both wrappers share, for JNI function \p Id or, with
+/// FnId::Count, a native-method crossing: the published table when the
+/// crossing runs its record's slots (the record in \p Rec), or null for
+/// the bare call.
+inline const DispatchTable *observingTable(JNIEnv *Env, FnId Id,
+                                           const DispatchTable::FnRec *&Rec) {
+  auto *Dispatcher =
+      static_cast<InterposeDispatcher *>(Env->runtime->Dispatcher);
+  if (!Dispatcher)
+    return nullptr;
+  // The program is picked once per crossing: a republish that lands
+  // mid-call finishes this crossing on the (still-owned) old table.
+  const DispatchTable *Table = Dispatcher->table();
+  Rec = Id == FnId::Count ? &Table->Native
+                          : &Table->Fns[static_cast<size_t>(Id)];
+  if ((Rec->PreCount | Rec->PostCount) == 0)
+    return nullptr;
+  // Sampled mode gates the whole boundary per thread: an unsampled
+  // thread neither records nor checks, and pays only the cached
+  // predicate. A sampled thread's full event stream is in the trace, so
+  // its inline reports reproduce byte-for-byte offline.
+  if (Table->Sampling && !Dispatcher->checksThread(*Env->thread))
+    return nullptr;
+  return Table;
+}
 
 template <FnId Id, typename F, F Impl> struct MakeWrapper;
 
@@ -277,22 +316,11 @@ struct MakeWrapper<Id, Ret (*)(JNIEnv *, Args...), Impl> {
   /// published program, one record, and either the bare call (no slot
   /// observes this function) or capture plus the pre and post slot runs.
   static Ret fn(JNIEnv *Env, Args... As) {
-    auto *Dispatcher =
-        static_cast<InterposeDispatcher *>(Env->runtime->Dispatcher);
-    if (!Dispatcher)
+    const DispatchTable::FnRec *RecPtr = nullptr;
+    const DispatchTable *Table = observingTable(Env, Id, RecPtr);
+    if (!Table)
       return Impl(Env, As...);
-    // The program is picked once per crossing: a republish that lands
-    // mid-call finishes this crossing on the (still-owned) old table.
-    const DispatchTable *Table = Dispatcher->table();
-    const DispatchTable::FnRec &Rec = Table->Fns[static_cast<size_t>(Id)];
-    if ((Rec.PreCount | Rec.PostCount) == 0)
-      return Impl(Env, As...);
-    // Sampled mode gates the whole boundary per thread: an unsampled
-    // thread neither records nor checks, and pays only the cached
-    // predicate. A sampled thread's full event stream is in the trace, so
-    // its inline reports reproduce byte-for-byte offline.
-    if (Table->Sampling && !Dispatcher->checksThread(*Env->thread))
-      return Impl(Env, As...);
+    const DispatchTable::FnRec &Rec = *RecPtr;
     CapturedCall Call(Id, Env, Rec.Traits);
     (Call.captureOne(As), ...);
     if (Rec.PreCount) {
@@ -356,4 +384,27 @@ void jinn::jvmti::removeInterposition(jni::JniRuntime &Runtime) {
   Runtime.Dispatcher = nullptr;
   Runtime.DispatcherOwner.reset();
   Runtime.setActiveTable(nullptr);
+}
+
+void jinn::jvmti::wrapNativeMethod(jvm::MethodInfo &Method,
+                                   jni::JniNativeStdFn &Bound) {
+  Bound = [&Method, Original = std::move(Bound)](
+              JNIEnv *Env, jobject Self, const jvalue *Args) -> jvalue {
+    const DispatchTable::FnRec *Rec = nullptr;
+    const DispatchTable *Table = observingTable(Env, FnId::Count, Rec);
+    if (!Table)
+      return Original(Env, Self, Args);
+    CapturedCall Call(Method, Self,
+                      {Args, Args ? Method.Sig.Params.size() : 0}, Env);
+    Table->runPre(*Rec, Call);
+    jvalue Result;
+    Result.j = 0;
+    if (!Call.aborted())
+      Result = Original(Env, Self, Args);
+    // The exit slots run even after an aborted entry: they close what the
+    // entry slots opened (the local-reference machine's native frame).
+    Call.setNativeReturn(Result);
+    Table->runPost(*Rec, Call);
+    return Result;
+  };
 }

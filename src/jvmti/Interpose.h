@@ -8,16 +8,20 @@
 /// The generic interposition machinery every dynamic checker rides on:
 ///
 ///  - CapturedCall: a uniform view of one in-flight JNI call (function id,
-///    classified arguments, decoded call arguments, return value) handed to
+///    classified arguments, decoded call arguments, return value) or
+///    native-method call (method, receiver, actuals, result) handed to
 ///    pre/post hooks. Hooks can abort the underlying call — that is how a
 ///    checker "throws instead of executing" (paper Figure 4).
-///  - InterposeDispatcher: per-function lists of pre/post hooks. The paper's
-///    synthesizer populates these lists from state-machine specifications
-///    (Algorithm 1); the -Xcheck:jni emulations populate them by hand.
+///  - InterposeDispatcher: per-function lists of pre/post hooks, plus the
+///    native-method entry/exit lists. The paper's synthesizer populates
+///    these lists from state-machine specifications (Algorithm 1); the
+///    -Xcheck:jni emulations populate them by hand.
 ///  - interposedTable(): a complete alternative JNINativeInterface whose
 ///    entries wrap the default implementations with hook dispatch. The
 ///    wrappers are *generated* from the registry at compile time — the
 ///    runtime analogue of the paper's 22,000+ generated wrapper lines.
+///  - wrapNativeMethod(): the native-method wrapper, installed at bind
+///    time, which runs the same table's native entry/exit slots.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +36,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -123,25 +128,18 @@ struct ReplayEnvironment {
   }
 };
 
-/// Observer of native-method entry/exit crossings (the Java->C direction).
-/// Installed on the synthesizer so the trace recorder sees every bound
-/// native method fire without depending on the synthesis layer.
-class NativeBoundaryObserver {
-public:
-  virtual ~NativeBoundaryObserver() = default;
-  virtual void onNativeEntry(jvm::MethodInfo &Method, JNIEnv *Env,
-                             jobject Self, const jvalue *Args) = 0;
-  virtual void onNativeExit(jvm::MethodInfo &Method, JNIEnv *Env,
-                            jobject Self, const jvalue *Args,
-                            const jvalue *Ret, bool EntryAborted) = 0;
-};
-
-/// A uniform view of one in-flight JNI call, passed to every hook.
+/// A uniform view of one boundary crossing, passed to every hook: an
+/// in-flight JNI call (C -> Java) or a native-method call (Java -> C).
 ///
 /// Two modes share this type: live calls carry a JNIEnv and answer
 /// observation queries against the running VM; replayed calls carry a
 /// BoundarySnapshot recorded at crossing time plus a ReplayEnvironment,
 /// and answer the same queries from the snapshot.
+///
+/// A native-method crossing has no JNI function id (id() is FnId::Count)
+/// and no traits; its method, receiver and actuals are nativeMethod(),
+/// self() and callArgs(), and its exit phase carries the native's result
+/// as the return value.
 class CapturedCall {
 public:
   /// Live constructor: the wrapper already holds the traits pointer in its
@@ -157,12 +155,30 @@ public:
       : Id(Id), Env(nullptr), Traits(&jni::fnTraits(Id)), Snap(Snap),
         Renv(Renv) {}
 
+  /// Native-method constructor (paper Figure 3): \p Self is the receiver
+  /// (the class mirror of a static method) and \p Args the actuals, one
+  /// per formal. A live crossing passes \p Env; a replayed one passes the
+  /// snapshot and environment instead, and \p Args holds only the formals
+  /// the trace event kept.
+  CapturedCall(jvm::MethodInfo &Method, jobject Self,
+               std::span<const jvalue> Args, JNIEnv *Env,
+               const BoundarySnapshot *Snap = nullptr,
+               const ReplayEnvironment *Renv = nullptr)
+      : Id(jni::FnId::Count), Env(Env), Traits(nullptr), Snap(Snap),
+        Renv(Renv), Method(&Method), Self(Self), CallArgs(Args) {}
+
   jni::FnId id() const { return Id; }
   JNIEnv *env() const { return Env; }
   jvm::JThread &thread() const { return *Env->thread; }
   jvm::Vm &vm() const { return Env ? *Env->vm : *Renv->Vm; }
   jni::JniRuntime &runtime() const { return *Env->runtime; }
   const jni::FnTraits &traits() const { return *Traits; }
+
+  /// The native method of a native-method crossing; null at a JNI call.
+  jvm::MethodInfo *nativeMethod() const { return Method; }
+  bool isNative() const { return Method != nullptr; }
+  /// The receiver of a native-method crossing.
+  jobject self() const { return Self; }
 
   bool isReplay() const { return Snap != nullptr; }
   const BoundarySnapshot *snapshot() const { return Snap; }
@@ -187,7 +203,8 @@ public:
   /// Decodes the jvalue-array argument against the method signature into
   /// callArgs(). Returns false when there is no decodable argument vector.
   /// Nothing is copied: callArgs() views the caller's array (live) or the
-  /// snapshot's (replay), both of which outlive the crossing.
+  /// snapshot's (replay), both of which outlive the crossing. At a
+  /// native-method crossing callArgs() is already the native's actuals.
   bool materializeCallArgs();
   std::span<const jvalue> callArgs() const { return CallArgs; }
 
@@ -275,6 +292,13 @@ public:
     }
   }
   void setReturnVoid() { HasReturn = true; }
+  /// A native method's result: its jvalue bits, a reference exactly when
+  /// the signature returns one.
+  void setNativeReturn(jvalue V) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &V, sizeof Bits);
+    restoreReturn(true, Method->Sig.Ret.isReference(), Bits, 0);
+  }
 
   //===------------------------------------------------------------------===
   // Replay plumbing (used by the trace replayer)
@@ -305,6 +329,8 @@ private:
   const jni::FnTraits *Traits;
   const BoundarySnapshot *Snap = nullptr;
   const ReplayEnvironment *Renv = nullptr;
+  jvm::MethodInfo *Method = nullptr;
+  jobject Self = nullptr;
   std::array<CapturedArg, jni::MaxJniParams> Args;
   size_t NumArgs = 0;
   std::span<const jvalue> CallArgs;
@@ -322,9 +348,10 @@ private:
 using HookFn = std::function<void(CapturedCall &)>;
 
 /// One observer slot of the compiled dispatch program: a raw indirect
-/// call. The slot's object knows its phase (pre or post), so one signature
-/// serves every observer — the synthesized machine checks, the trace
-/// recorder, the -Xcheck:jni emulation and hand-registered hooks.
+/// call. The slot's object knows its phase (pre or post, native entry or
+/// exit), so one signature serves every observer in both boundary
+/// directions — the synthesized machine checks, the trace recorder, the
+/// -Xcheck:jni emulation and hand-registered hooks.
 struct DispatchSlot {
   using Fn = void (*)(const void *Obj, CapturedCall &Call);
   Fn Invoke = nullptr;
@@ -333,10 +360,11 @@ struct DispatchSlot {
 
 /// The compiled dispatch program: one straight-line slot sequence per JNI
 /// function and phase — the runtime analogue of the paper's one
-/// specialised wrapper per function (Algorithm 1's 22k generated lines).
-/// Immutable once published. A function whose record is empty crosses with
-/// one load and compare; every other crossing captures its arguments once
-/// and runs its slots as plain indirect calls.
+/// specialised wrapper per function (Algorithm 1's 22k generated lines) —
+/// plus one for native-method entry and exit. Immutable once published. A
+/// crossing whose record is empty costs one load and compare; every other
+/// crossing captures its arguments once and runs its slots as plain
+/// indirect calls.
 class DispatchTable {
 public:
   struct FnRec {
@@ -354,6 +382,9 @@ public:
   bool Sampling = false;
   std::vector<DispatchSlot> Slots;
   std::array<FnRec, jni::NumJniFunctions> Fns{};
+  /// Native-method crossings: entry slots are its pre run, exit slots its
+  /// post run. All-function slots observe JNI functions only.
+  FnRec Native{};
 
   /// Runs \p Rec's pre slots, stopping at the first that aborts the call.
   void runPre(const FnRec &Rec, CapturedCall &Call) const {
@@ -382,6 +413,11 @@ struct SlotBatch {
   std::vector<DispatchSlot> PostAll;
   std::vector<std::pair<jni::FnId, DispatchSlot>> Pre;
   std::vector<std::pair<jni::FnId, DispatchSlot>> Post;
+  /// Native-method entry and exit slots, run in install order: the Jinn
+  /// agent installs the recorder's before the machines', so here too the
+  /// snapshot freezes what the machines are about to observe.
+  std::vector<DispatchSlot> NativeEntry;
+  std::vector<DispatchSlot> NativeExit;
   /// Owners of the slot objects, released at InterposeDispatcher::clear().
   std::vector<std::shared_ptr<const void>> KeepAlive;
 };
@@ -448,8 +484,8 @@ public:
   void setSampler(SamplePredicate Fn);
 
   /// Whether \p Thread's crossings are recorded and checked. Always true
-  /// without a sampler. Used by the wrapper prologue and by the
-  /// synthesized native wrapper to gate the whole boundary.
+  /// without a sampler. Used by the JNI and native-method wrappers to gate
+  /// the whole boundary.
   bool checksThread(jvm::JThread &Thread) const;
 
   /// Teardown-only (not safe against concurrent crossings, unlike the
@@ -466,6 +502,8 @@ private:
   std::vector<DispatchSlot> PostAll;
   std::array<std::vector<DispatchSlot>, jni::NumJniFunctions> Pre;
   std::array<std::vector<DispatchSlot>, jni::NumJniFunctions> Post;
+  std::vector<DispatchSlot> NativeEntry;
+  std::vector<DispatchSlot> NativeExit;
   std::vector<std::shared_ptr<const void>> KeepAlive;
   /// Every table published since the last clear(); the last is current.
   std::vector<std::unique_ptr<const DispatchTable>> Tables;
@@ -488,6 +526,13 @@ InterposeDispatcher &dispatcherFor(jni::JniRuntime &Runtime);
 
 /// Removes interposition from \p Runtime (restores the default table).
 void removeInterposition(jni::JniRuntime &Runtime);
+
+/// Replaces \p Bound, \p Method's implementation, with the native-method
+/// wrapper (paper Figure 3): per call it loads the runtime's published
+/// table once and runs the table's native entry slots, the body (unless
+/// an entry slot aborted it) and the exit slots. A NativeMethodBind
+/// callback's signature, so an agent can install it directly.
+void wrapNativeMethod(jvm::MethodInfo &Method, jni::JniNativeStdFn &Bound);
 
 } // namespace jinn::jvmti
 

@@ -101,7 +101,7 @@ jinn::spec::matchedFunctions(const FunctionSelector &Fns) {
 
 std::string TransitionContext::threadName() const {
   if (Snap)
-    return Renv->threadName(Snap->ThreadId);
+    return Call->replayEnv()->threadName(Snap->ThreadId);
   return Env->thread->name();
 }
 
@@ -114,7 +114,7 @@ uint32_t TransitionContext::currentThreadId() const {
 
 std::string TransitionContext::currentThreadName() const {
   if (Snap)
-    return Renv->threadName(Snap->CurThreadId);
+    return Call->replayEnv()->threadName(Snap->CurThreadId);
   jvm::JThread *Cur = Env->runtime->currentThread();
   return Cur ? Cur->name() : std::string();
 }
@@ -131,7 +131,8 @@ jvm::Vm::PeekResult TransitionContext::peek(uint64_t Word) const {
     }
     // Not snapshotted (capacity overflow or an unusual query): fall back to
     // the live VM, judged from the recorded thread's perspective.
-    return Renv->Vm->peekHandle(Word, Renv->Vm->threadById(Snap->ThreadId));
+    jvm::Vm &Vm = *Call->replayEnv()->Vm;
+    return Vm.peekHandle(Word, Vm.threadById(Snap->ThreadId));
   }
   return Env->vm->peekHandle(Word, Env->thread);
 }
@@ -151,27 +152,14 @@ bool TransitionContext::releasedBuffer(const void *Buf,
 
 uint32_t TransitionContext::nativeFrameCapacity() const {
   if (Snap)
-    return Renv->NativeFrameCapacity;
+    return Call->replayEnv()->NativeFrameCapacity;
   return Env->vm->options().NativeFrameCapacity;
 }
 
-void TransitionContext::abortCall() {
-  if (isJniSite())
-    Call->abortCall();
-  else
-    NativeAborted = true;
-}
-
-bool TransitionContext::aborted() const {
-  if (isJniSite())
-    return Call->aborted();
-  return NativeAborted;
-}
-
 std::string TransitionContext::siteName() const {
-  if (isJniSite())
-    return jni::fnName(Call->id());
-  return Method->qualifiedName();
+  if (const jvm::MethodInfo *Method = Call->nativeMethod())
+    return Method->qualifiedName();
+  return jni::fnName(Call->id());
 }
 
 MachineBase::~MachineBase() = default;

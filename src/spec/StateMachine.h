@@ -94,75 +94,19 @@ struct ThreadStartInfo {
   uint32_t FrameCapacity = 16;
 };
 
-/// Context handed to a transition action: either a JNI call site (wrapping
-/// the CapturedCall) or a native method boundary.
+/// Context handed to a transition action: a view over the crossing's
+/// CapturedCall — a JNI call site or a native-method boundary, live or
+/// replayed — plus the reporter.
 class TransitionContext {
 public:
-  enum class Site : uint8_t { JniPre, JniPost, NativeEntry, NativeExit };
+  TransitionContext(jvmti::CapturedCall &Call, Reporter &Rep)
+      : Call(&Call), Env(Call.env()), Snap(Call.snapshot()), Rep(&Rep) {}
 
-  static TransitionContext jniSite(Site S, jvmti::CapturedCall &Call,
-                                   Reporter &Rep) {
-    TransitionContext Ctx;
-    Ctx.TheSite = S;
-    Ctx.Call = &Call;
-    Ctx.Env = Call.env();
-    Ctx.Snap = Call.snapshot();
-    Ctx.Renv = Call.replayEnv();
-    Ctx.Rep = &Rep;
-    return Ctx;
-  }
-
-  static TransitionContext nativeSite(Site S, jvm::MethodInfo &Method,
-                                      JNIEnv *Env, jobject Self,
-                                      const jvalue *Args, jvalue *Ret,
-                                      Reporter &Rep) {
-    TransitionContext Ctx;
-    Ctx.TheSite = S;
-    Ctx.Method = &Method;
-    Ctx.Env = Env;
-    Ctx.Self = Self;
-    Ctx.Args = Args;
-    Ctx.Ret = Ret;
-    Ctx.Rep = &Rep;
-    return Ctx;
-  }
-
-  /// Native-method boundary reconstructed from a recorded trace event:
-  /// observations answer from \p Snap, the VM comes from \p Renv.
-  static TransitionContext
-  nativeReplaySite(Site S, jvm::MethodInfo &Method,
-                   const jvmti::BoundarySnapshot &Snap,
-                   const jvmti::ReplayEnvironment &Renv, jobject Self,
-                   const jvalue *Args, jvalue *Ret, Reporter &Rep) {
-    TransitionContext Ctx;
-    Ctx.TheSite = S;
-    Ctx.Method = &Method;
-    Ctx.Self = Self;
-    Ctx.Args = Args;
-    Ctx.Ret = Ret;
-    Ctx.Snap = &Snap;
-    Ctx.Renv = &Renv;
-    Ctx.Rep = &Rep;
-    return Ctx;
-  }
-
-  Site site() const { return TheSite; }
-  bool isJniSite() const {
-    return TheSite == Site::JniPre || TheSite == Site::JniPost;
-  }
-
-  /// JNI sites only.
   jvmti::CapturedCall &call() const { return *Call; }
-
-  /// Native-method sites only.
-  jvm::MethodInfo &method() const { return *Method; }
-  jobject self() const { return Self; }
-  const jvalue *args() const { return Args; }
-  jvalue *ret() const { return Ret; }
 
   JNIEnv *env() const { return Env; }
   jvm::JThread &thread() const { return *Env->thread; }
-  jvm::Vm &vm() const { return Env ? *Env->vm : *Renv->Vm; }
+  jvm::Vm &vm() const { return Call->vm(); }
   bool isReplay() const { return Snap != nullptr; }
 
   //===------------------------------------------------------------------===
@@ -204,25 +148,17 @@ public:
   Reporter &reporter() const { return *Rep; }
 
   /// Suppresses the underlying call (JNI pre sites and native entries).
-  void abortCall();
-  bool aborted() const;
+  void abortCall() { Call->abortCall(); }
+  bool aborted() const { return Call->aborted(); }
 
   /// Name of the FFI function / native method at this site.
   std::string siteName() const;
 
 private:
-  TransitionContext() = default;
-  Site TheSite = Site::JniPre;
-  jvmti::CapturedCall *Call = nullptr;
-  jvm::MethodInfo *Method = nullptr;
-  JNIEnv *Env = nullptr;
-  jobject Self = nullptr;
-  const jvalue *Args = nullptr;
-  jvalue *Ret = nullptr;
-  const jvmti::BoundarySnapshot *Snap = nullptr;
-  const jvmti::ReplayEnvironment *Renv = nullptr;
-  Reporter *Rep = nullptr;
-  bool NativeAborted = false;
+  jvmti::CapturedCall *Call;
+  JNIEnv *Env;
+  const jvmti::BoundarySnapshot *Snap;
+  Reporter *Rep;
 };
 
 /// Code attached to one state transition: decides whether the transition

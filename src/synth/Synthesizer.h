@@ -8,13 +8,15 @@
 /// The paper's Algorithm 1: for each state machine specification, for each
 /// state transition, look up the language transitions it may occur at, and
 /// add the synthesized check to the start (Call) or end (Return) of the
-/// wrapper for each affected FFI function. Wrappers for JNI functions are
-/// the interposed-table hooks; wrappers for native methods are installed
-/// through the JVMTI NativeMethodBind event (paper Figures 3 and 4).
+/// wrapper for each affected FFI function: the interposed JNI wrappers
+/// (paper Figure 4) and the native-method wrapper the agent installs
+/// through the JVMTI NativeMethodBind event (Figure 3).
 ///
-/// The JNI wrappers' checks are compiled, not interpreted: Algorithm 1's
-/// walk fills a JniCheckProgram, whose per-function blocks are published
-/// to the interpose dispatcher as slots in one step.
+/// The checks are compiled, not interpreted: Algorithm 1's walk fills a
+/// JniCheckProgram whose blocks — one per JNI function and phase, plus
+/// native entry and exit — are published to the interpose dispatcher as
+/// slots in one step. Both directions run through that one table, and
+/// replay runs the same blocks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +26,6 @@
 #include "spec/StateMachine.h"
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -45,12 +46,13 @@ struct SynthesisStats {
   }
 };
 
-/// The JNI half of Algorithm 1's output, compiled: for every function and
-/// phase, the straight line of machine transitions the relevance analysis
-/// says it needs, in walk order (machine-major) — the paper's one
-/// specialised wrapper per function. Each non-empty (function, phase)
-/// block is one dispatcher slot; running it builds a single
-/// TransitionContext and invokes the checks as plain indirect calls.
+/// Algorithm 1's output, compiled: for every JNI function and phase, and
+/// for native-method entry and exit, the straight line of machine
+/// transitions the relevance analysis says it needs, in walk order
+/// (machine-major) — the paper's one specialised wrapper per function.
+/// Each non-empty block is one dispatcher slot; running it builds a
+/// single TransitionContext and invokes the checks as plain indirect
+/// calls.
 class JniCheckProgram {
 public:
   /// One machine transition, as a raw indirect call.
@@ -69,11 +71,12 @@ public:
   JniCheckProgram(const JniCheckProgram &) = delete;
   JniCheckProgram &operator=(const JniCheckProgram &) = delete;
 
-  /// Runs \p Id's checks for one phase against \p Call, adding one to
+  /// Runs the checks of \p Call's crossing (its JNI function, or the
+  /// native-method boundary) for one phase, adding one to
   /// \p PerMachine[machine index] for every check that ran — replay's
   /// exact per-machine transition counts. The live slot runs the same
   /// block through a non-counting instantiation.
-  void runCounted(jni::FnId Id, bool IsPost, jvmti::CapturedCall &Call,
+  void runCounted(bool IsPost, jvmti::CapturedCall &Call,
                   uint64_t *PerMachine) const;
 
 private:
@@ -82,7 +85,8 @@ private:
   template <bool IsPost, bool Counting>
   static void runBlock(const Block &B, jvmti::CapturedCall &Call,
                        const uint32_t *MachineOf, uint64_t *PerMachine);
-  /// The dispatcher slots: \p BlockPtr is a pre or post Block.
+  /// The dispatcher slots: \p BlockPtr is a pre (entry) or post (exit)
+  /// Block.
   static void runPreSlot(const void *BlockPtr, jvmti::CapturedCall &Call);
   static void runPostSlot(const void *BlockPtr, jvmti::CapturedCall &Call);
 
@@ -94,6 +98,8 @@ private:
   std::vector<spec::TransitionAction> Retained;
   std::array<Block, jni::NumJniFunctions> Pre{};
   std::array<Block, jni::NumJniFunctions> Post{};
+  Block NativeEntry;
+  Block NativeExit;
 };
 
 /// Synthesizes a dynamic analysis from state machine specifications.
@@ -104,40 +110,17 @@ public:
               spec::Reporter &Rep)
       : Machines(std::move(Machines)), Rep(Rep) {}
 
-  /// Algorithm 1: compiles the per-JNI-function check program and collects
-  /// the native-boundary actions for makeNativeBindHandler(). Repeatable;
-  /// each call rebuilds both from the specs.
+  /// Algorithm 1: compiles the check program for both boundary
+  /// directions. Repeatable; each call rebuilds it from the specs.
   SynthesisStats synthesize();
 
   /// synthesize(), then publishes the check program into \p Dispatcher —
   /// one publish for every slot.
   SynthesisStats installInto(jvmti::InterposeDispatcher &Dispatcher);
 
-  /// The compiled JNI checks (valid after synthesize()). Replay runs this
+  /// The compiled checks (valid after synthesize()). Replay runs this
   /// same program.
   const JniCheckProgram &jniChecks() const { return *Program; }
-
-  /// Handler for NativeMethodBind events: wraps each bound native method
-  /// with the synthesized entry/exit instrumentation. When a boundary
-  /// observer is set, methods are wrapped even if no machine instruments
-  /// the native boundary, so the observer sees every crossing.
-  std::function<void(jvm::MethodInfo &, jni::JniNativeStdFn &)>
-  makeNativeBindHandler();
-
-  /// Observer of native entry/exit crossings (the trace recorder). Fired
-  /// before entry actions and before exit actions, so recorded state is
-  /// what the machines were about to observe.
-  void setBoundaryObserver(jvmti::NativeBoundaryObserver *Observer) {
-    BoundaryObserver = Observer;
-  }
-
-  /// One synthesized native-boundary action with its owning machine.
-  using MachineAction =
-      std::pair<const spec::StateMachineSpec *, spec::TransitionAction>;
-  const std::vector<MachineAction> &entryActions() const {
-    return EntryActions;
-  }
-  const std::vector<MachineAction> &exitActions() const { return ExitActions; }
 
   const std::vector<spec::MachineBase *> &machines() const {
     return Machines;
@@ -147,10 +130,7 @@ public:
 private:
   std::vector<spec::MachineBase *> Machines;
   spec::Reporter &Rep;
-  jvmti::NativeBoundaryObserver *BoundaryObserver = nullptr;
   std::shared_ptr<JniCheckProgram> Program;
-  std::vector<MachineAction> EntryActions;
-  std::vector<MachineAction> ExitActions;
 };
 
 } // namespace jinn::synth

@@ -363,21 +363,27 @@ void TraceRecorder::recordJni(jvmti::CapturedCall &Call, bool IsPost) {
   captureJniSnapshot(Ev.Snap, Call, IsPost);
 }
 
-void TraceRecorder::installJniHooks(jvmti::InterposeDispatcher &Dispatcher) {
+void TraceRecorder::installInto(jvmti::InterposeDispatcher &Dispatcher) {
   jvmti::SlotBatch Batch;
-  Batch.PreAll.push_back({&recordPre, this});
-  Batch.PostAll.push_back({&recordPost, this});
+  Batch.PreAll.push_back({&recordJniSlot<false>, this});
+  Batch.PostAll.push_back({&recordJniSlot<true>, this});
+  Batch.NativeEntry.push_back({&recordNativeSlot<false>, this});
+  Batch.NativeExit.push_back({&recordNativeSlot<true>, this});
   Dispatcher.install(std::move(Batch));
 }
 
-void TraceRecorder::recordPre(const void *Self, jvmti::CapturedCall &Call) {
+template <bool IsPost>
+void TraceRecorder::recordJniSlot(const void *Self,
+                                  jvmti::CapturedCall &Call) {
   const_cast<TraceRecorder *>(static_cast<const TraceRecorder *>(Self))
-      ->recordJni(Call, false);
+      ->recordJni(Call, IsPost);
 }
 
-void TraceRecorder::recordPost(const void *Self, jvmti::CapturedCall &Call) {
+template <bool IsExit>
+void TraceRecorder::recordNativeSlot(const void *Self,
+                                     jvmti::CapturedCall &Call) {
   const_cast<TraceRecorder *>(static_cast<const TraceRecorder *>(Self))
-      ->recordJni(Call, true);
+      ->recordNative(Call, IsExit);
 }
 
 void TraceRecorder::recordThreadAttach(jvm::JThread &Thread) {
@@ -409,51 +415,30 @@ void TraceRecorder::recordNativeBind(jvm::MethodInfo &Method) {
       static_cast<uint64_t>(reinterpret_cast<uintptr_t>(&Method));
 }
 
-void TraceRecorder::onNativeEntry(jvm::MethodInfo &Method, JNIEnv *Env,
-                                  jobject Self, const jvalue *Args) {
-  TraceEvent &Ev = beginEvent(localBuffer(), EventKind::NativeEntry);
+void TraceRecorder::recordNative(jvmti::CapturedCall &Call, bool IsExit) {
+  TraceEvent &Ev = beginEvent(
+      localBuffer(), IsExit ? EventKind::NativeExit : EventKind::NativeEntry);
+  JNIEnv *Env = Call.env();
   Ev.ThreadId = Env->thread->id();
   Ev.MethodWord =
-      static_cast<uint64_t>(reinterpret_cast<uintptr_t>(&Method));
-  Ev.SelfWord = jni::handleWord(Self);
-  size_t NumParams = Method.Sig.Params.size();
-  if (NumParams > TraceEvent::MaxNativeArgs) {
+      static_cast<uint64_t>(reinterpret_cast<uintptr_t>(Call.nativeMethod()));
+  Ev.SelfWord = jni::handleWord(Call.self());
+  std::span<const jvalue> Args = Call.callArgs();
+  if (Args.size() > TraceEvent::MaxNativeArgs) {
     Ev.NativeArgsTruncated = true;
-    NumParams = TraceEvent::MaxNativeArgs;
+    Args = Args.first(TraceEvent::MaxNativeArgs);
   }
-  if (Args) {
-    Ev.NumNativeArgs = static_cast<uint8_t>(NumParams);
-    std::copy(Args, Args + NumParams, Ev.NativeArgs);
-  }
-  captureCommon(Ev.Snap, Env);
-}
-
-void TraceRecorder::onNativeExit(jvm::MethodInfo &Method, JNIEnv *Env,
-                                 jobject Self, const jvalue *Args,
-                                 const jvalue *Ret, bool EntryAborted) {
-  TraceEvent &Ev = beginEvent(localBuffer(), EventKind::NativeExit);
-  Ev.ThreadId = Env->thread->id();
-  Ev.MethodWord =
-      static_cast<uint64_t>(reinterpret_cast<uintptr_t>(&Method));
-  Ev.SelfWord = jni::handleWord(Self);
-  Ev.Aborted = EntryAborted;
-  size_t NumParams = Method.Sig.Params.size();
-  if (NumParams > TraceEvent::MaxNativeArgs) {
-    Ev.NativeArgsTruncated = true;
-    NumParams = TraceEvent::MaxNativeArgs;
-  }
-  if (Args) {
-    Ev.NumNativeArgs = static_cast<uint8_t>(NumParams);
-    std::copy(Args, Args + NumParams, Ev.NativeArgs);
-  }
-  if (Ret) {
+  Ev.NumNativeArgs = static_cast<uint8_t>(Args.size());
+  std::copy(Args.begin(), Args.end(), Ev.NativeArgs);
+  if (IsExit) {
+    Ev.Aborted = Call.aborted();
     Ev.HasReturn = true;
-    Ev.NativeRet = *Ret;
+    Ev.NativeRet.j = Call.returnWord();
   }
   captureCommon(Ev.Snap, Env);
   // The local-ref and global-ref machines peek a returned reference.
-  if (Ret && Method.Sig.Ret.isReference())
-    capturePeek(Ev.Snap, jni::handleWord(Ret->l), Env->thread);
+  if (IsExit && Call.returnIsRef())
+    capturePeek(Ev.Snap, Call.returnWord(), Env->thread);
 }
 
 //===----------------------------------------------------------------------===

@@ -76,33 +76,26 @@ struct TraceRecorderOptions {
   size_t MaxQueuedChunks = 256;
 };
 
-/// Records boundary crossings. One recorder per agent; installJniHooks()
-/// attaches it to the interposed table, setBoundaryObserver() on the
-/// synthesizer routes native-method crossings here.
-class TraceRecorder : public jvmti::NativeBoundaryObserver {
+/// Records boundary crossings. One recorder per agent; installInto()
+/// attaches it to the compiled dispatch table in both directions.
+class TraceRecorder {
 public:
   explicit TraceRecorder(jvm::Vm &Vm, TraceRecorderOptions Opts = {});
-  ~TraceRecorder() override;
+  ~TraceRecorder();
 
-  /// Installs the recording pre/post slots on \p Dispatcher (one publish).
-  /// They are all-function slots, which the compiled program runs before
-  /// any per-function machine slot — so each snapshot freezes the state
-  /// the machines were about to observe.
-  void installJniHooks(jvmti::InterposeDispatcher &Dispatcher);
+  /// Installs the recording slots on \p Dispatcher (one publish): JNI
+  /// pre/post slots on every function, which the compiled program runs
+  /// before any per-function machine slot, and native entry/exit slots,
+  /// which run before the machines' when installed first (as the agent
+  /// does) — so each snapshot freezes the state the machines were about
+  /// to observe.
+  void installInto(jvmti::InterposeDispatcher &Dispatcher);
 
   void recordThreadAttach(jvm::JThread &Thread);
   void recordThreadDetach(jvm::JThread &Thread);
   void recordGcEpoch();
   void recordVmDeath();
   void recordNativeBind(jvm::MethodInfo &Method);
-
-  // NativeBoundaryObserver: the synthesized native-method wrapper fires
-  // these around the original body.
-  void onNativeEntry(jvm::MethodInfo &Method, JNIEnv *Env, jobject Self,
-                     const jvalue *Args) override;
-  void onNativeExit(jvm::MethodInfo &Method, JNIEnv *Env, jobject Self,
-                    const jvalue *Args, const jvalue *Ret,
-                    bool EntryAborted) override;
 
   /// Merges every per-thread buffer, retired/queued chunk, into one trace
   /// and assigns the global epoch: events sort by (TimeNs, ThreadId, Seq)
@@ -139,9 +132,12 @@ private:
   ThreadBuffer &localBuffer();
   TraceEvent &beginEvent(ThreadBuffer &Buffer, EventKind Kind);
   void recordJni(jvmti::CapturedCall &Call, bool IsPost);
+  void recordNative(jvmti::CapturedCall &Call, bool IsExit);
   /// The dispatch slots: \p Self is the recorder.
-  static void recordPre(const void *Self, jvmti::CapturedCall &Call);
-  static void recordPost(const void *Self, jvmti::CapturedCall &Call);
+  template <bool IsPost>
+  static void recordJniSlot(const void *Self, jvmti::CapturedCall &Call);
+  template <bool IsExit>
+  static void recordNativeSlot(const void *Self, jvmti::CapturedCall &Call);
   void capturePeek(jvmti::BoundarySnapshot &Snap, uint64_t Word,
                    const jvm::JThread *Perspective);
   void captureCommon(jvmti::BoundarySnapshot &Snap, JNIEnv *Env);

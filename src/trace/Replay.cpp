@@ -38,6 +38,38 @@ void CollectingReporter::endOfRun(const spec::StateMachineSpec &Machine,
   Reports.push_back({Machine.Name, "<program termination>", Message, true});
 }
 
+namespace {
+
+jvm::MethodInfo *methodOf(const TraceEvent &Ev) {
+  return reinterpret_cast<jvm::MethodInfo *>(
+      static_cast<uintptr_t>(Ev.MethodWord));
+}
+
+/// The validation pass wellFormed cannot make without a VM: every native
+/// entry and exit names a method \p Vm issued, and keeps no more actuals
+/// than that method declares.
+bool nativeMethodsResolve(const Trace &T, const jvm::Vm &Vm,
+                          std::string &Err) {
+  for (size_t I = 0; I < T.Events.size(); ++I) {
+    const TraceEvent &Ev = T.Events[I];
+    if (Ev.Kind != EventKind::NativeEntry && Ev.Kind != EventKind::NativeExit)
+      continue;
+    const char *Bad = nullptr;
+    if (!Vm.isMethodId(methodOf(Ev)))
+      Bad = "method word is not a method of this VM";
+    else if (Ev.NumNativeArgs > methodOf(Ev)->Sig.Params.size())
+      Bad = "more native arguments than the method declares";
+    if (Bad) {
+      Err = formatString("malformed trace event %zu (%s): %s", I,
+                         eventKindName(Ev.Kind), Bad);
+      return false;
+    }
+  }
+  return true;
+}
+
+} // namespace
+
 ReplayResult jinn::trace::replayTrace(const Trace &T, jvm::Vm &Vm,
                                       const ReplayOptions &Opts) {
   ReplayResult Result;
@@ -54,8 +86,10 @@ ReplayResult jinn::trace::replayTrace(const Trace &T, jvm::Vm &Vm,
   }
 
   // Foreign traces can carry any bytes: refuse one whose fields would
-  // index the check program or the captured-argument array out of range.
-  if (!T.wellFormed(&Result.Error))
+  // index the check program or the captured-argument array out of range,
+  // or whose native events name no method of this VM.
+  if (!T.wellFormed(&Result.Error) ||
+      !nativeMethodsResolve(T, Vm, Result.Error))
     return Result;
 
   // The same compiled check program the live wrappers run, driven
@@ -76,8 +110,9 @@ ReplayResult jinn::trace::replayTrace(const Trace &T, jvm::Vm &Vm,
     const TraceEvent &Ev = T.Events[EvIndex];
     ++Result.EventsReplayed;
     // A crossing whose snapshot overflowed its peek capacity answers the
-    // missing peeks from the live VM, which may have moved on since.
-    if (Ev.Snap.PeeksTruncated)
+    // missing peeks from the live VM, which may have moved on since; one
+    // that kept only the first MaxNativeArgs actuals never sees the rest.
+    if (Ev.Snap.PeeksTruncated || Ev.NativeArgsTruncated)
       ++Result.InexactCrossings;
     switch (Ev.Kind) {
     case EventKind::ThreadAttach: {
@@ -102,44 +137,21 @@ ReplayResult jinn::trace::replayTrace(const Trace &T, jvm::Vm &Vm,
       if (IsPost)
         Call.restoreReturn(Ev.HasReturn, Ev.RetIsRef, Ev.RetWord,
                            Ev.RetPtrWord);
-      Checks.runCounted(static_cast<jni::FnId>(Ev.Fn), IsPost, Call,
-                        PerMachine.data());
+      Checks.runCounted(IsPost, Call, PerMachine.data());
       break;
     }
 
-    case EventKind::NativeEntry: {
-      auto *Method = reinterpret_cast<jvm::MethodInfo *>(
-          static_cast<uintptr_t>(Ev.MethodWord));
-      if (!Method)
-        break;
-      spec::TransitionContext Ctx = spec::TransitionContext::nativeReplaySite(
-          spec::TransitionContext::Site::NativeEntry, *Method, Ev.Snap, Renv,
-          jni::wordToRef(Ev.SelfWord), Ev.NativeArgs, nullptr, Reporter);
-      for (const synth::Synthesizer::MachineAction &Action :
-           Synth.entryActions()) {
-        ++Result.MachineTransitions[Action.first->Name];
-        Action.second(Ctx);
-        if (Ctx.aborted())
-          break;
-      }
-      break;
-    }
-
+    case EventKind::NativeEntry:
     case EventKind::NativeExit: {
-      auto *Method = reinterpret_cast<jvm::MethodInfo *>(
-          static_cast<uintptr_t>(Ev.MethodWord));
-      if (!Method)
-        break;
-      jvalue Ret = Ev.NativeRet;
-      spec::TransitionContext Ctx = spec::TransitionContext::nativeReplaySite(
-          spec::TransitionContext::Site::NativeExit, *Method, Ev.Snap, Renv,
-          jni::wordToRef(Ev.SelfWord), Ev.NativeArgs,
-          Ev.HasReturn ? &Ret : nullptr, Reporter);
-      for (const synth::Synthesizer::MachineAction &Action :
-           Synth.exitActions()) {
-        ++Result.MachineTransitions[Action.first->Name];
-        Action.second(Ctx);
-      }
+      jvmti::CapturedCall Call(*methodOf(Ev), jni::wordToRef(Ev.SelfWord),
+                               {Ev.NativeArgs, Ev.NumNativeArgs}, nullptr,
+                               &Ev.Snap, &Renv);
+      bool IsExit = Ev.Kind == EventKind::NativeExit;
+      if (IsExit && Ev.Aborted)
+        Call.abortCall();
+      if (IsExit && Ev.HasReturn)
+        Call.setNativeReturn(Ev.NativeRet);
+      Checks.runCounted(IsExit, Call, PerMachine.data());
       break;
     }
 

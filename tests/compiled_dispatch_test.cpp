@@ -65,12 +65,18 @@ void expectSameReports(const std::vector<agent::JinnReport> &A,
   }
 }
 
-/// Publishes a no-op pre and post hook on every function: a republish
-/// after load that changes the program's shape but must change nothing
-/// observable.
+/// Publishes a no-op pre and post hook on every function and a no-op
+/// native entry and exit slot: republishes after load that change the
+/// program's shape in both directions but must change nothing observable.
 void addNoOpObservers(jvmti::InterposeDispatcher &D) {
   D.addPreAll([](jvmti::CapturedCall &) {});
   D.addPostAll([](jvmti::CapturedCall &) {});
+  const jvmti::DispatchSlot NoOp{[](const void *, jvmti::CapturedCall &) {},
+                                 nullptr};
+  jvmti::SlotBatch Native;
+  Native.NativeEntry.push_back(NoOp);
+  Native.NativeExit.push_back(NoOp);
+  D.install(std::move(Native));
 }
 
 void runObserverEquivalence(std::vector<std::string> Machines) {
@@ -167,6 +173,13 @@ TEST(CompiledDispatch, RecordingRunsOnTheCompiledTable) {
         EXPECT_EQ(Rec.PostCount, 1u);
       }
     }
+    // It leads native entry and exit too, ahead of the local-reference
+    // machine's native slots.
+    const jvmti::DispatchTable::FnRec &Native = Table.Native;
+    ASSERT_EQ(Native.PreCount, Checking ? 2u : 1u);
+    ASSERT_EQ(Native.PostCount, Checking ? 2u : 1u);
+    EXPECT_EQ(Table.Slots[Native.PreBegin].Obj, Recorder);
+    EXPECT_EQ(Table.Slots[Native.PostBegin].Obj, Recorder);
     // JNIEnv state observes every function pre: with checking on, every
     // function runs a machine slot after the recorder's.
     if (Checking) {
@@ -195,13 +208,25 @@ TEST(CompiledDispatch, InterposeOnlyObservesEveryFunction) {
 
 TEST(CompiledDispatch, SampledThreadGating) {
   // 1-in-4 whole-thread sampling: the table carries the Sampling flag, and
-  // an unsampled thread's crossings reach no slot at all — it is neither
-  // recorded nor checked — while a sampled thread is both.
+  // an unsampled thread's crossings reach no slot at all, in either
+  // direction — it is neither recorded nor checked — while a sampled
+  // thread is both.
   scenarios::WorldConfig Config = jinnConfig();
   Config.JinnSampleRate = 4;
   scenarios::ScenarioWorld World(Config);
   ASSERT_TRUE(World.Jinn->fusedInstalled());
   ASSERT_TRUE(jvmti::dispatcherFor(World.Rt).table()->Sampling);
+
+  // A native that leaks a local frame: the local-reference machine reports
+  // it at native exit.
+  jvm::ClassDef Def;
+  Def.Name = "gated/Natives";
+  Def.nativeMethod("leakFrame", "()V", /*IsStatic=*/true);
+  World.Rt.registerNative(World.Vm.defineClass(Def), "leakFrame", "()V",
+                          [](JNIEnv *Env, jobject, const jvalue *) {
+                            Env->functions->PushLocalFrame(Env, 4);
+                            return jvalue{};
+                          });
 
   JavaVM *Jvm = World.Rt.javaVm();
   constexpr int NumThreads = 12;
@@ -221,6 +246,12 @@ TEST(CompiledDispatch, SampledThreadGating) {
       Fns->DeleteLocalRef(Env, S);
       Fns->GetStringUTFLength(Env, S);
       Fns->ExceptionClear(Env);
+      // One native call per thread: also reported exactly when sampled.
+      jclass Natives = Fns->FindClass(Env, "gated/Natives");
+      Fns->CallStaticVoidMethodA(
+          Env, Natives,
+          Fns->GetStaticMethodID(Env, Natives, "leakFrame", "()V"), nullptr);
+      Fns->ExceptionClear(Env);
       Jvm->functions->DetachCurrentThread(Jvm);
     });
     Worker.join();
@@ -232,23 +263,27 @@ TEST(CompiledDispatch, SampledThreadGating) {
   for (int T = 0; T < NumThreads; ++T) {
     bool IsSampled = World.Jinn->sampledThread(Ids[T], Names[T]);
     Sampled += IsSampled;
-    size_t JniEvents = std::count_if(
-        Recorded.Events.begin(), Recorded.Events.end(),
-        [&](const trace::TraceEvent &Ev) {
-          return Ev.ThreadId == Ids[T] &&
-                 (Ev.Kind == trace::EventKind::JniPre ||
-                  Ev.Kind == trace::EventKind::JniPost);
-        });
+    auto Count = [&](trace::EventKind Kind) {
+      return std::count_if(Recorded.Events.begin(), Recorded.Events.end(),
+                           [&](const trace::TraceEvent &Ev) {
+                             return Ev.ThreadId == Ids[T] && Ev.Kind == Kind;
+                           });
+    };
+    size_t JniEvents = Count(trace::EventKind::JniPre) +
+                       Count(trace::EventKind::JniPost);
     if (IsSampled) {
       EXPECT_GT(JniEvents, 0u) << Names[T];
     } else {
       EXPECT_EQ(JniEvents, 0u) << Names[T];
     }
+    EXPECT_EQ(Count(trace::EventKind::NativeEntry), IsSampled) << Names[T];
+    EXPECT_EQ(Count(trace::EventKind::NativeExit), IsSampled) << Names[T];
   }
   ASSERT_GT(Sampled, 0u) << "the seed sampled no thread; pick another";
   ASSERT_LT(Sampled, static_cast<size_t>(NumThreads))
       << "the seed sampled every thread; pick another";
-  EXPECT_EQ(World.Jinn->reporter().countFor("Local reference"), Sampled);
+  // A dangling use and a leaked frame per sampled thread, none otherwise.
+  EXPECT_EQ(World.Jinn->reporter().countFor("Local reference"), 2 * Sampled);
 }
 
 TEST(CompiledDispatch, AgentCompilesAlongsideForeignHooks) {

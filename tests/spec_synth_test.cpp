@@ -149,8 +149,8 @@ public:
                  Direction::CallJavaToC}};
     Enter.Action = [this](spec::TransitionContext &Ctx) {
       ++Entries;
-      EXPECT_FALSE(Ctx.isJniSite());
-      EXPECT_FALSE(Ctx.method().Name.empty());
+      ASSERT_TRUE(Ctx.call().isNative());
+      EXPECT_EQ(Ctx.call().nativeMethod()->Name, "n");
     };
     Spec.Transitions.push_back(std::move(Enter));
     spec::StateTransition Exit;
@@ -196,8 +196,13 @@ TEST_F(SynthTest, Algorithm1WrapsNativeMethods) {
   EXPECT_EQ(Stats.NativeEntryActions, 1u);
   EXPECT_EQ(Stats.NativeExitActions, 1u);
 
+  // The native blocks are slots of the one compiled table, which the
+  // native-method wrapper runs around each call.
+  const jvmti::DispatchTable &Table = *Jvmti.dispatcher().table();
+  EXPECT_EQ(Table.Native.PreCount, 1u);
+  EXPECT_EQ(Table.Native.PostCount, 1u);
   jvmti::EventCallbacks Cb;
-  Cb.NativeMethodBind = Synth.makeNativeBindHandler();
+  Cb.NativeMethodBind = jvmti::wrapNativeMethod;
   Jvmti.setEventCallbacks(std::move(Cb));
 
   jvm::ClassDef Def;

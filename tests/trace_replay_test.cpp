@@ -168,6 +168,48 @@ TEST(ReplayDeterminism, ConcurrentWorkloadRecordReplay) {
                      sorted(Replayed.Reports), "concurrent replay");
 }
 
+// A native with more formals than a trace event keeps (ten, against
+// MaxNativeArgs = 8): the replayed entry sees only the first eight
+// actuals, so its local-reference frame holds two fewer references than
+// the inline one did. Replay must count both of the native's crossings as
+// inexact instead of silently losing the inline overflow report.
+TEST(ReplayDeterminism, TruncatedNativeCrossingsAreInexact) {
+  ScenarioWorld World(recordingConfig(agent::TraceMode::RecordAndReplay));
+  std::string Desc = "(";
+  for (int I = 0; I < 10; ++I)
+    Desc += "Ljava/lang/Object;";
+  Desc += ")V";
+  jvm::ClassDef Def;
+  Def.Name = "replay/Wide";
+  Def.nativeMethod("wide", Desc, /*IsStatic=*/true);
+  jvm::Klass *Kl = World.Vm.defineClass(Def);
+  // The receiver mirror, ten arguments and seven new strings: 18 live
+  // references in a frame of 16.
+  World.Rt.registerNative(Kl, "wide", Desc,
+                          [](JNIEnv *Env, jobject, const jvalue *) {
+                            for (int I = 0; I < 7; ++I)
+                              Env->functions->NewStringUTF(Env, "x");
+                            return jvalue{};
+                          });
+  jvm::JThread &Main = World.Vm.mainThread();
+  {
+    jvm::Vm::TempRoots Scope(Main);
+    jvm::ObjectId Str = World.Vm.newString("arg");
+    Scope.add(Str);
+    World.Vm.invoke(Main, Kl->findMethod("wide", Desc, /*WantStatic=*/true),
+                    jvm::Value::makeNull(),
+                    std::vector<jvm::Value>(10, jvm::Value::makeRef(Str)),
+                    /*VirtualDispatch=*/false);
+  }
+  World.shutdown();
+  EXPECT_EQ(World.Jinn->reporter().countFor("Local reference"), 1u);
+
+  trace::ReplayResult Replayed =
+      trace::replayTrace(World.Jinn->recorder()->collect(), World.Vm);
+  EXPECT_EQ(Replayed.InexactCrossings, 2u);
+  EXPECT_EQ(Replayed.violationsPerMachine().count("Local reference"), 0u);
+}
+
 // The binary file format: a round trip preserves the header, the thread
 // names, and every event byte.
 TEST(TraceFileFormat, RoundTripPreservesEverything) {
@@ -253,38 +295,45 @@ TEST(TraceFileFormat, RejectsEventCountPastTheFileEnd) {
   }
 }
 
-// Events whose JNI function id or argument count is out of range (a
-// foreign or damaged trace) are refused by replay with a clean error
-// instead of indexing the trait table or the argument array past its end.
+// Events whose JNI function id or argument count is out of range, or
+// whose native method is no method of the VM (a foreign or damaged
+// trace), are refused by replay with a clean error instead of indexing
+// the trait table or the argument array past its end, or dereferencing
+// the method word.
 TEST(TraceFileFormat, ReplayRejectsOutOfRangeEvents) {
   ScenarioWorld World(recordingConfig(agent::TraceMode::RecordAndReplay));
   runMicrobenchmark(MicroId::LocalDangling, World);
   World.shutdown();
   trace::Trace Recorded = World.Jinn->recorder()->collect();
-  auto FirstJni = std::find_if(
-      Recorded.Events.begin(), Recorded.Events.end(),
-      [](const trace::TraceEvent &Ev) {
-        return Ev.Kind == trace::EventKind::JniPre;
-      });
-  ASSERT_NE(FirstJni, Recorded.Events.end());
-  size_t Index = FirstJni - Recorded.Events.begin();
   EXPECT_TRUE(Recorded.wellFormed());
 
+  // Each corruption applies to the first event of its kind.
   struct Corruption {
     const char *Tag;
+    trace::EventKind Kind;
     void (*Apply)(trace::TraceEvent &);
   };
   const Corruption Corruptions[] = {
-      {"fn", [](trace::TraceEvent &Ev) { Ev.Fn = 0xFFFF; }},
-      {"fn-count",
+      {"fn", trace::EventKind::JniPre,
+       [](trace::TraceEvent &Ev) { Ev.Fn = 0xFFFF; }},
+      {"fn-count", trace::EventKind::JniPre,
        [](trace::TraceEvent &Ev) {
          Ev.Fn = static_cast<uint16_t>(jni::NumJniFunctions);
        }},
-      {"args", [](trace::TraceEvent &Ev) { Ev.NumArgs = 200; }},
-      {"peeks", [](trace::TraceEvent &Ev) { Ev.Snap.NumPeeks = 200; }},
+      {"args", trace::EventKind::JniPre,
+       [](trace::TraceEvent &Ev) { Ev.NumArgs = 200; }},
+      {"peeks", trace::EventKind::JniPre,
+       [](trace::TraceEvent &Ev) { Ev.Snap.NumPeeks = 200; }},
+      {"method", trace::EventKind::NativeEntry,
+       [](trace::TraceEvent &Ev) { Ev.MethodWord = 0x4141414141414141; }},
   };
   for (const Corruption &C : Corruptions) {
     SCOPED_TRACE(C.Tag);
+    auto First = std::find_if(
+        Recorded.Events.begin(), Recorded.Events.end(),
+        [&](const trace::TraceEvent &Ev) { return Ev.Kind == C.Kind; });
+    ASSERT_NE(First, Recorded.Events.end());
+    size_t Index = First - Recorded.Events.begin();
     trace::Trace Bad = Recorded;
     C.Apply(Bad.Events[Index]);
 
