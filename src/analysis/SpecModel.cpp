@@ -9,8 +9,6 @@
 #include "jni/JniFunctionId.h"
 #include "pyjinn/PyChecker.h"
 
-#include <cstring>
-
 using namespace jinn;
 using namespace jinn::analysis;
 using jinn::pyjinn::PyFnSpec;
@@ -78,29 +76,42 @@ MachineModel jinn::analysis::buildModel(const spec::StateMachineSpec &Spec) {
 }
 
 //===----------------------------------------------------------------------===
-// Python checker models (§7): derived from the pyFnSpecs table
+// Python checker models (§7): trigger sets read off PyFunctions.def columns
 //===----------------------------------------------------------------------===
 
 namespace {
 
-FnSet pySetOf(bool (*Member)(const PyFnSpec &)) {
-  const std::vector<PyFnSpec> &Specs = pyjinn::pyFnSpecs();
-  FnSet Out(Specs.size());
-  for (size_t I = 0; I < Specs.size(); ++I)
-    if (Member(Specs[I]))
-      Out.set(I);
-  return Out;
-}
+/// Every trigger set of the Python machines, one pass over the registry.
+struct PyTriggerSets {
+  static constexpr size_t N = pyc::NumPyFunctions;
+  FnSet NewRef{N}, BorrowedRef{N}, ReleasesRef{N}, TakesObject{N};
+  FnSet GilRelease{N}, GilAcquire{N}, NonGil{N}, ExceptionSensitive{N},
+      Typed{N};
 
-bool pyReleasesRef(const PyFnSpec &S) {
-  return S.StealsParam >= 0 || std::strcmp(S.Name, "Py_DecRef") == 0;
-}
-
-bool pyTakesObject(const PyFnSpec &S) {
-  return S.Param0Typed || S.BorrowSourceParam >= 0 || S.StealsParam >= 0 ||
-         std::strcmp(S.Name, "Py_IncRef") == 0 ||
-         std::strcmp(S.Name, "Py_DecRef") == 0;
-}
+  PyTriggerSets() {
+    for (size_t I = 0; I < N; ++I) {
+      const PyFnSpec &Row = pyjinn::PyFnSpecTable[I];
+      if (Row.Return == RefReturn::New)
+        NewRef.set(I);
+      if (Row.Return == RefReturn::Borrowed)
+        BorrowedRef.set(I);
+      if (Row.StealsParam >= 0)
+        ReleasesRef.set(I);
+      if (Row.TakesObject)
+        TakesObject.set(I);
+      if (Row.GilDelta < 0)
+        GilRelease.set(I);
+      if (Row.GilDelta > 0)
+        GilAcquire.set(I);
+      if (!Row.gilFunction())
+        NonGil.set(I);
+      if (!Row.ExceptionOblivious)
+        ExceptionSensitive.set(I);
+      if (Row.param0Typed())
+        Typed.set(I);
+    }
+  }
+};
 
 TriggerModel pyTrigger(Direction Dir, std::string Description, FnSet Set) {
   TriggerModel Trigger;
@@ -124,105 +135,89 @@ TransitionModel pyTransition(std::string From, std::string To, size_t Index,
   return T;
 }
 
+MachineModel pyMachine(std::string Name, std::vector<std::string> States) {
+  MachineModel M;
+  M.Name = std::move(Name);
+  M.Universe = &pythonUniverse();
+  M.States = std::move(States);
+  M.StartState = M.States.front();
+  return M;
+}
+
 } // namespace
 
 std::vector<MachineModel> jinn::analysis::buildPythonModels() {
+  const PyTriggerSets S;
   std::vector<MachineModel> Models;
 
   // Reference ownership (Figure 11's dangle_bug class): acquisition at
-  // returns of new/borrowed references, release by Py_DecRef and the
-  // reference-stealing setters, use by any object-taking function.
-  {
-    MachineModel M;
-    M.Name = "Reference ownership";
-    M.Universe = &pythonUniverse();
-    M.States = {"Before acquire", "Acquired", "Released", "Error: dangling"};
-    M.StartState = M.States.front();
-    M.Transitions.push_back(pyTransition(
-        "Before acquire", "Acquired", 0,
-        {pyTrigger(Direction::ReturnJavaToC,
-                   "functions returning a new reference",
-                   pySetOf([](const PyFnSpec &S) {
-                     return S.Return == RefReturn::New;
-                   }))}));
-    M.Transitions.push_back(pyTransition(
-        "Before acquire", "Acquired", 1,
-        {pyTrigger(Direction::ReturnJavaToC,
-                   "functions returning a borrowed reference",
-                   pySetOf([](const PyFnSpec &S) {
-                     return S.Return == RefReturn::Borrowed;
-                   }))}));
-    M.Transitions.push_back(pyTransition(
-        "Acquired", "Released", 2,
-        {pyTrigger(Direction::CallCToJava,
-                   "Py_DecRef and the reference-stealing setters",
-                   pySetOf(pyReleasesRef))}));
-    M.Transitions.push_back(pyTransition(
-        "Released", "Error: dangling", 3,
-        {pyTrigger(Direction::CallCToJava,
-                   "any API function taking an object reference",
-                   pySetOf(pyTakesObject))}));
-    Models.push_back(std::move(M));
-  }
+  // returns of new/borrowed references, release by the calls that consume
+  // a reference argument, use by any object-taking function.
+  MachineModel Ref = pyMachine(
+      "Reference ownership",
+      {"Before acquire", "Acquired", "Released", "Error: dangling"});
+  Ref.Transitions.push_back(pyTransition(
+      "Before acquire", "Acquired", 0,
+      {pyTrigger(Direction::ReturnJavaToC,
+                 "functions returning a new reference", S.NewRef)}));
+  Ref.Transitions.push_back(pyTransition(
+      "Before acquire", "Acquired", 1,
+      {pyTrigger(Direction::ReturnJavaToC,
+                 "functions returning a borrowed reference", S.BorrowedRef)}));
+  Ref.Transitions.push_back(pyTransition(
+      "Acquired", "Released", 2,
+      {pyTrigger(Direction::CallCToJava,
+                 "functions consuming a reference argument",
+                 S.ReleasesRef)}));
+  Ref.Transitions.push_back(pyTransition(
+      "Released", "Error: dangling", 3,
+      {pyTrigger(Direction::CallCToJava,
+                 "any API function taking an object reference",
+                 S.TakesObject)}));
+  Models.push_back(std::move(Ref));
 
   // GIL state: extension code must hold the GIL around every API call;
-  // the four GIL functions move between Held and Released.
-  {
-    MachineModel M;
-    M.Name = "GIL state";
-    M.Universe = &pythonUniverse();
-    M.States = {"Held", "Released", "Error: GIL not held"};
-    M.StartState = M.States.front();
-    M.Transitions.push_back(pyTransition(
-        "Held", "Released", 0,
-        {pyTrigger(Direction::CallCToJava,
-                   "PyGILState_Release and PyEval_SaveThread",
-                   pySetOf([](const PyFnSpec &S) {
-                     return S.GilFunction &&
-                            (std::strcmp(S.Name, "PyGILState_Release") == 0 ||
-                             std::strcmp(S.Name, "PyEval_SaveThread") == 0);
-                   }))}));
-    M.Transitions.push_back(pyTransition(
-        "Released", "Held", 1,
-        {pyTrigger(Direction::CallCToJava,
-                   "PyGILState_Ensure and PyEval_RestoreThread",
-                   pySetOf([](const PyFnSpec &S) {
-                     return S.GilFunction &&
-                            (std::strcmp(S.Name, "PyGILState_Ensure") == 0 ||
-                             std::strcmp(S.Name, "PyEval_RestoreThread") ==
-                                 0);
-                   }))}));
-    M.Transitions.push_back(pyTransition(
-        "Released", "Error: GIL not held", 2,
-        {pyTrigger(Direction::CallCToJava, "any non-GIL API function",
-                   pySetOf([](const PyFnSpec &S) {
-                     return !S.GilFunction;
-                   }))}));
-    Models.push_back(std::move(M));
-  }
+  // the GIL functions move between Held and Released.
+  MachineModel Gil =
+      pyMachine("GIL state", {"Held", "Released", "Error: GIL not held"});
+  Gil.Transitions.push_back(pyTransition(
+      "Held", "Released", 0,
+      {pyTrigger(Direction::CallCToJava, "GIL-releasing functions",
+                 S.GilRelease)}));
+  Gil.Transitions.push_back(pyTransition(
+      "Released", "Held", 1,
+      {pyTrigger(Direction::CallCToJava, "GIL-acquiring functions",
+                 S.GilAcquire)}));
+  Gil.Transitions.push_back(pyTransition(
+      "Released", "Error: GIL not held", 2,
+      {pyTrigger(Direction::CallCToJava, "any non-GIL API function",
+                 S.NonGil)}));
+  Models.push_back(std::move(Gil));
 
   // Exception state: mirror of the JNI machine — the pending flag lives in
   // the interpreter (epsilon bookkeeping), the check fires on any
   // exception-sensitive call.
-  {
-    MachineModel M;
-    M.Name = "Exception state";
-    M.Universe = &pythonUniverse();
-    M.States = {"Cleared", "Pending", "Error: unhandled"};
-    M.StartState = M.States.front();
-    M.Transitions.push_back(pyTransition("Cleared", "Pending", 0, {},
+  MachineModel Exc = pyMachine("Exception state",
+                               {"Cleared", "Pending", "Error: unhandled"});
+  Exc.Transitions.push_back(pyTransition("Cleared", "Pending", 0, {},
                                          /*HasAction=*/false));
-    M.Transitions.push_back(pyTransition("Pending", "Cleared", 1, {},
+  Exc.Transitions.push_back(pyTransition("Pending", "Cleared", 1, {},
                                          /*HasAction=*/false));
-    M.Transitions.push_back(pyTransition(
-        "Pending", "Error: unhandled", 2,
-        {pyTrigger(Direction::CallCToJava,
-                   "any exception-sensitive API function",
-                   pySetOf([](const PyFnSpec &S) {
-                     return !S.ExceptionOblivious;
-                   }))}));
-    Models.push_back(std::move(M));
-  }
+  Exc.Transitions.push_back(pyTransition(
+      "Pending", "Error: unhandled", 2,
+      {pyTrigger(Direction::CallCToJava,
+                 "any exception-sensitive API function",
+                 S.ExceptionSensitive)}));
+  Models.push_back(std::move(Exc));
+
+  // Type constraints (§7.1): the same shape as the JNI "Fixed typing"
+  // machine — one state whose self-loop checks the first argument's kind.
+  MachineModel Type = pyMachine("Type constraints", {"Checked"});
+  Type.Transitions.push_back(pyTransition(
+      "Checked", "Checked", 0,
+      {pyTrigger(Direction::CallCToJava,
+                 "any API function with a typed first parameter", S.Typed)}));
+  Models.push_back(std::move(Type));
 
   return Models;
 }

@@ -11,7 +11,7 @@
 /// synthesizer uses), and the states/transitions become a plain graph the
 /// lint passes (SpecLint.h) can walk. The same model form covers both the
 /// JNI machines (a 229-function universe from JniFunctions.def) and the
-/// Python checker's machines of §7 (a universe built from pyFnSpecs).
+/// Python checker's machines of §7 (a universe from PyFunctions.def).
 ///
 /// From the models the relevance matrix is derived: per machine, the set
 /// of functions its synthesized pre (Call:C->Java) and post
@@ -44,7 +44,7 @@ struct FunctionUniverse {
 
 /// The 229 JNI functions of JniFunctions.def, in FnId order.
 const FunctionUniverse &jniUniverse();
-/// The Python/C API functions the §7 checker covers (pyFnSpecs order).
+/// The Python/C API functions the §7 checker covers (PyFnId order).
 const FunctionUniverse &pythonUniverse();
 
 /// A set of functions out of one universe (a dense bitset over indices).
@@ -142,9 +142,9 @@ struct MachineModel {
 /// Loads one JNI machine spec (resolving selectors over jniUniverse()).
 MachineModel buildModel(const spec::StateMachineSpec &Spec);
 
-/// Models of the Python checker's three machines ("Reference ownership",
-/// "GIL state", "Exception state"), derived from the pyFnSpecs table over
-/// pythonUniverse().
+/// Models of the Python checker's four machines ("Reference ownership",
+/// "GIL state", "Exception state", "Type constraints"), their trigger sets
+/// read off the PyFunctions.def columns, over pythonUniverse().
 std::vector<MachineModel> buildPythonModels();
 
 /// Per-machine function relevance derived from a model.

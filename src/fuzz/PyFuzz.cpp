@@ -18,6 +18,7 @@ using namespace jinn::fuzz;
 static const char RefM[] = "Reference ownership";
 static const char GilM[] = "GIL state";
 static const char PyExcM[] = "Exception state";
+static const char TypeM[] = "Type constraints";
 
 namespace {
 
@@ -91,6 +92,7 @@ std::vector<PyOp> buildPyOps() {
     PyOp Op;
     Op.Name = "py_use_borrow";
     Op.Setup = {"py_borrow"};
+    Op.Edges = {{TypeM, 0}};
     Op.Ready = [](const PyState &S) { return S.List && S.Borrowed; };
     Op.Apply = [](PyState &S) {
       S.Api->PyString_AsString(&S.I, S.Borrowed);
@@ -186,6 +188,22 @@ std::vector<PyOp> buildPyOps() {
       S.Api->PyErr_SetString(&S.I, S.I.excTypeError(), "fuzz probe");
       S.Api->PyList_New(&S.I, 0); // BUG: exception-sensitive call
       S.Api->PyErr_Clear(&S.I);
+    };
+    Ops.push_back(std::move(Op));
+  }
+  {
+    PyOp Op;
+    Op.Name = "py_bug_wrong_type";
+    Op.Bug = true;
+    Op.ExpectMachine = TypeM;
+    Op.ExpectPart = "argument has type";
+    Op.Edges = {{TypeM, 0}, {RefM, 0}, {RefM, 2}};
+    Op.Ready = [](const PyState &) { return true; };
+    Op.Apply = [](PyState &S) {
+      pyc::PyObject *Num = S.Api->PyInt_FromLong(&S.I, 3);
+      S.Api->PyList_Size(&S.I, Num); // BUG: an int where a list is required
+      S.Api->PyErr_Clear(&S.I);
+      S.Api->Py_DecRef(&S.I, Num);
     };
     Ops.push_back(std::move(Op));
   }

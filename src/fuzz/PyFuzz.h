@@ -10,9 +10,9 @@
 /// against a fresh PyInterp with PyChecker interposed; clean paths must
 /// leave zero violations and zero leaks, bug paths must provoke exactly
 /// the declared violation (machine + message fragment). Coverage is
-/// accounted over buildPythonModels() — the three machines "Reference
-/// ownership", "GIL state", "Exception state" — with the same epsilon
-/// exemptions as the JNI domain.
+/// accounted over buildPythonModels() — the four machines "Reference
+/// ownership", "GIL state", "Exception state", "Type constraints" — with
+/// the same epsilon exemptions as the JNI domain.
 ///
 /// Python ops are atomic (GIL excursions and pending-exception windows
 /// open and close inside one op), so no cross-op gating is needed and the

@@ -158,16 +158,20 @@ bool checkLiveProduction(PyInterp *I, PyObject *Obj, const char *Fn) {
   return true;
 }
 
-void apiIncRef(PyInterp *I, PyObject *Obj) { I->incref(Obj); }
-void apiDecRef(PyInterp *I, PyObject *Obj) { I->decref(Obj); }
+} // namespace
 
-PyObject *apiIntFromLong(PyInterp *I, long Value) {
+namespace jinn::pyc {
+
+void impl_Py_IncRef(PyInterp *I, PyObject *Obj) { I->incref(Obj); }
+void impl_Py_DecRef(PyInterp *I, PyObject *Obj) { I->decref(Obj); }
+
+PyObject *impl_PyInt_FromLong(PyInterp *I, long Value) {
   PyObject *Obj = I->alloc(PyKind::Int);
   Obj->IntVal = Value;
   return Obj;
 }
 
-long apiIntAsLong(PyInterp *I, PyObject *Obj) {
+long impl_PyInt_AsLong(PyInterp *I, PyObject *Obj) {
   if (!checkLiveProduction(I, Obj, "PyInt_AsLong"))
     return -1;
   if (Obj->Kind != PyKind::Int) {
@@ -177,7 +181,7 @@ long apiIntAsLong(PyInterp *I, PyObject *Obj) {
   return static_cast<long>(Obj->IntVal);
 }
 
-PyObject *apiStringFromString(PyInterp *I, const char *Value) {
+PyObject *impl_PyString_FromString(PyInterp *I, const char *Value) {
   if (!Value) {
     raiseSystemError(I, "PyString_FromString(NULL)");
     return nullptr;
@@ -187,7 +191,7 @@ PyObject *apiStringFromString(PyInterp *I, const char *Value) {
   return Obj;
 }
 
-const char *apiStringAsString(PyInterp *I, PyObject *Obj) {
+const char *impl_PyString_AsString(PyInterp *I, PyObject *Obj) {
   if (!checkLiveProduction(I, Obj, "PyString_AsString"))
     return nullptr;
   if (Obj->Freed)
@@ -199,20 +203,20 @@ const char *apiStringAsString(PyInterp *I, PyObject *Obj) {
   return Obj->StrVal.c_str();
 }
 
-PyObject *apiListNew(PyInterp *I, Py_ssize_t Size) {
+PyObject *impl_PyList_New(PyInterp *I, Py_ssize_t Size) {
   PyObject *Obj = I->alloc(PyKind::List);
   Obj->Items.assign(Size > 0 ? static_cast<size_t>(Size) : 0, nullptr);
   return Obj;
 }
 
-Py_ssize_t apiListSize(PyInterp *I, PyObject *List) {
+Py_ssize_t impl_PyList_Size(PyInterp *I, PyObject *List) {
   if (!checkLiveProduction(I, List, "PyList_Size") ||
       List->Kind != PyKind::List)
     return -1;
   return static_cast<Py_ssize_t>(List->Items.size());
 }
 
-PyObject *apiListGetItem(PyInterp *I, PyObject *List, Py_ssize_t Index) {
+PyObject *impl_PyList_GetItem(PyInterp *I, PyObject *List, Py_ssize_t Index) {
   if (!checkLiveProduction(I, List, "PyList_GetItem"))
     return nullptr;
   if (List->Kind != PyKind::List || Index < 0 ||
@@ -223,8 +227,8 @@ PyObject *apiListGetItem(PyInterp *I, PyObject *List, Py_ssize_t Index) {
   return List->Items[Index]; // borrowed reference
 }
 
-int apiListSetItem(PyInterp *I, PyObject *List, Py_ssize_t Index,
-                   PyObject *Item) {
+int impl_PyList_SetItem(PyInterp *I, PyObject *List, Py_ssize_t Index,
+                        PyObject *Item) {
   if (!checkLiveProduction(I, List, "PyList_SetItem"))
     return -1;
   if (List->Kind != PyKind::List || Index < 0 ||
@@ -240,7 +244,7 @@ int apiListSetItem(PyInterp *I, PyObject *List, Py_ssize_t Index,
   return 0;
 }
 
-int apiListAppend(PyInterp *I, PyObject *List, PyObject *Item) {
+int impl_PyList_Append(PyInterp *I, PyObject *List, PyObject *Item) {
   if (!checkLiveProduction(I, List, "PyList_Append") || !Item)
     return -1;
   if (List->Kind != PyKind::List) {
@@ -252,13 +256,13 @@ int apiListAppend(PyInterp *I, PyObject *List, PyObject *Item) {
   return 0;
 }
 
-PyObject *apiTupleNew(PyInterp *I, Py_ssize_t Size) {
+PyObject *impl_PyTuple_New(PyInterp *I, Py_ssize_t Size) {
   PyObject *Obj = I->alloc(PyKind::Tuple);
   Obj->Items.assign(Size > 0 ? static_cast<size_t>(Size) : 0, nullptr);
   return Obj;
 }
 
-PyObject *apiTupleGetItem(PyInterp *I, PyObject *Tuple, Py_ssize_t Index) {
+PyObject *impl_PyTuple_GetItem(PyInterp *I, PyObject *Tuple, Py_ssize_t Index) {
   if (!checkLiveProduction(I, Tuple, "PyTuple_GetItem"))
     return nullptr;
   if (Tuple->Kind != PyKind::Tuple || Index < 0 ||
@@ -269,8 +273,8 @@ PyObject *apiTupleGetItem(PyInterp *I, PyObject *Tuple, Py_ssize_t Index) {
   return Tuple->Items[Index]; // borrowed
 }
 
-int apiTupleSetItem(PyInterp *I, PyObject *Tuple, Py_ssize_t Index,
-                    PyObject *Item) {
+int impl_PyTuple_SetItem(PyInterp *I, PyObject *Tuple, Py_ssize_t Index,
+                         PyObject *Item) {
   if (!checkLiveProduction(I, Tuple, "PyTuple_SetItem"))
     return -1;
   if (Tuple->Kind != PyKind::Tuple || Index < 0 ||
@@ -286,7 +290,7 @@ int apiTupleSetItem(PyInterp *I, PyObject *Tuple, Py_ssize_t Index,
   return 0;
 }
 
-PyObject *apiVaBuildValue(PyInterp *I, const char *Fmt, va_list Args) {
+PyObject *impl_Py_VaBuildValue(PyInterp *I, const char *Fmt, va_list Args) {
   if (!Fmt)
     return nullptr;
   // Subset parser: i, s, [..], (..). Containers may nest.
@@ -298,11 +302,11 @@ PyObject *apiVaBuildValue(PyInterp *I, const char *Fmt, va_list Args) {
       switch (*P) {
       case 'i': {
         ++P;
-        return apiIntFromLong(I, va_arg(Args, long));
+        return impl_PyInt_FromLong(I, va_arg(Args, long));
       }
       case 's': {
         ++P;
-        return apiStringFromString(I, va_arg(Args, const char *));
+        return impl_PyString_FromString(I, va_arg(Args, const char *));
       }
       case '[':
       case '(': {
@@ -338,7 +342,7 @@ PyObject *apiVaBuildValue(PyInterp *I, const char *Fmt, va_list Args) {
   return Out;
 }
 
-PyObject *apiBuildValue(PyInterp *I, const char *Fmt, ...) {
+PyObject *impl_Py_BuildValue(PyInterp *I, const char *Fmt, ...) {
   va_list Args;
   va_start(Args, Fmt);
   PyObject *Out = I->ActiveApi->Py_VaBuildValue(I, Fmt, Args);
@@ -346,24 +350,24 @@ PyObject *apiBuildValue(PyInterp *I, const char *Fmt, ...) {
   return Out;
 }
 
-void apiErrSetString(PyInterp *I, PyObject *Type, const char *Message) {
+void impl_PyErr_SetString(PyInterp *I, PyObject *Type, const char *Message) {
   I->PendingType = Type;
   I->PendingMessage = Message ? Message : "";
 }
 
-PyObject *apiErrOccurred(PyInterp *I) { return I->PendingType; }
+PyObject *impl_PyErr_Occurred(PyInterp *I) { return I->PendingType; }
 
-void apiErrClear(PyInterp *I) {
+void impl_PyErr_Clear(PyInterp *I) {
   I->PendingType = nullptr;
   I->PendingMessage.clear();
 }
 
-int apiGilEnsure(PyInterp *I) {
+int impl_PyGILState_Ensure(PyInterp *I) {
   I->GilDepth += 1;
   return I->GilDepth;
 }
 
-void apiGilRelease(PyInterp *I, int Handle) {
+void impl_PyGILState_Release(PyInterp *I, int Handle) {
   (void)Handle;
   if (I->GilDepth <= 0) {
     I->diags().report(IncidentKind::SimulatedCrash, "pyc",
@@ -373,7 +377,7 @@ void apiGilRelease(PyInterp *I, int Handle) {
   I->GilDepth -= 1;
 }
 
-void *apiEvalSaveThread(PyInterp *I) {
+void *impl_PyEval_SaveThread(PyInterp *I) {
   if (I->GilDepth <= 0) {
     I->diags().report(IncidentKind::SimulatedCrash, "pyc",
                       "PyEval_SaveThread without the GIL");
@@ -383,21 +387,18 @@ void *apiEvalSaveThread(PyInterp *I) {
   return I;
 }
 
-void apiEvalRestoreThread(PyInterp *I, void *State) {
+void impl_PyEval_RestoreThread(PyInterp *I, void *State) {
   (void)State;
   I->GilDepth += 1;
 }
 
 const PyApi DefaultApi = {
-    apiIncRef,        apiDecRef,       apiIntFromLong,  apiIntAsLong,
-    apiStringFromString, apiStringAsString, apiListNew,  apiListSize,
-    apiListGetItem,   apiListSetItem,  apiListAppend,   apiTupleNew,
-    apiTupleGetItem,  apiTupleSetItem, apiBuildValue,   apiVaBuildValue,
-    apiErrSetString,  apiErrOccurred,  apiErrClear,     apiGilEnsure,
-    apiGilRelease,    apiEvalSaveThread, apiEvalRestoreThread,
+#define PY_FN(Name, ...) impl_##Name,
+#include "pyc/PyFunctions.def"
+#undef PY_FN
 };
 
-} // namespace
+} // namespace jinn::pyc
 
 const PyApi *jinn::pyc::defaultPyApi() { return &DefaultApi; }
 

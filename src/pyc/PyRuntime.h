@@ -30,6 +30,7 @@
 #include "support/Diagnostics.h"
 
 #include <cstdarg>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -135,50 +136,29 @@ private:
 
 using Py_ssize_t = int64_t;
 
+/// Dense ids of the API functions, in PyFunctions.def (= PyApi) order.
+enum class PyFnId : uint8_t {
+#define PY_FN(Name, ...) Name,
+#include "pyc/PyFunctions.def"
+#undef PY_FN
+  Count,
+};
+
+constexpr size_t NumPyFunctions = static_cast<size_t>(PyFnId::Count);
+
 /// The Python/C function table extensions call through. A checker
 /// interposes by replacing the table (cf. JNIEnv function table).
 struct PyApi {
-  // Reference counting (Py_INCREF / Py_DECREF as functions, paper §7.2).
-  void (*Py_IncRef)(PyInterp *, PyObject *);
-  void (*Py_DecRef)(PyInterp *, PyObject *);
-
-  // Scalars and strings.
-  PyObject *(*PyInt_FromLong)(PyInterp *, long);          // new ref
-  long (*PyInt_AsLong)(PyInterp *, PyObject *);
-  PyObject *(*PyString_FromString)(PyInterp *, const char *); // new ref
-  const char *(*PyString_AsString)(PyInterp *, PyObject *);   // borrowed buf
-
-  // Lists.
-  PyObject *(*PyList_New)(PyInterp *, Py_ssize_t);        // new ref
-  Py_ssize_t (*PyList_Size)(PyInterp *, PyObject *);
-  PyObject *(*PyList_GetItem)(PyInterp *, PyObject *, Py_ssize_t); // BORROWED
-  int (*PyList_SetItem)(PyInterp *, PyObject *, Py_ssize_t,
-                        PyObject *);                      // steals item
-  int (*PyList_Append)(PyInterp *, PyObject *, PyObject *);
-
-  // Tuples.
-  PyObject *(*PyTuple_New)(PyInterp *, Py_ssize_t);       // new ref
-  PyObject *(*PyTuple_GetItem)(PyInterp *, PyObject *, Py_ssize_t); // BORROWED
-  int (*PyTuple_SetItem)(PyInterp *, PyObject *, Py_ssize_t,
-                         PyObject *);                     // steals item
-
-  // Py_BuildValue subset: "i", "s", "[s...]", "(...)" of i/s. The variadic
-  // form delegates through the active table's non-variadic Py_VaBuildValue
-  // — the same treatment the paper gave Python's variadic functions (§7.2).
-  PyObject *(*Py_BuildValue)(PyInterp *, const char *, ...); // new ref
-  PyObject *(*Py_VaBuildValue)(PyInterp *, const char *, va_list);
-
-  // Exceptions.
-  void (*PyErr_SetString)(PyInterp *, PyObject *Type, const char *Message);
-  PyObject *(*PyErr_Occurred)(PyInterp *); // borrowed
-  void (*PyErr_Clear)(PyInterp *);
-
-  // The GIL.
-  int (*PyGILState_Ensure)(PyInterp *);
-  void (*PyGILState_Release)(PyInterp *, int Handle);
-  void *(*PyEval_SaveThread)(PyInterp *);   // releases the GIL
-  void (*PyEval_RestoreThread)(PyInterp *, void *State);
+#define PY_FN(Name, Ret, Params, ...) Ret(*Name) Params;
+#include "pyc/PyFunctions.def"
+#undef PY_FN
 };
+
+/// The production implementations the default table holds, one per
+/// registry row (a checker's wrappers call them directly).
+#define PY_FN(Name, Ret, Params, ...) Ret impl_##Name Params;
+#include "pyc/PyFunctions.def"
+#undef PY_FN
 
 /// The default (unchecked, production) API table.
 const PyApi *defaultPyApi();

@@ -11,6 +11,7 @@
 #include "support/Format.h"
 
 #include <cstring>
+#include <type_traits>
 
 using namespace jinn;
 using namespace jinn::pyjinn;
@@ -18,50 +19,8 @@ using pyc::PyInterp;
 using pyc::PyObject;
 using pyc::Py_ssize_t;
 
-//===----------------------------------------------------------------------===
-// The reference specification (the synthesizer's input file, §7.2)
-//===----------------------------------------------------------------------===
-
-const std::vector<PyFnSpec> &jinn::pyjinn::pyFnSpecs() {
-  static const std::vector<PyFnSpec> Specs = {
-      {"Py_IncRef", RefReturn::NoRef, -1, -1, true, false},
-      {"Py_DecRef", RefReturn::NoRef, -1, -1, true, false},
-      {"PyInt_FromLong", RefReturn::New, -1, -1, false, false},
-      {"PyInt_AsLong", RefReturn::NoRef, -1, -1, false, false,
-       pyc::PyKind::Int, true},
-      {"PyString_FromString", RefReturn::New, -1, -1, false, false},
-      {"PyString_AsString", RefReturn::NoRef, -1, -1, false, false,
-       pyc::PyKind::Str, true},
-      {"PyList_New", RefReturn::New, -1, -1, false, false},
-      {"PyList_Size", RefReturn::NoRef, -1, -1, false, false,
-       pyc::PyKind::List, true},
-      {"PyList_GetItem", RefReturn::Borrowed, 0, -1, false, false,
-       pyc::PyKind::List, true},
-      {"PyList_SetItem", RefReturn::NoRef, -1, 2, false, false,
-       pyc::PyKind::List, true},
-      {"PyList_Append", RefReturn::NoRef, -1, -1, false, false,
-       pyc::PyKind::List, true},
-      {"PyTuple_New", RefReturn::New, -1, -1, false, false},
-      {"PyTuple_GetItem", RefReturn::Borrowed, 0, -1, false, false,
-       pyc::PyKind::Tuple, true},
-      {"PyTuple_SetItem", RefReturn::NoRef, -1, 2, false, false,
-       pyc::PyKind::Tuple, true},
-      {"Py_BuildValue", RefReturn::New, -1, -1, false, false},
-      {"Py_VaBuildValue", RefReturn::New, -1, -1, false, false},
-      {"PyErr_SetString", RefReturn::NoRef, -1, -1, true, false,
-       pyc::PyKind::ExcType, true},
-      {"PyErr_Occurred", RefReturn::Borrowed, -1, -1, true, false},
-      {"PyErr_Clear", RefReturn::NoRef, -1, -1, true, false},
-      {"PyGILState_Ensure", RefReturn::NoRef, -1, -1, true, true},
-      {"PyGILState_Release", RefReturn::NoRef, -1, -1, true, true},
-      {"PyEval_SaveThread", RefReturn::NoRef, -1, -1, true, true},
-      {"PyEval_RestoreThread", RefReturn::NoRef, -1, -1, true, true},
-  };
-  return Specs;
-}
-
 const PyFnSpec *jinn::pyjinn::pyFnSpec(const char *Name) {
-  for (const PyFnSpec &Spec : pyFnSpecs())
+  for (const PyFnSpec &Spec : PyFnSpecTable)
     if (std::strcmp(Spec.Name, Name) == 0)
       return &Spec;
   return nullptr;
@@ -87,12 +46,12 @@ void PyChecker::report(const char *Machine, const char *Fn,
                                        Fn);
 }
 
-void PyChecker::trackHandout(PyObject *Obj, PyObject *Owner) {
-  if (!Obj)
-    return;
-  HandoutGen[Obj] = Obj->Gen;
-  (void)Owner; // the owner relationship is implicit: when the owner dies,
-               // the borrowed object's slot dies/recycles with it
+void PyChecker::trackHandout(PyObject *Obj) {
+  // A borrowed reference needs no owner link: when the owner dies, the
+  // borrowed object's slot dies and recycles with it, and the recorded
+  // generation no longer matches.
+  if (Obj)
+    HandoutGen[Obj] = Obj->Gen;
 }
 
 bool PyChecker::checkUse(const char *Fn, PyObject *Obj) {
@@ -121,37 +80,6 @@ bool PyChecker::checkKind(const char *Fn, PyObject *Obj,
   return false;
 }
 
-bool PyChecker::preCall(const char *Fn,
-                        std::initializer_list<PyObject *> Refs) {
-  const PyFnSpec *Spec = pyFnSpec(Fn);
-  if (!mutate::active(mutate::M::PySpecGilCheckDropped) &&
-      ShadowGilDepth <= 0 && (!Spec || !Spec->GilFunction)) {
-    report("GIL state", Fn, "Python/C API call without holding the GIL");
-    return false;
-  }
-  if (Interp.PendingType && (!Spec || !Spec->ExceptionOblivious)) {
-    report("Exception state", Fn,
-           "Python/C API call while an exception is pending");
-    return false;
-  }
-  for (PyObject *Ref : Refs)
-    if (!checkUse(Fn, Ref))
-      return false;
-  if (Spec && Spec->Param0Typed && Refs.size() > 0 &&
-      !checkKind(Fn, *Refs.begin(), Spec->Param0Kind))
-    return false;
-  return true;
-}
-
-void PyChecker::onDecRef(PyObject *Obj, bool Died) {
-  if (!Died || !Obj)
-    return;
-  // The co-owner relinquished the object; the object (and any container
-  // items it held) may now be recycled. Stale HandoutGen entries keep their
-  // recorded generation, so any later use through an old pointer reports.
-  (void)Obj;
-}
-
 size_t PyChecker::leakedObjects() const {
   size_t Live = Interp.liveCount();
   return Live > BaselineLive ? Live - BaselineLive : 0;
@@ -171,208 +99,144 @@ size_t PyChecker::countFor(const std::string &Machine) const {
 
 namespace {
 
-const pyc::PyApi *realApi() { return pyc::defaultPyApi(); }
+using pyc::PyFnId;
 
-void wIncRef(PyInterp *I, PyObject *Obj) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("Py_IncRef", {Obj}))
-    return;
-  realApi()->Py_IncRef(I, Obj);
-}
-
-void wDecRef(PyInterp *I, PyObject *Obj) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("Py_DecRef", {Obj}))
-    return;
-  bool WasLive = I->isLive(Obj);
-  realApi()->Py_DecRef(I, Obj);
-  C->onDecRef(Obj, WasLive && !I->isLive(Obj));
-}
-
-PyObject *wIntFromLong(PyInterp *I, long V) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("PyInt_FromLong", {}))
+/// What a suppressed call returns: null or -1, as the interpreter does on
+/// failure.
+template <typename Ret> Ret suppressed() {
+  if constexpr (std::is_pointer_v<Ret>)
     return nullptr;
-  PyObject *Out = realApi()->PyInt_FromLong(I, V);
-  C->trackHandout(Out, nullptr);
-  return Out;
+  else if constexpr (!std::is_void_v<Ret>)
+    return static_cast<Ret>(-1);
 }
 
-long wIntAsLong(PyInterp *I, PyObject *Obj) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("PyInt_AsLong", {Obj}))
-    return -1;
-  return realApi()->PyInt_AsLong(I, Obj);
+bool checkArg(PyChecker &C, const char *Fn, PyObject *Obj) {
+  return C.checkUse(Fn, Obj);
+}
+template <typename T> bool checkArg(PyChecker &, const char *, T) {
+  return true;
 }
 
-PyObject *wStringFromString(PyInterp *I, const char *V) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("PyString_FromString", {}))
-    return nullptr;
-  PyObject *Out = realApi()->PyString_FromString(I, V);
-  C->trackHandout(Out, nullptr);
-  return Out;
+template <typename First, typename... Rest>
+First firstOf(First Arg, Rest...) {
+  return Arg;
 }
 
-const char *wStringAsString(PyInterp *I, PyObject *Obj) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("PyString_AsString", {Obj}))
-    return nullptr;
-  return realApi()->PyString_AsString(I, Obj);
-}
-
-PyObject *wListNew(PyInterp *I, Py_ssize_t N) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("PyList_New", {}))
-    return nullptr;
-  PyObject *Out = realApi()->PyList_New(I, N);
-  C->trackHandout(Out, nullptr);
-  return Out;
-}
-
-Py_ssize_t wListSize(PyInterp *I, PyObject *L) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("PyList_Size", {L}))
-    return -1;
-  return realApi()->PyList_Size(I, L);
-}
-
-PyObject *wListGetItem(PyInterp *I, PyObject *L, Py_ssize_t Index) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("PyList_GetItem", {L}))
-    return nullptr;
-  PyObject *Out = realApi()->PyList_GetItem(I, L, Index);
-  // A borrowed reference: valid only while the co-owner keeps the item.
-  C->trackHandout(Out, L);
-  return Out;
-}
-
-int wListSetItem(PyInterp *I, PyObject *L, Py_ssize_t Index, PyObject *Item) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("PyList_SetItem", {L, Item}))
-    return -1;
-  return realApi()->PyList_SetItem(I, L, Index, Item);
-}
-
-int wListAppend(PyInterp *I, PyObject *L, PyObject *Item) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("PyList_Append", {L, Item}))
-    return -1;
-  return realApi()->PyList_Append(I, L, Item);
-}
-
-PyObject *wTupleNew(PyInterp *I, Py_ssize_t N) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("PyTuple_New", {}))
-    return nullptr;
-  PyObject *Out = realApi()->PyTuple_New(I, N);
-  C->trackHandout(Out, nullptr);
-  return Out;
-}
-
-PyObject *wTupleGetItem(PyInterp *I, PyObject *T, Py_ssize_t Index) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("PyTuple_GetItem", {T}))
-    return nullptr;
-  PyObject *Out = realApi()->PyTuple_GetItem(I, T, Index);
-  C->trackHandout(Out, T);
-  return Out;
-}
-
-int wTupleSetItem(PyInterp *I, PyObject *T, Py_ssize_t Index,
-                  PyObject *Item) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("PyTuple_SetItem", {T, Item}))
-    return -1;
-  return realApi()->PyTuple_SetItem(I, T, Index, Item);
-}
-
-PyObject *wVaBuildValue(PyInterp *I, const char *Fmt, va_list Args) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("Py_VaBuildValue", {}))
-    return nullptr;
-  PyObject *Out = realApi()->Py_VaBuildValue(I, Fmt, Args);
-  C->trackHandout(Out, nullptr);
-  // Track the container's items too: extensions commonly borrow them.
-  if (Out)
-    for (PyObject *Item : Out->Items)
-      C->trackHandout(Item, Out);
-  return Out;
-}
-
-PyObject *wBuildValue(PyInterp *I, const char *Fmt, ...) {
-  va_list Args;
-  va_start(Args, Fmt);
-  PyObject *Out = I->ActiveApi->Py_VaBuildValue(I, Fmt, Args);
-  va_end(Args);
-  return Out;
-}
-
-void wErrSetString(PyInterp *I, PyObject *Type, const char *Message) {
-  PyChecker *C = checkerOf(*I);
-  if (!C->preCall("PyErr_SetString", {Type}))
-    return;
-  realApi()->PyErr_SetString(I, Type, Message);
-}
-
-PyObject *wErrOccurred(PyInterp *I) {
-  checkerOf(*I)->preCall("PyErr_Occurred", {});
-  return realApi()->PyErr_Occurred(I);
-}
-
-void wErrClear(PyInterp *I) {
-  checkerOf(*I)->preCall("PyErr_Clear", {});
-  realApi()->PyErr_Clear(I);
-}
-
-int wGilEnsure(PyInterp *I) {
-  PyChecker *C = checkerOf(*I);
-  C->ShadowGilDepth += 1;
-  return realApi()->PyGILState_Ensure(I);
-}
-
-void wGilRelease(PyInterp *I, int Handle) {
-  PyChecker *C = checkerOf(*I);
-  if (C->ShadowGilDepth <= 0) {
-    C->report("GIL state", "PyGILState_Release",
-              "release of a GIL this thread does not hold");
-    return;
+/// Pre-call checks of row \p Id: GIL held, no pending exception (unless
+/// oblivious), every PyObject * argument valid in order, then the param-0
+/// kind. Returns false when the call must be suppressed.
+template <PyFnId Id, typename... Ps> bool preCall(PyChecker &C, Ps... As) {
+  constexpr const PyFnSpec &Row = pyFnSpec(Id);
+  if (!mutate::active(mutate::M::PySpecGilCheckDropped) &&
+      C.ShadowGilDepth <= 0) {
+    C.report("GIL state", Row.Name,
+             "Python/C API call without holding the GIL");
+    return false;
   }
-  C->ShadowGilDepth -= 1;
-  realApi()->PyGILState_Release(I, Handle);
-}
-
-void *wEvalSaveThread(PyInterp *I) {
-  PyChecker *C = checkerOf(*I);
-  if (C->ShadowGilDepth <= 0) {
-    C->report("GIL state", "PyEval_SaveThread",
-              "the GIL is not held (double save would deadlock)");
-    return nullptr;
+  if (!Row.ExceptionOblivious && C.interp().PendingType) {
+    C.report("Exception state", Row.Name,
+             "Python/C API call while an exception is pending");
+    return false;
   }
-  C->ShadowGilDepth -= 1;
-  return realApi()->PyEval_SaveThread(I);
+  if (!(checkArg(C, Row.Name, As) && ...))
+    return false;
+  if constexpr (Row.param0Typed()) {
+    static_assert(std::is_same_v<decltype(firstOf(As...)), PyObject *>);
+    return C.checkKind(Row.Name, firstOf(As...), Row.Param0Kind);
+  }
+  return true;
 }
 
-void wEvalRestoreThread(PyInterp *I, void *State) {
-  PyChecker *C = checkerOf(*I);
-  C->ShadowGilDepth += 1;
-  realApi()->PyEval_RestoreThread(I, State);
-}
+/// The checked slot of row \p Id over its implementation \p Impl: the
+/// pre-call checks, the call, then a new or borrowed result is recorded.
+template <PyFnId Id, typename Fn, Fn Impl> struct MakeWrapper;
 
+template <PyFnId Id, typename Ret, typename... Ps,
+          Ret (*Impl)(PyInterp *, Ps...)>
+struct MakeWrapper<Id, Ret (*)(PyInterp *, Ps...), Impl> {
+  static Ret call(PyInterp *I, Ps... As) {
+    PyChecker &C = *checkerOf(*I);
+    if (!preCall<Id>(C, As...))
+      return suppressed<Ret>();
+    if constexpr (pyFnSpec(Id).Return == RefReturn::NoRef) {
+      return Impl(I, As...);
+    } else {
+      Ret Out = Impl(I, As...);
+      C.trackHandout(Out);
+      return Out;
+    }
+  }
+};
+
+/// GIL functions skip the generic checks and move the shadow depth; a
+/// release without the GIL reports instead of reaching the interpreter.
+template <PyFnId Id, typename Ret, typename... Ps,
+          Ret (*Impl)(PyInterp *, Ps...)>
+  requires(pyFnSpec(Id).gilFunction())
+struct MakeWrapper<Id, Ret (*)(PyInterp *, Ps...), Impl> {
+  static Ret call(PyInterp *I, Ps... As) {
+    PyChecker &C = *checkerOf(*I);
+    if constexpr (pyFnSpec(Id).GilDelta < 0) {
+      if (C.ShadowGilDepth <= 0) {
+        C.report("GIL state", pyFnSpec(Id).Name,
+                 Id == PyFnId::PyGILState_Release
+                     ? "release of a GIL this thread does not hold"
+                     : "the GIL is not held (double save would deadlock)");
+        return suppressed<Ret>();
+      }
+    }
+    C.ShadowGilDepth += pyFnSpec(Id).GilDelta;
+    return Impl(I, As...);
+  }
+};
+
+/// The error-state queries run even after a failed pre-check and record
+/// nothing: their result is the pending exception type, an immortal.
+template <PyFnId Id, typename Ret, typename... Ps,
+          Ret (*Impl)(PyInterp *, Ps...)>
+  requires(Id == PyFnId::PyErr_Occurred || Id == PyFnId::PyErr_Clear)
+struct MakeWrapper<Id, Ret (*)(PyInterp *, Ps...), Impl> {
+  static Ret call(PyInterp *I, Ps... As) {
+    preCall<Id>(*checkerOf(*I), As...);
+    return Impl(I, As...);
+  }
+};
+
+/// Py_VaBuildValue also records the built container's items: extensions
+/// commonly borrow them.
+template <PyFnId Id, typename Ret, typename... Ps,
+          Ret (*Impl)(PyInterp *, Ps...)>
+  requires(Id == PyFnId::Py_VaBuildValue)
+struct MakeWrapper<Id, Ret (*)(PyInterp *, Ps...), Impl> {
+  static Ret call(PyInterp *I, Ps... As) {
+    PyChecker &C = *checkerOf(*I);
+    if (!preCall<Id>(C, As...))
+      return nullptr;
+    PyObject *Out = Impl(I, As...);
+    C.trackHandout(Out);
+    if (Out)
+      for (PyObject *Item : Out->Items)
+        C.trackHandout(Item);
+    return Out;
+  }
+};
+
+/// The variadic Py_BuildValue needs no wrapper: its implementation
+/// forwards through the active table's checked Py_VaBuildValue.
 const pyc::PyApi CheckedApi = {
-    wIncRef,        wDecRef,       wIntFromLong,  wIntAsLong,
-    wStringFromString, wStringAsString, wListNew,  wListSize,
-    wListGetItem,   wListSetItem,  wListAppend,   wTupleNew,
-    wTupleGetItem,  wTupleSetItem, wBuildValue,   wVaBuildValue,
-    wErrSetString,  wErrOccurred,  wErrClear,     wGilEnsure,
-    wGilRelease,    wEvalSaveThread, wEvalRestoreThread,
+#define PY_FN(Name, Ret, Params, ...)                                          \
+  MakeWrapper<PyFnId::Name, Ret(*) Params, &pyc::impl_##Name>::call,
+#define PY_FN_VA(Name, ...) pyc::impl_##Name,
+#include "pyc/PyFunctions.def"
+#undef PY_FN_VA
+#undef PY_FN
 };
 
 } // namespace
 
 PyChecker::PyChecker(PyInterp &Interp)
     : Interp(Interp), SavedTable(Interp.ActiveApi),
-      BaselineLive(Interp.liveCount()) {
+      SavedHandle(Interp.CheckerHandle), BaselineLive(Interp.liveCount()) {
   Interp.CheckerHandle = this;
   pyc::setActivePyApi(Interp, &CheckedApi);
   ShadowGilDepth = Interp.GilDepth;
@@ -380,5 +244,5 @@ PyChecker::PyChecker(PyInterp &Interp)
 
 PyChecker::~PyChecker() {
   pyc::setActivePyApi(Interp, SavedTable);
-  Interp.CheckerHandle = nullptr;
+  Interp.CheckerHandle = SavedHandle;
 }

@@ -6,13 +6,15 @@
 ///
 /// \file
 /// The paper's §7 generalization: the same three constraint classes applied
-/// to Python/C, synthesized from a specification of which API functions
-/// return new vs. borrowed references (RefSpec). The generated checker
+/// to Python/C, generated from a specification of which API functions
+/// return new vs. borrowed references (the columns of
+/// pyc/PyFunctions.def). The generated checker
 /// tracks co-owned references and their borrowers; when a co-owner
 /// relinquishes an object (Py_DECREF dropping it to zero), its borrowers
 /// become invalid, and any use of an invalid reference is reported
 /// (Figure 11's dangle_bug). Interpreter-state machines (GIL, pending
-/// exception) round out the three classes of §7.1.
+/// exception) and first-argument type constraints round out the three
+/// classes of §7.1.
 ///
 /// Interposition is a PyApi table swap (see pyc/PyRuntime.h for the
 /// substitution note).
@@ -24,8 +26,11 @@
 
 #include "pyc/PyRuntime.h"
 
+#include <iterator>
 #include <map>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace jinn::pyjinn {
@@ -34,28 +39,60 @@ namespace jinn::pyjinn {
 /// synthesizer consumes, paper §7.2).
 enum class RefReturn : uint8_t { NoRef, New, Borrowed };
 
+namespace detail {
+/// True when a PyApi slot type takes a PyObject * after the interpreter
+/// (the variadic Py_BuildValue form takes none).
+template <typename Fn> constexpr bool TakesObject = false;
+template <typename Ret, typename... Ps>
+constexpr bool TakesObject<Ret (*)(pyc::PyInterp *, Ps...)> =
+    (std::is_same_v<Ps, pyc::PyObject *> || ...);
+} // namespace detail
+
+/// One row of the reference specification (see pyc/PyFunctions.def for
+/// the meaning of each column).
 struct PyFnSpec {
   const char *Name;
   RefReturn Return = RefReturn::NoRef;
   int BorrowSourceParam = -1; ///< which parameter owns the borrowed result
-  int StealsParam = -1;       ///< parameter whose reference is stolen
+  int StealsParam = -1;       ///< parameter whose reference is consumed
   bool ExceptionOblivious = false;
-  bool GilFunction = false; ///< manipulates the GIL itself
-  /// Dynamic type constraint on the primary object parameter (§7.1 "type
+  int GilDelta = 0; ///< shadow GIL depth change; nonzero = GIL function
+  /// Dynamic type constraint on the first parameter (§7.1 "type
   /// constraints"): the interpreter sometimes forgoes this check for
   /// performance; the checker always performs it. None = unconstrained.
   pyc::PyKind Param0Kind = pyc::PyKind::None;
-  bool Param0Typed = false;
+  bool TakesObject = false; ///< has a PyObject * parameter
+
+  constexpr bool gilFunction() const { return GilDelta != 0; }
+  constexpr bool param0Typed() const {
+    return Param0Kind != pyc::PyKind::None;
+  }
 };
 
+/// The specification rows, in PyFnId order.
+inline constexpr PyFnSpec PyFnSpecTable[] = {
+#define PY_FN(Name, Ret, Params, Result, BorrowSrc, Steals, Oblivious, Gil,   \
+              Param0)                                                         \
+  {#Name, RefReturn::Result, BorrowSrc, Steals, Oblivious, Gil,               \
+   pyc::PyKind::Param0, detail::TakesObject<decltype(pyc::PyApi::Name)>},
+#include "pyc/PyFunctions.def"
+#undef PY_FN
+};
+static_assert(std::size(PyFnSpecTable) == pyc::NumPyFunctions);
+
+constexpr const PyFnSpec &pyFnSpec(pyc::PyFnId Id) {
+  return PyFnSpecTable[static_cast<size_t>(Id)];
+}
+
 /// The reference specification of every covered API function.
-const std::vector<PyFnSpec> &pyFnSpecs();
+inline std::span<const PyFnSpec> pyFnSpecs() { return PyFnSpecTable; }
+/// Lookup by name (a linear scan; for the example and the tests).
 const PyFnSpec *pyFnSpec(const char *Name);
 
 /// One checker report.
 struct PyViolation {
   std::string Machine;  ///< "Reference ownership" / "GIL state" /
-                        ///< "Exception state"
+                        ///< "Exception state" / "Type constraints"
   std::string Function; ///< API function at fault
   std::string Message;
 };
@@ -81,22 +118,14 @@ public:
   // Internal interface used by the generated wrappers
   //===--------------------------------------------------------------------===
 
-  /// Records a reference handed to extension code (owner or borrower).
-  void trackHandout(pyc::PyObject *Obj, pyc::PyObject *Owner);
+  /// Records a reference handed to extension code (owned or borrowed).
+  void trackHandout(pyc::PyObject *Obj);
 
   /// Returns false (and reports) when \p Obj is dangling/invalidated.
   bool checkUse(const char *Fn, pyc::PyObject *Obj);
 
   /// §7.1 type constraints: \p Obj must be a live object of \p Kind.
   bool checkKind(const char *Fn, pyc::PyObject *Obj, pyc::PyKind Kind);
-
-  /// Pre-call checks shared by every wrapper: GIL held, no pending
-  /// exception (unless oblivious), every pointer argument valid. Returns
-  /// false when the call must be suppressed.
-  bool preCall(const char *Fn, std::initializer_list<pyc::PyObject *> Refs);
-
-  /// Bookkeeping for Py_DecRef (invalidates borrowers of a dying owner).
-  void onDecRef(pyc::PyObject *Obj, bool Died);
 
   void report(const char *Machine, const char *Fn, std::string Message);
 
@@ -106,6 +135,7 @@ public:
 private:
   pyc::PyInterp &Interp;
   const pyc::PyApi *SavedTable;
+  void *SavedHandle; ///< the checker this one is nested in, if any
   size_t BaselineLive;
   std::vector<PyViolation> Violations;
 

@@ -101,7 +101,7 @@ TEST(FuzzSmoke, CampaignCoversEveryReachableJniEdge) {
   for (const MachineCoverage &Row : Result.JniCov.machines())
     EXPECT_EQ(Row.covered(), Row.reachable()) << Result.JniCov.toTable();
 
-  // Python domain: same exhaustive coverage over its three machines.
+  // Python domain: same exhaustive coverage over its four machines.
   EXPECT_TRUE(Result.PyCov.allAbove(0.90)) << Result.PyCov.toTable();
   for (const MachineCoverage &Row : Result.PyCov.machines())
     EXPECT_EQ(Row.covered(), Row.reachable()) << Result.PyCov.toTable();

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace jinn;
 using namespace jinn::pyc;
 using namespace jinn::pyjinn;
@@ -116,6 +118,131 @@ TEST(PyChecker, SpecFileCoversEveryApiFunction) {
   EXPECT_EQ(pyFnSpec("PyList_SetItem")->StealsParam, 2);
   EXPECT_EQ(pyFnSpec("Py_BuildValue")->Return, RefReturn::New);
   EXPECT_TRUE(pyFnSpec("PyErr_Clear")->ExceptionOblivious);
+}
+
+TEST(PyChecker, NestedCheckerHandsTheInterpreterBackToTheOuterOne) {
+  PyInterp I;
+  PyChecker Outer(I);
+  { PyChecker Inner(I); }
+  // The outer checked table is active again and must find its checker.
+  const PyApi *Api = activePyApi(I);
+  PyObject *Obj = Api->PyInt_FromLong(&I, 4);
+  ASSERT_NE(Obj, nullptr);
+  Api->Py_DecRef(&I, Obj);
+  Api->PyInt_AsLong(&I, Obj);
+  EXPECT_EQ(Outer.countFor("Reference ownership"), 1u);
+}
+
+//===----------------------------------------------------------------------===
+// Registry conformance: every PyFunctions.def row through the checked table
+//===----------------------------------------------------------------------===
+
+/// Sample argument of type \p T: \p Obj for every object parameter, a
+/// format/string every const char * row accepts, zero otherwise.
+template <typename T> T sampleArg(PyObject *Obj) {
+  if constexpr (std::is_same_v<T, PyObject *>)
+    return Obj;
+  else if constexpr (std::is_same_v<T, const char *>)
+    return "i";
+  else if constexpr (std::is_pointer_v<T>)
+    return nullptr;
+  else
+    return T(0);
+}
+
+template <typename Ret, typename... Ps>
+PyObject *callWith(Ret (*Fn)(PyInterp *, Ps...), PyInterp &I,
+                   PyObject *Obj) {
+  if constexpr (std::is_same_v<Ret, PyObject *>) {
+    return Fn(&I, sampleArg<Ps>(Obj)...);
+  } else {
+    Fn(&I, sampleArg<Ps>(Obj)...);
+    return nullptr;
+  }
+}
+
+PyObject *callWith(PyObject *(*Fn)(PyInterp *, const char *, ...),
+                   PyInterp &I, PyObject *) {
+  return Fn(&I, "i", 1L);
+}
+
+/// Calls row \p Id through the active table; returns an object result.
+PyObject *callRow(PyFnId Id, PyInterp &I, PyObject *Obj) {
+  const PyApi *Api = activePyApi(I);
+  if (Id == PyFnId::Py_VaBuildValue) // reached through its variadic form
+    return Api->Py_BuildValue(&I, "i", 1L);
+  switch (Id) {
+#define PY_FN(Name, ...)                                                       \
+  case PyFnId::Name:                                                           \
+    return callWith(Api->Name, I, Obj);
+#include "pyc/PyFunctions.def"
+#undef PY_FN
+  case PyFnId::Count:
+    break;
+  }
+  return nullptr;
+}
+
+/// An argument object the checker has never seen: of the row's param-0
+/// kind (an int when unconstrained), or of another kind when \p Wrong.
+/// Containers hold one item so index 0 is valid.
+PyObject *argumentFor(PyInterp &I, const PyFnSpec &Row, bool Wrong) {
+  PyKind Kind = Row.param0Typed() ? Row.Param0Kind : PyKind::Int;
+  if (Wrong)
+    Kind = Kind == PyKind::Int ? PyKind::Str : PyKind::Int;
+  if (Kind == PyKind::ExcType)
+    return I.excTypeError();
+  PyObject *Obj = I.alloc(Kind);
+  if (Kind == PyKind::List || Kind == PyKind::Tuple)
+    Obj->Items.push_back(I.alloc(PyKind::Int));
+  return Obj;
+}
+
+TEST(PyChecker, EveryRegistryRowConformsToItsSpec) {
+  for (size_t Index = 0; Index < NumPyFunctions; ++Index) {
+    PyFnId Id = static_cast<PyFnId>(Index);
+    const PyFnSpec &Row = pyFnSpec(Id);
+    SCOPED_TRACE(Row.Name);
+
+    if (!Row.gilFunction()) {
+      PyInterp I;
+      PyChecker Checker(I);
+      Checker.ShadowGilDepth = 0;
+      callRow(Id, I, argumentFor(I, Row, false));
+      EXPECT_EQ(Checker.countFor("GIL state"), 1u);
+    }
+
+    if (!Row.ExceptionOblivious) {
+      PyInterp I;
+      PyChecker Checker(I);
+      I.PendingType = I.excTypeError();
+      callRow(Id, I, argumentFor(I, Row, false));
+      EXPECT_EQ(Checker.countFor("Exception state"), 1u);
+    }
+
+    if (Row.param0Typed()) {
+      PyInterp I;
+      PyChecker Checker(I);
+      callRow(Id, I, argumentFor(I, Row, true));
+      EXPECT_EQ(Checker.countFor("Type constraints"), 1u);
+    }
+
+    // A recorded result dangles once its owner dies and the slot is
+    // recycled. PyErr_Occurred's borrowed result is the immortal pending
+    // exception type, so its wrapper records nothing.
+    if (Row.Return != RefReturn::NoRef && Id != PyFnId::PyErr_Occurred) {
+      PyInterp I;
+      PyChecker Checker(I);
+      PyObject *Arg = argumentFor(I, Row, false);
+      PyObject *Out = callRow(Id, I, Arg);
+      ASSERT_NE(Out, nullptr);
+      I.decref(Row.BorrowSourceParam >= 0 ? Arg : Out); // the owner
+      while (Out->Freed) // recycle behind the checker's back
+        I.alloc(PyKind::Int);
+      activePyApi(I)->Py_IncRef(&I, Out);
+      EXPECT_EQ(Checker.countFor("Reference ownership"), 1u);
+    }
+  }
 }
 
 } // namespace

@@ -74,7 +74,7 @@ TEST(SpecLint, ShippedJniMachinesClean) {
 
 TEST(SpecLint, PythonMachinesClean) {
   std::vector<MachineModel> Models = buildPythonModels();
-  ASSERT_EQ(Models.size(), 3u);
+  ASSERT_EQ(Models.size(), 4u);
   LintOptions Opts;
   Opts.IncludeInfo = false;
   LintReport Report = lintMachines(Models, Opts);
