@@ -9,7 +9,8 @@
 /// production interpreter (silent corruption) and under the synthesized
 /// Python/C checker (reported at the faulting call), plus the GIL and
 /// exception-state scenarios, and a per-call overhead measurement for the
-/// checked table.
+/// checked table: a gated checked/production ratio from alternating
+/// slices, then the google-benchmark timings.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 using namespace jinn;
 using namespace jinn::pyc;
@@ -27,15 +30,44 @@ using namespace jinn::pyjinn;
 
 namespace {
 
+/// One pass of the correct extension mix. The barrier reads a counter the
+/// pass already maintains, so the loop times API calls and nothing else.
+void runCleanPass(PyInterp &I) {
+  scenarios::runPyCleanExtension(I);
+  benchmark::DoNotOptimize(I.stats().Allocated);
+}
+
 void BM_CleanExtension(benchmark::State &State, bool Checked) {
   PyInterp I;
   std::unique_ptr<PyChecker> Checker;
   if (Checked)
     Checker = std::make_unique<PyChecker>(I);
-  for (auto _ : State) {
-    scenarios::runPyCleanExtension(I);
-    benchmark::DoNotOptimize(I.liveCount());
+  for (auto _ : State)
+    runCleanPass(I);
+}
+
+/// Checked over production time of the same correct extension mix, from
+/// one process: alternating slices of \p Passes passes on a production and
+/// a checked interpreter, median of the per-pair ratios. Host-speed drift
+/// cancels within a pair, which is what lets bench_gate.py gate the ratio.
+double checkedVsProduction(int Pairs, int Passes) {
+  PyInterp Production, Checked;
+  PyChecker Checker(Checked);
+  auto slice = [Passes](PyInterp &I) {
+    return bench::timeSeconds([&] {
+      for (int K = 0; K < Passes; ++K)
+        runCleanPass(I);
+    });
+  };
+  slice(Production); // warm-up: arena, free lists, handout table
+  slice(Checked);
+  std::vector<double> Ratios;
+  for (int Pair = 0; Pair < Pairs; ++Pair) {
+    double ProductionSeconds = slice(Production);
+    Ratios.push_back(slice(Checked) / ProductionSeconds);
   }
+  std::sort(Ratios.begin(), Ratios.end());
+  return Ratios[Ratios.size() / 2];
 }
 
 } // namespace
@@ -75,6 +107,14 @@ int main(int Argc, char **Argv) {
                   V.Message.c_str(), V.Function.c_str());
     Json.add("gil_exception_violations",
              static_cast<double>(Checker.violations().size()), "reports");
+  }
+  {
+    constexpr int Pairs = 11, Passes = 20000;
+    double Ratio = checkedVsProduction(Pairs, Passes);
+    std::printf("checked/production on a correct extension: %.3fx (median "
+                "of %d alternating slices)\n",
+                Ratio, Pairs);
+    Json.add("ratio/pyc/checked_vs_production", Ratio, "x");
   }
   Json.writeFile();
 

@@ -34,7 +34,7 @@
 #ifndef JINN_JINN_LOCALREFSHADOW_H
 #define JINN_JINN_LOCALREFSHADOW_H
 
-#include "jinn/ShardedState.h"
+#include "support/OpenMap.h"
 
 #include <cstdint>
 #include <vector>

@@ -51,15 +51,14 @@ void PyChecker::trackHandout(PyObject *Obj) {
   // borrowed object's slot dies and recycles with it, and the recorded
   // generation no longer matches.
   if (Obj)
-    HandoutGen[Obj] = Obj->Gen;
+    HandoutGen.findOrEmplace(reinterpret_cast<uintptr_t>(Obj)) = Obj->Gen;
 }
 
 bool PyChecker::checkUse(const char *Fn, PyObject *Obj) {
   if (!Obj)
     return true; // null arguments are a different (production) concern
-  auto It = HandoutGen.find(Obj);
-  bool Dangling = Obj->Freed || (It != HandoutGen.end() &&
-                                 It->second != Obj->Gen);
+  const uint32_t *Gen = HandoutGen.find(reinterpret_cast<uintptr_t>(Obj));
+  bool Dangling = Obj->Freed || (Gen && *Gen != Obj->Gen);
   if (!Dangling)
     return true;
   report("Reference ownership", Fn,

@@ -25,9 +25,9 @@
 #define JINN_PYJINN_PYCHECKER_H
 
 #include "pyc/PyRuntime.h"
+#include "support/OpenMap.h"
 
 #include <iterator>
-#include <map>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -139,9 +139,11 @@ private:
   size_t BaselineLive;
   std::vector<PyViolation> Violations;
 
-  /// Pointer -> generation at hand-out; a mismatch means the slot was
-  /// recycled and the extension's pointer dangles.
-  std::map<const pyc::PyObject *, uint32_t> HandoutGen;
+  /// Object address -> generation at hand-out; a mismatch means the slot
+  /// was recycled and the extension's pointer dangles. Never erased or
+  /// iterated: a re-handout of a slot overwrites its entry, so the table
+  /// stays bounded by the interpreter's arena.
+  OpenMap<uint32_t> HandoutGen;
 };
 
 /// Retrieves the checker installed on \p Interp (null when none).

@@ -6,10 +6,12 @@
 
 #include "pyjinn/PyChecker.h"
 #include "scenarios/PythonScenarios.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <type_traits>
+#include <vector>
 
 using namespace jinn;
 using namespace jinn::pyc;
@@ -243,6 +245,43 @@ TEST(PyChecker, EveryRegistryRowConformsToItsSpec) {
       EXPECT_EQ(Checker.countFor("Reference ownership"), 1u);
     }
   }
+}
+
+TEST(PyChecker, RecycledHandoutsDangleAfterTheHandoutTableGrows) {
+  // 1,200 distinct handouts grow the checker's handout table from its
+  // first 16 slots to 2,048 while generations are recorded in it.
+  constexpr size_t Count = 1200;
+  PyInterp I;
+  PyChecker Checker(I);
+  const PyApi *Api = activePyApi(I);
+  std::vector<PyObject *> Objects;
+  for (size_t K = 0; K < Count; ++K)
+    Objects.push_back(Api->PyInt_FromLong(&I, static_cast<long>(K)));
+
+  // Recycle a seeded quarter behind the checker's back.
+  SplitMix64 Rng(19);
+  std::vector<bool> Recycled(Count, false);
+  size_t NumRecycled = 0;
+  for (size_t K = 0; K < Count; ++K) {
+    if (!Rng.chance(1, 4))
+      continue;
+    Recycled[K] = true;
+    ++NumRecycled;
+    I.decref(Objects[K]);
+    while (Objects[K]->Freed)
+      I.alloc(PyKind::Int);
+  }
+  ASSERT_GT(NumRecycled, 0u);
+  ASSERT_LT(NumRecycled, Count);
+
+  for (size_t K = 0; K < Count; ++K) {
+    size_t Before = Checker.countFor("Reference ownership");
+    Api->Py_IncRef(&I, Objects[K]);
+    EXPECT_EQ(Checker.countFor("Reference ownership") - Before,
+              Recycled[K] ? 1u : 0u)
+        << "object " << K;
+  }
+  EXPECT_EQ(Checker.violations().size(), NumRecycled);
 }
 
 } // namespace

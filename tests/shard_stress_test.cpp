@@ -18,6 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestHarness.h"
+#include "support/OpenMap.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -236,7 +237,7 @@ std::vector<uint64_t> keysHomedAt(size_t Home, size_t Count,
                                   const std::vector<uint64_t> &Exclude = {}) {
   std::vector<uint64_t> Keys;
   for (uint64_t K = 1; Keys.size() < Count; ++K)
-    if (agent::OpenMap<uint64_t>::homeSlot(K, 16) == Home &&
+    if (OpenMap<uint64_t>::homeSlot(K, 16) == Home &&
         std::find(Exclude.begin(), Exclude.end(), K) == Exclude.end())
       Keys.push_back(K);
   return Keys;
@@ -253,7 +254,7 @@ TEST(OpenMap, EraseInClusterWrappingTheSlabEndKeepsEveryKeyFindable) {
   ASSERT_EQ(Keys.size(), 12u);
   // Erase each key alone, then every key in a seeded order.
   for (size_t Victim = 0; Victim <= Keys.size(); ++Victim) {
-    agent::OpenMap<uint64_t> Map;
+    OpenMap<uint64_t> Map;
     for (uint64_t K : Keys)
       Map.findOrEmplace(K, K * 3);
     ASSERT_EQ(Map.capacity(), 16u);
@@ -289,7 +290,7 @@ TEST(OpenMap, EraseInClusterWrappingTheSlabEndKeepsEveryKeyFindable) {
 
 TEST(OpenMap, ChurnAtFixedLiveSizeNeverResizesTheSlab) {
   constexpr uint64_t LiveSize = 1000;
-  agent::OpenMap<uint32_t> Map;
+  OpenMap<uint32_t> Map;
   for (uint64_t K = 1; K <= LiveSize; ++K)
     Map.findOrEmplace(K, static_cast<uint32_t>(K));
   const size_t Capacity = Map.capacity();
