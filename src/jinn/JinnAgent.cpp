@@ -9,6 +9,8 @@
 #include "jvm/JThread.h"
 #include "support/Rng.h"
 
+#include <algorithm>
+
 using namespace jinn;
 using namespace jinn::agent;
 
@@ -37,6 +39,23 @@ bool JinnAgent::sampledThread(uint32_t Id, const std::string &Name) const {
   SplitMix64 Stream =
       SplitMix64(Options.SampleSeed).split(threadStreamKey(Id, Name));
   return Stream.chance(1, Options.SampleRate);
+}
+
+std::string
+jinn::agent::checkMachineNames(const std::vector<std::string> &Names) {
+  MachineSet Set;
+  std::vector<spec::MachineBase *> All = Set.all();
+  for (const std::string &Name : Names) {
+    if (std::any_of(All.begin(), All.end(), [&](spec::MachineBase *M) {
+          return M->spec().Name == Name;
+        }))
+      continue;
+    std::string Msg = "unknown machine '" + Name + "'; valid names:";
+    for (spec::MachineBase *M : All)
+      Msg += "\n  " + M->spec().Name;
+    return Msg;
+  }
+  return "";
 }
 
 const char *jinn::agent::traceModeName(TraceMode Mode) {

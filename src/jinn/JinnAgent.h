@@ -85,6 +85,12 @@ struct JinnOptions {
   uint64_t SampleSeed = 0x6a696e6e5eedULL;
 };
 
+/// Checks a machine filter given on a command line: "" when every name in
+/// \p Names is some machine's spec name, else a message naming the first
+/// unknown one and listing the valid names. (EnabledMachines itself checks
+/// nothing: a name that matches no machine selects none.)
+std::string checkMachineNames(const std::vector<std::string> &Names);
+
 class JinnAgent : public jvmti::Agent {
 public:
   JinnAgent();

@@ -69,14 +69,15 @@ jvm::FieldInfo *fieldOf(JNIEnv *Env, jfieldID Id);
 /// Makes a local reference in Env's thread (null target -> null).
 jobject localRef(JNIEnv *Env, jvm::ObjectId Target);
 
-/// Shared implementation of the Call<T>MethodA families. The generated
-/// shims run the EnvGuard first; this performs ID validation, argument
-/// marshalling, receiver checks, and the invocation.
+/// Shared implementation of the Call<T>MethodA families. The per-type A
+/// forms in JniEnvCalls.cpp run the EnvGuard first; this performs ID
+/// validation, argument marshalling, receiver checks, and the invocation.
 jvm::Value callMethodCommon(JNIEnv *Env, CallKind Kind, jobject Receiver,
                             jclass Cls, jmethodID MethodId,
                             const jvalue *Args);
 
-/// Shared cores of the 36 field accessors (shims generated).
+/// Shared cores of the 36 field accessors; the per-type accessors in
+/// JniEnvCalls.cpp convert to and from the JNI types.
 jvm::Value getFieldCommon(JNIEnv *Env, FnId Id, jobject ObjOrCls,
                           jfieldID FieldId, bool Static);
 void setFieldCommon(JNIEnv *Env, FnId Id, jobject ObjOrCls, jfieldID FieldId,

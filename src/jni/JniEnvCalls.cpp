@@ -1,1159 +1,183 @@
 //===- jni/JniEnvCalls.cpp - Default impls: call families, field access --===//
 //
 // Part of the Jinn reproduction project. MIT license.
-// GENERATED by tools/gen_jni_calls.py -- do not edit by hand.
 //
-// The variadic forms delegate to the V forms, which decode against the
-// method signature and delegate to the A forms *through the active function
-// table*, so interposed checks run exactly once per logical call (at the A
-// form), mirroring the paper's treatment of variadic functions (paper 7.2).
-//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The 93 call-family functions and 36 field accessors, expanded per type
+/// from one type list at the bottom of this file. The bodies are small
+/// templates over the shared cores in JniEnvMembers.cpp.
+///
+/// The variadic forms delegate to the V forms, which decode against the
+/// method signature and delegate to the A forms *through the active function
+/// table*, so interposed checks run exactly once per logical call (at the A
+/// form), mirroring the paper's treatment of variadic functions (paper 7.2).
+///
 //===----------------------------------------------------------------------===//
 
 #include "jni/EnvImplDetail.h"
+
+#include <type_traits>
 
 using namespace jinn;
 using namespace jinn::jni;
 using jinn::jvm::Value;
 
+namespace {
 
-jobject jinn::jni::impl_CallObjectMethodA(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallObjectMethodA);
-  if (!G.ok())
-    return nullptr;
-  Value V = callMethodCommon(Env, CallKind::Virtual, Obj, nullptr, MethodId,
-                             Args);
-  (void)V;
-  return localRef(Env, V.Obj);
+/// Converts a VM value to the JNI type \p T: a new local reference for
+/// objects, nothing for void.
+template <typename T> T fromValue(JNIEnv *Env, const Value &V) {
+  if constexpr (std::is_same_v<T, jobject>)
+    return localRef(Env, V.Obj);
+  else if constexpr (std::is_same_v<T, jboolean>)
+    return static_cast<jboolean>(V.I != 0);
+  else if constexpr (std::is_floating_point_v<T>)
+    return static_cast<T>(V.D);
+  else if constexpr (!std::is_void_v<T>)
+    return static_cast<T>(V.I);
 }
 
-jobject jinn::jni::impl_CallObjectMethodV(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, va_list Args) {
+/// Converts a JNI argument to a VM value (dereferencing objects).
+template <typename T> Value toValue(JNIEnv *Env, T Val) {
+  if constexpr (std::is_same_v<T, jobject>)
+    return Value::makeRef(rtOf(Env).deref(Env, Val));
+  else if constexpr (std::is_same_v<T, jboolean>)
+    return Value::makeBoolean(Val != 0);
+  else if constexpr (std::is_same_v<T, jbyte>)
+    return Value::makeByte(Val);
+  else if constexpr (std::is_same_v<T, jchar>)
+    return Value::makeChar(Val);
+  else if constexpr (std::is_same_v<T, jshort>)
+    return Value::makeShort(Val);
+  else if constexpr (std::is_same_v<T, jint>)
+    return Value::makeInt(Val);
+  else if constexpr (std::is_same_v<T, jlong>)
+    return Value::makeLong(Val);
+  else if constexpr (std::is_same_v<T, jfloat>)
+    return Value::makeFloat(Val);
+  else
+    return Value::makeDouble(Val);
+}
+
+/// The checked core of an A form: the production prologue, then the call.
+template <typename T>
+T callA(JNIEnv *Env, FnId Id, CallKind Kind, jobject Obj, jclass Cls,
+        jmethodID MethodId, const jvalue *Args) {
+  EnvGuard G(Env, Id);
+  if (!G.ok())
+    return T();
+  return fromValue<T>(Env,
+                      callMethodCommon(Env, Kind, Obj, Cls, MethodId, Args));
+}
+
+/// A V form: validates the method id, decodes the va_list against its
+/// signature, and re-enters the active table's A slot \p SlotA.
+template <typename T, auto SlotA, typename... Recv>
+T callV(JNIEnv *Env, jmethodID MethodId, va_list Args, Recv... R) {
   jvm::MethodInfo *M = methodOf(Env, MethodId);
   if (!M)
-    return nullptr;
+    return T();
   std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallObjectMethodA(Env, Obj, MethodId, Decoded.data());
-}
-
-jobject jinn::jni::impl_CallObjectMethod(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jobject Ret = Env->functions->CallObjectMethodV(Env, Obj, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jboolean jinn::jni::impl_CallBooleanMethodA(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallBooleanMethodA);
-  if (!G.ok())
-    return jboolean{};
-  Value V = callMethodCommon(Env, CallKind::Virtual, Obj, nullptr, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jboolean>(V.I != 0);
-}
-
-jboolean jinn::jni::impl_CallBooleanMethodV(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jboolean{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallBooleanMethodA(Env, Obj, MethodId, Decoded.data());
-}
-
-jboolean jinn::jni::impl_CallBooleanMethod(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jboolean Ret = Env->functions->CallBooleanMethodV(Env, Obj, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jbyte jinn::jni::impl_CallByteMethodA(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallByteMethodA);
-  if (!G.ok())
-    return jbyte{};
-  Value V = callMethodCommon(Env, CallKind::Virtual, Obj, nullptr, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jbyte>(V.I);
-}
-
-jbyte jinn::jni::impl_CallByteMethodV(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jbyte{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallByteMethodA(Env, Obj, MethodId, Decoded.data());
-}
-
-jbyte jinn::jni::impl_CallByteMethod(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jbyte Ret = Env->functions->CallByteMethodV(Env, Obj, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jchar jinn::jni::impl_CallCharMethodA(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallCharMethodA);
-  if (!G.ok())
-    return jchar{};
-  Value V = callMethodCommon(Env, CallKind::Virtual, Obj, nullptr, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jchar>(V.I);
-}
-
-jchar jinn::jni::impl_CallCharMethodV(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jchar{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallCharMethodA(Env, Obj, MethodId, Decoded.data());
-}
-
-jchar jinn::jni::impl_CallCharMethod(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jchar Ret = Env->functions->CallCharMethodV(Env, Obj, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jshort jinn::jni::impl_CallShortMethodA(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallShortMethodA);
-  if (!G.ok())
-    return jshort{};
-  Value V = callMethodCommon(Env, CallKind::Virtual, Obj, nullptr, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jshort>(V.I);
-}
-
-jshort jinn::jni::impl_CallShortMethodV(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jshort{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallShortMethodA(Env, Obj, MethodId, Decoded.data());
-}
-
-jshort jinn::jni::impl_CallShortMethod(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jshort Ret = Env->functions->CallShortMethodV(Env, Obj, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jint jinn::jni::impl_CallIntMethodA(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallIntMethodA);
-  if (!G.ok())
-    return jint{};
-  Value V = callMethodCommon(Env, CallKind::Virtual, Obj, nullptr, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jint>(V.I);
-}
-
-jint jinn::jni::impl_CallIntMethodV(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jint{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallIntMethodA(Env, Obj, MethodId, Decoded.data());
-}
-
-jint jinn::jni::impl_CallIntMethod(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jint Ret = Env->functions->CallIntMethodV(Env, Obj, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jlong jinn::jni::impl_CallLongMethodA(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallLongMethodA);
-  if (!G.ok())
-    return jlong{};
-  Value V = callMethodCommon(Env, CallKind::Virtual, Obj, nullptr, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jlong>(V.I);
-}
-
-jlong jinn::jni::impl_CallLongMethodV(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jlong{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallLongMethodA(Env, Obj, MethodId, Decoded.data());
-}
-
-jlong jinn::jni::impl_CallLongMethod(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jlong Ret = Env->functions->CallLongMethodV(Env, Obj, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jfloat jinn::jni::impl_CallFloatMethodA(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallFloatMethodA);
-  if (!G.ok())
-    return jfloat{};
-  Value V = callMethodCommon(Env, CallKind::Virtual, Obj, nullptr, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jfloat>(V.D);
-}
-
-jfloat jinn::jni::impl_CallFloatMethodV(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jfloat{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallFloatMethodA(Env, Obj, MethodId, Decoded.data());
-}
-
-jfloat jinn::jni::impl_CallFloatMethod(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jfloat Ret = Env->functions->CallFloatMethodV(Env, Obj, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jdouble jinn::jni::impl_CallDoubleMethodA(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallDoubleMethodA);
-  if (!G.ok())
-    return jdouble{};
-  Value V = callMethodCommon(Env, CallKind::Virtual, Obj, nullptr, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jdouble>(V.D);
-}
-
-jdouble jinn::jni::impl_CallDoubleMethodV(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jdouble{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallDoubleMethodA(Env, Obj, MethodId, Decoded.data());
-}
-
-jdouble jinn::jni::impl_CallDoubleMethod(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jdouble Ret = Env->functions->CallDoubleMethodV(Env, Obj, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-void jinn::jni::impl_CallVoidMethodA(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallVoidMethodA);
-  if (!G.ok())
-    return;
-  Value V = callMethodCommon(Env, CallKind::Virtual, Obj, nullptr, MethodId,
-                             Args);
-  (void)V;
-  return;
-}
-
-void jinn::jni::impl_CallVoidMethodV(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return;
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  Env->functions->CallVoidMethodA(Env, Obj, MethodId, Decoded.data());
-}
-
-void jinn::jni::impl_CallVoidMethod(JNIEnv *Env, jobject Obj,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  Env->functions->CallVoidMethodV(Env, Obj, MethodId, Ap);
-  va_end(Ap);
-  
-}
-
-jobject jinn::jni::impl_CallNonvirtualObjectMethodA(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallNonvirtualObjectMethodA);
-  if (!G.ok())
-    return nullptr;
-  Value V = callMethodCommon(Env, CallKind::Nonvirtual, Obj, Cls, MethodId,
-                             Args);
-  (void)V;
-  return localRef(Env, V.Obj);
-}
-
-jobject jinn::jni::impl_CallNonvirtualObjectMethodV(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return nullptr;
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallNonvirtualObjectMethodA(Env, Obj, Cls, MethodId, Decoded.data());
-}
-
-jobject jinn::jni::impl_CallNonvirtualObjectMethod(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jobject Ret = Env->functions->CallNonvirtualObjectMethodV(Env, Obj, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jboolean jinn::jni::impl_CallNonvirtualBooleanMethodA(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallNonvirtualBooleanMethodA);
-  if (!G.ok())
-    return jboolean{};
-  Value V = callMethodCommon(Env, CallKind::Nonvirtual, Obj, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jboolean>(V.I != 0);
-}
-
-jboolean jinn::jni::impl_CallNonvirtualBooleanMethodV(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jboolean{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallNonvirtualBooleanMethodA(Env, Obj, Cls, MethodId, Decoded.data());
-}
-
-jboolean jinn::jni::impl_CallNonvirtualBooleanMethod(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jboolean Ret = Env->functions->CallNonvirtualBooleanMethodV(Env, Obj, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jbyte jinn::jni::impl_CallNonvirtualByteMethodA(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallNonvirtualByteMethodA);
-  if (!G.ok())
-    return jbyte{};
-  Value V = callMethodCommon(Env, CallKind::Nonvirtual, Obj, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jbyte>(V.I);
-}
-
-jbyte jinn::jni::impl_CallNonvirtualByteMethodV(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jbyte{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallNonvirtualByteMethodA(Env, Obj, Cls, MethodId, Decoded.data());
-}
-
-jbyte jinn::jni::impl_CallNonvirtualByteMethod(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jbyte Ret = Env->functions->CallNonvirtualByteMethodV(Env, Obj, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jchar jinn::jni::impl_CallNonvirtualCharMethodA(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallNonvirtualCharMethodA);
-  if (!G.ok())
-    return jchar{};
-  Value V = callMethodCommon(Env, CallKind::Nonvirtual, Obj, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jchar>(V.I);
-}
-
-jchar jinn::jni::impl_CallNonvirtualCharMethodV(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jchar{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallNonvirtualCharMethodA(Env, Obj, Cls, MethodId, Decoded.data());
-}
-
-jchar jinn::jni::impl_CallNonvirtualCharMethod(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jchar Ret = Env->functions->CallNonvirtualCharMethodV(Env, Obj, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jshort jinn::jni::impl_CallNonvirtualShortMethodA(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallNonvirtualShortMethodA);
-  if (!G.ok())
-    return jshort{};
-  Value V = callMethodCommon(Env, CallKind::Nonvirtual, Obj, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jshort>(V.I);
-}
-
-jshort jinn::jni::impl_CallNonvirtualShortMethodV(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jshort{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallNonvirtualShortMethodA(Env, Obj, Cls, MethodId, Decoded.data());
-}
-
-jshort jinn::jni::impl_CallNonvirtualShortMethod(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jshort Ret = Env->functions->CallNonvirtualShortMethodV(Env, Obj, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jint jinn::jni::impl_CallNonvirtualIntMethodA(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallNonvirtualIntMethodA);
-  if (!G.ok())
-    return jint{};
-  Value V = callMethodCommon(Env, CallKind::Nonvirtual, Obj, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jint>(V.I);
-}
-
-jint jinn::jni::impl_CallNonvirtualIntMethodV(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jint{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallNonvirtualIntMethodA(Env, Obj, Cls, MethodId, Decoded.data());
-}
-
-jint jinn::jni::impl_CallNonvirtualIntMethod(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jint Ret = Env->functions->CallNonvirtualIntMethodV(Env, Obj, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jlong jinn::jni::impl_CallNonvirtualLongMethodA(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallNonvirtualLongMethodA);
-  if (!G.ok())
-    return jlong{};
-  Value V = callMethodCommon(Env, CallKind::Nonvirtual, Obj, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jlong>(V.I);
-}
-
-jlong jinn::jni::impl_CallNonvirtualLongMethodV(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jlong{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallNonvirtualLongMethodA(Env, Obj, Cls, MethodId, Decoded.data());
-}
-
-jlong jinn::jni::impl_CallNonvirtualLongMethod(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jlong Ret = Env->functions->CallNonvirtualLongMethodV(Env, Obj, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jfloat jinn::jni::impl_CallNonvirtualFloatMethodA(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallNonvirtualFloatMethodA);
-  if (!G.ok())
-    return jfloat{};
-  Value V = callMethodCommon(Env, CallKind::Nonvirtual, Obj, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jfloat>(V.D);
-}
-
-jfloat jinn::jni::impl_CallNonvirtualFloatMethodV(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jfloat{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallNonvirtualFloatMethodA(Env, Obj, Cls, MethodId, Decoded.data());
-}
-
-jfloat jinn::jni::impl_CallNonvirtualFloatMethod(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jfloat Ret = Env->functions->CallNonvirtualFloatMethodV(Env, Obj, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jdouble jinn::jni::impl_CallNonvirtualDoubleMethodA(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallNonvirtualDoubleMethodA);
-  if (!G.ok())
-    return jdouble{};
-  Value V = callMethodCommon(Env, CallKind::Nonvirtual, Obj, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jdouble>(V.D);
-}
-
-jdouble jinn::jni::impl_CallNonvirtualDoubleMethodV(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jdouble{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallNonvirtualDoubleMethodA(Env, Obj, Cls, MethodId, Decoded.data());
-}
-
-jdouble jinn::jni::impl_CallNonvirtualDoubleMethod(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jdouble Ret = Env->functions->CallNonvirtualDoubleMethodV(Env, Obj, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-void jinn::jni::impl_CallNonvirtualVoidMethodA(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallNonvirtualVoidMethodA);
-  if (!G.ok())
-    return;
-  Value V = callMethodCommon(Env, CallKind::Nonvirtual, Obj, Cls, MethodId,
-                             Args);
-  (void)V;
-  return;
-}
-
-void jinn::jni::impl_CallNonvirtualVoidMethodV(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return;
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  Env->functions->CallNonvirtualVoidMethodA(Env, Obj, Cls, MethodId, Decoded.data());
-}
-
-void jinn::jni::impl_CallNonvirtualVoidMethod(JNIEnv *Env, jobject Obj, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  Env->functions->CallNonvirtualVoidMethodV(Env, Obj, Cls, MethodId, Ap);
-  va_end(Ap);
-  
-}
-
-jobject jinn::jni::impl_CallStaticObjectMethodA(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallStaticObjectMethodA);
-  if (!G.ok())
-    return nullptr;
-  Value V = callMethodCommon(Env, CallKind::Static, nullptr, Cls, MethodId,
-                             Args);
-  (void)V;
-  return localRef(Env, V.Obj);
-}
-
-jobject jinn::jni::impl_CallStaticObjectMethodV(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return nullptr;
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallStaticObjectMethodA(Env, Cls, MethodId, Decoded.data());
-}
-
-jobject jinn::jni::impl_CallStaticObjectMethod(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jobject Ret = Env->functions->CallStaticObjectMethodV(Env, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jboolean jinn::jni::impl_CallStaticBooleanMethodA(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallStaticBooleanMethodA);
-  if (!G.ok())
-    return jboolean{};
-  Value V = callMethodCommon(Env, CallKind::Static, nullptr, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jboolean>(V.I != 0);
-}
-
-jboolean jinn::jni::impl_CallStaticBooleanMethodV(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jboolean{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallStaticBooleanMethodA(Env, Cls, MethodId, Decoded.data());
-}
-
-jboolean jinn::jni::impl_CallStaticBooleanMethod(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jboolean Ret = Env->functions->CallStaticBooleanMethodV(Env, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jbyte jinn::jni::impl_CallStaticByteMethodA(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallStaticByteMethodA);
-  if (!G.ok())
-    return jbyte{};
-  Value V = callMethodCommon(Env, CallKind::Static, nullptr, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jbyte>(V.I);
-}
-
-jbyte jinn::jni::impl_CallStaticByteMethodV(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jbyte{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallStaticByteMethodA(Env, Cls, MethodId, Decoded.data());
-}
-
-jbyte jinn::jni::impl_CallStaticByteMethod(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jbyte Ret = Env->functions->CallStaticByteMethodV(Env, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jchar jinn::jni::impl_CallStaticCharMethodA(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallStaticCharMethodA);
-  if (!G.ok())
-    return jchar{};
-  Value V = callMethodCommon(Env, CallKind::Static, nullptr, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jchar>(V.I);
-}
-
-jchar jinn::jni::impl_CallStaticCharMethodV(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jchar{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallStaticCharMethodA(Env, Cls, MethodId, Decoded.data());
-}
-
-jchar jinn::jni::impl_CallStaticCharMethod(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jchar Ret = Env->functions->CallStaticCharMethodV(Env, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jshort jinn::jni::impl_CallStaticShortMethodA(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallStaticShortMethodA);
-  if (!G.ok())
-    return jshort{};
-  Value V = callMethodCommon(Env, CallKind::Static, nullptr, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jshort>(V.I);
-}
-
-jshort jinn::jni::impl_CallStaticShortMethodV(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jshort{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallStaticShortMethodA(Env, Cls, MethodId, Decoded.data());
-}
-
-jshort jinn::jni::impl_CallStaticShortMethod(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jshort Ret = Env->functions->CallStaticShortMethodV(Env, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jint jinn::jni::impl_CallStaticIntMethodA(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallStaticIntMethodA);
-  if (!G.ok())
-    return jint{};
-  Value V = callMethodCommon(Env, CallKind::Static, nullptr, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jint>(V.I);
-}
-
-jint jinn::jni::impl_CallStaticIntMethodV(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jint{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallStaticIntMethodA(Env, Cls, MethodId, Decoded.data());
-}
-
-jint jinn::jni::impl_CallStaticIntMethod(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jint Ret = Env->functions->CallStaticIntMethodV(Env, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jlong jinn::jni::impl_CallStaticLongMethodA(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallStaticLongMethodA);
-  if (!G.ok())
-    return jlong{};
-  Value V = callMethodCommon(Env, CallKind::Static, nullptr, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jlong>(V.I);
-}
-
-jlong jinn::jni::impl_CallStaticLongMethodV(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jlong{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallStaticLongMethodA(Env, Cls, MethodId, Decoded.data());
-}
-
-jlong jinn::jni::impl_CallStaticLongMethod(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jlong Ret = Env->functions->CallStaticLongMethodV(Env, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jfloat jinn::jni::impl_CallStaticFloatMethodA(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallStaticFloatMethodA);
-  if (!G.ok())
-    return jfloat{};
-  Value V = callMethodCommon(Env, CallKind::Static, nullptr, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jfloat>(V.D);
-}
-
-jfloat jinn::jni::impl_CallStaticFloatMethodV(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jfloat{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallStaticFloatMethodA(Env, Cls, MethodId, Decoded.data());
-}
-
-jfloat jinn::jni::impl_CallStaticFloatMethod(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jfloat Ret = Env->functions->CallStaticFloatMethodV(Env, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jdouble jinn::jni::impl_CallStaticDoubleMethodA(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallStaticDoubleMethodA);
-  if (!G.ok())
-    return jdouble{};
-  Value V = callMethodCommon(Env, CallKind::Static, nullptr, Cls, MethodId,
-                             Args);
-  (void)V;
-  return static_cast<jdouble>(V.D);
-}
-
-jdouble jinn::jni::impl_CallStaticDoubleMethodV(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return jdouble{};
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->CallStaticDoubleMethodA(Env, Cls, MethodId, Decoded.data());
-}
-
-jdouble jinn::jni::impl_CallStaticDoubleMethod(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jdouble Ret = Env->functions->CallStaticDoubleMethodV(Env, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-void jinn::jni::impl_CallStaticVoidMethodA(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::CallStaticVoidMethodA);
-  if (!G.ok())
-    return;
-  Value V = callMethodCommon(Env, CallKind::Static, nullptr, Cls, MethodId,
-                             Args);
-  (void)V;
-  return;
-}
-
-void jinn::jni::impl_CallStaticVoidMethodV(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return;
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  Env->functions->CallStaticVoidMethodA(Env, Cls, MethodId, Decoded.data());
-}
-
-void jinn::jni::impl_CallStaticVoidMethod(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  Env->functions->CallStaticVoidMethodV(Env, Cls, MethodId, Ap);
-  va_end(Ap);
-  
-}
-
-jobject jinn::jni::impl_NewObjectA(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, const jvalue *Args) {
-  EnvGuard G(Env, FnId::NewObjectA);
-  if (!G.ok())
-    return nullptr;
-  Value V = callMethodCommon(Env, CallKind::Ctor, nullptr, Cls, MethodId,
-                             Args);
-  return localRef(Env, V.Obj);
-}
-
-jobject jinn::jni::impl_NewObjectV(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, va_list Args) {
-  jvm::MethodInfo *M = methodOf(Env, MethodId);
-  if (!M)
-    return nullptr;
-  std::vector<jvalue> Decoded = decodeVaList(M->Sig, Args);
-  return Env->functions->NewObjectA(Env, Cls, MethodId, Decoded.data());
-}
-
-jobject jinn::jni::impl_NewObject(JNIEnv *Env, jclass Cls,
-    jmethodID MethodId, ...) {
-  va_list Ap;
-  va_start(Ap, MethodId);
-  jobject Ret = Env->functions->NewObjectV(Env, Cls, MethodId, Ap);
-  va_end(Ap);
-  return Ret;
-}
-
-jobject jinn::jni::impl_GetObjectField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetObjectField, Obj, FieldId, false);
-  (void)V;
-  return localRef(Env, V.Obj);
-}
-
-void jinn::jni::impl_SetObjectField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId, jobject Val) {
-  setFieldCommon(Env, FnId::SetObjectField, Obj, FieldId, false,
-                 Value::makeRef(rtOf(Env).deref(Env, Val)));
-}
-
-jobject jinn::jni::impl_GetStaticObjectField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetStaticObjectField, Cls, FieldId,
-                           true);
-  (void)V;
-  return localRef(Env, V.Obj);
-}
-
-void jinn::jni::impl_SetStaticObjectField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId, jobject Val) {
-  setFieldCommon(Env, FnId::SetStaticObjectField, Cls, FieldId, true,
-                 Value::makeRef(rtOf(Env).deref(Env, Val)));
-}
-
-jboolean jinn::jni::impl_GetBooleanField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetBooleanField, Obj, FieldId, false);
-  (void)V;
-  return static_cast<jboolean>(V.I != 0);
-}
-
-void jinn::jni::impl_SetBooleanField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId, jboolean Val) {
-  setFieldCommon(Env, FnId::SetBooleanField, Obj, FieldId, false,
-                 Value::makeBoolean(Val != 0));
-}
-
-jboolean jinn::jni::impl_GetStaticBooleanField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetStaticBooleanField, Cls, FieldId,
-                           true);
-  (void)V;
-  return static_cast<jboolean>(V.I != 0);
-}
-
-void jinn::jni::impl_SetStaticBooleanField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId, jboolean Val) {
-  setFieldCommon(Env, FnId::SetStaticBooleanField, Cls, FieldId, true,
-                 Value::makeBoolean(Val != 0));
-}
-
-jbyte jinn::jni::impl_GetByteField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetByteField, Obj, FieldId, false);
-  (void)V;
-  return static_cast<jbyte>(V.I);
-}
-
-void jinn::jni::impl_SetByteField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId, jbyte Val) {
-  setFieldCommon(Env, FnId::SetByteField, Obj, FieldId, false,
-                 Value::makeByte(Val));
-}
-
-jbyte jinn::jni::impl_GetStaticByteField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetStaticByteField, Cls, FieldId,
-                           true);
-  (void)V;
-  return static_cast<jbyte>(V.I);
-}
-
-void jinn::jni::impl_SetStaticByteField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId, jbyte Val) {
-  setFieldCommon(Env, FnId::SetStaticByteField, Cls, FieldId, true,
-                 Value::makeByte(Val));
-}
-
-jchar jinn::jni::impl_GetCharField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetCharField, Obj, FieldId, false);
-  (void)V;
-  return static_cast<jchar>(V.I);
-}
-
-void jinn::jni::impl_SetCharField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId, jchar Val) {
-  setFieldCommon(Env, FnId::SetCharField, Obj, FieldId, false,
-                 Value::makeChar(Val));
-}
-
-jchar jinn::jni::impl_GetStaticCharField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetStaticCharField, Cls, FieldId,
-                           true);
-  (void)V;
-  return static_cast<jchar>(V.I);
-}
-
-void jinn::jni::impl_SetStaticCharField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId, jchar Val) {
-  setFieldCommon(Env, FnId::SetStaticCharField, Cls, FieldId, true,
-                 Value::makeChar(Val));
-}
-
-jshort jinn::jni::impl_GetShortField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetShortField, Obj, FieldId, false);
-  (void)V;
-  return static_cast<jshort>(V.I);
-}
-
-void jinn::jni::impl_SetShortField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId, jshort Val) {
-  setFieldCommon(Env, FnId::SetShortField, Obj, FieldId, false,
-                 Value::makeShort(Val));
-}
-
-jshort jinn::jni::impl_GetStaticShortField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetStaticShortField, Cls, FieldId,
-                           true);
-  (void)V;
-  return static_cast<jshort>(V.I);
-}
-
-void jinn::jni::impl_SetStaticShortField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId, jshort Val) {
-  setFieldCommon(Env, FnId::SetStaticShortField, Cls, FieldId, true,
-                 Value::makeShort(Val));
-}
-
-jint jinn::jni::impl_GetIntField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetIntField, Obj, FieldId, false);
-  (void)V;
-  return static_cast<jint>(V.I);
-}
-
-void jinn::jni::impl_SetIntField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId, jint Val) {
-  setFieldCommon(Env, FnId::SetIntField, Obj, FieldId, false,
-                 Value::makeInt(Val));
-}
-
-jint jinn::jni::impl_GetStaticIntField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetStaticIntField, Cls, FieldId,
-                           true);
-  (void)V;
-  return static_cast<jint>(V.I);
-}
-
-void jinn::jni::impl_SetStaticIntField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId, jint Val) {
-  setFieldCommon(Env, FnId::SetStaticIntField, Cls, FieldId, true,
-                 Value::makeInt(Val));
-}
-
-jlong jinn::jni::impl_GetLongField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetLongField, Obj, FieldId, false);
-  (void)V;
-  return static_cast<jlong>(V.I);
-}
-
-void jinn::jni::impl_SetLongField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId, jlong Val) {
-  setFieldCommon(Env, FnId::SetLongField, Obj, FieldId, false,
-                 Value::makeLong(Val));
-}
-
-jlong jinn::jni::impl_GetStaticLongField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetStaticLongField, Cls, FieldId,
-                           true);
-  (void)V;
-  return static_cast<jlong>(V.I);
-}
-
-void jinn::jni::impl_SetStaticLongField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId, jlong Val) {
-  setFieldCommon(Env, FnId::SetStaticLongField, Cls, FieldId, true,
-                 Value::makeLong(Val));
-}
-
-jfloat jinn::jni::impl_GetFloatField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetFloatField, Obj, FieldId, false);
-  (void)V;
-  return static_cast<jfloat>(V.D);
-}
-
-void jinn::jni::impl_SetFloatField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId, jfloat Val) {
-  setFieldCommon(Env, FnId::SetFloatField, Obj, FieldId, false,
-                 Value::makeFloat(Val));
-}
-
-jfloat jinn::jni::impl_GetStaticFloatField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetStaticFloatField, Cls, FieldId,
-                           true);
-  (void)V;
-  return static_cast<jfloat>(V.D);
-}
-
-void jinn::jni::impl_SetStaticFloatField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId, jfloat Val) {
-  setFieldCommon(Env, FnId::SetStaticFloatField, Cls, FieldId, true,
-                 Value::makeFloat(Val));
-}
-
-jdouble jinn::jni::impl_GetDoubleField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetDoubleField, Obj, FieldId, false);
-  (void)V;
-  return static_cast<jdouble>(V.D);
-}
-
-void jinn::jni::impl_SetDoubleField(JNIEnv *Env, jobject Obj,
-    jfieldID FieldId, jdouble Val) {
-  setFieldCommon(Env, FnId::SetDoubleField, Obj, FieldId, false,
-                 Value::makeDouble(Val));
-}
-
-jdouble jinn::jni::impl_GetStaticDoubleField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId) {
-  Value V = getFieldCommon(Env, FnId::GetStaticDoubleField, Cls, FieldId,
-                           true);
-  (void)V;
-  return static_cast<jdouble>(V.D);
-}
-
-void jinn::jni::impl_SetStaticDoubleField(JNIEnv *Env, jclass Cls,
-    jfieldID FieldId, jdouble Val) {
-  setFieldCommon(Env, FnId::SetStaticDoubleField, Cls, FieldId, true,
-                 Value::makeDouble(Val));
-}
+  return (Env->functions->*SlotA)(Env, R..., MethodId, Decoded.data());
+}
+
+/// What a variadic form holds across va_end when its V form returns void.
+struct NoValue {};
+
+/// Enters the active table's V slot \p SlotV for a variadic form.
+template <auto SlotV, typename... Recv>
+auto enterV(JNIEnv *Env, jmethodID MethodId, va_list Args, Recv... R) {
+  if constexpr (std::is_void_v<decltype((Env->functions->*SlotV)(
+                    Env, R..., MethodId, Args))>) {
+    (Env->functions->*SlotV)(Env, R..., MethodId, Args);
+    return NoValue{};
+  } else {
+    return (Env->functions->*SlotV)(Env, R..., MethodId, Args);
+  }
+}
+
+} // namespace
+
+#define UNPAREN(...) __VA_ARGS__
+
+/// The A, V and variadic forms of one call-family member. \p Recv is the
+/// parenthesised receiver parameter list, \p CoreObj and \p CoreCls what
+/// callMethodCommon receives, and the trailing arguments the receivers
+/// forwarded through the table.
+#define DEF_CALL(Name, CType, Kind, Recv, CoreObj, CoreCls, ...)              \
+  CType jinn::jni::impl_##Name##A(JNIEnv *Env, UNPAREN Recv,                  \
+                                  jmethodID MethodId, const jvalue *Args) {   \
+    return callA<CType>(Env, FnId::Name##A, CallKind::Kind, CoreObj, CoreCls, \
+                        MethodId, Args);                                      \
+  }                                                                           \
+  CType jinn::jni::impl_##Name##V(JNIEnv *Env, UNPAREN Recv,                  \
+                                  jmethodID MethodId, va_list Args) {         \
+    return callV<CType, &JNINativeInterface_::Name##A>(Env, MethodId, Args,   \
+                                                       __VA_ARGS__);          \
+  }                                                                           \
+  CType jinn::jni::impl_##Name(JNIEnv *Env, UNPAREN Recv, jmethodID MethodId, \
+                               ...) {                                         \
+    va_list Ap;                                                               \
+    va_start(Ap, MethodId);                                                   \
+    auto Ret = enterV<&JNINativeInterface_::Name##V>(Env, MethodId, Ap,       \
+                                                     __VA_ARGS__);            \
+    va_end(Ap);                                                               \
+    return static_cast<CType>(Ret);                                           \
+  }
+
+#define DEF_CALLS(TName, CType)                                               \
+  DEF_CALL(Call##TName##Method, CType, Virtual, (jobject Obj), Obj, nullptr,  \
+           Obj)                                                               \
+  DEF_CALL(CallNonvirtual##TName##Method, CType, Nonvirtual,                  \
+           (jobject Obj, jclass Cls), Obj, Cls, Obj, Cls)                     \
+  DEF_CALL(CallStatic##TName##Method, CType, Static, (jclass Cls), nullptr,   \
+           Cls, Cls)
+
+/// The four field accessors of one type. A setter converts (and, for
+/// objects, dereferences) its value before setFieldCommon's guard runs.
+#define DEF_FIELDS(TName, CType)                                              \
+  CType jinn::jni::impl_Get##TName##Field(JNIEnv *Env, jobject Obj,           \
+                                          jfieldID FieldId) {                 \
+    return fromValue<CType>(                                                  \
+        Env, getFieldCommon(Env, FnId::Get##TName##Field, Obj, FieldId,       \
+                            /*Static=*/false));                               \
+  }                                                                           \
+  void jinn::jni::impl_Set##TName##Field(JNIEnv *Env, jobject Obj,            \
+                                         jfieldID FieldId, CType Val) {       \
+    setFieldCommon(Env, FnId::Set##TName##Field, Obj, FieldId,                \
+                   /*Static=*/false, toValue(Env, Val));                      \
+  }                                                                           \
+  CType jinn::jni::impl_GetStatic##TName##Field(JNIEnv *Env, jclass Cls,      \
+                                                jfieldID FieldId) {           \
+    return fromValue<CType>(                                                  \
+        Env, getFieldCommon(Env, FnId::GetStatic##TName##Field, Cls, FieldId, \
+                            /*Static=*/true));                                \
+  }                                                                           \
+  void jinn::jni::impl_SetStatic##TName##Field(JNIEnv *Env, jclass Cls,       \
+                                               jfieldID FieldId, CType Val) { \
+    setFieldCommon(Env, FnId::SetStatic##TName##Field, Cls, FieldId,          \
+                   /*Static=*/true, toValue(Env, Val));                       \
+  }
+
+#define DEF_TYPE(TName, CType) DEF_CALLS(TName, CType) DEF_FIELDS(TName, CType)
+
+// The JNI value types, then void (calls only) and the constructor family.
+DEF_TYPE(Object, jobject)
+DEF_TYPE(Boolean, jboolean)
+DEF_TYPE(Byte, jbyte)
+DEF_TYPE(Char, jchar)
+DEF_TYPE(Short, jshort)
+DEF_TYPE(Int, jint)
+DEF_TYPE(Long, jlong)
+DEF_TYPE(Float, jfloat)
+DEF_TYPE(Double, jdouble)
+DEF_CALLS(Void, void)
+DEF_CALL(NewObject, jobject, Ctor, (jclass Cls), nullptr, Cls, Cls)
+
+#undef DEF_TYPE
+#undef DEF_FIELDS
+#undef DEF_CALLS
+#undef DEF_CALL
+#undef UNPAREN

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// GetMethodID/GetFieldID lookups and the shared cores behind the 93 call
-/// functions and 36 field accessors (the per-type shims are generated into
-/// JniEnvCalls.cpp by tools/gen_jni_calls.py).
+/// functions and 36 field accessors (JniEnvCalls.cpp expands the per-type
+/// functions over them).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,9 +99,8 @@ jfieldID jinn::jni::impl_GetStaticFieldID(JNIEnv *Env, jclass Cls,
 Value jinn::jni::callMethodCommon(JNIEnv *Env, CallKind Kind, jobject Receiver,
                                   jclass Cls, jmethodID MethodId,
                                   const jvalue *Args) {
-  // The FnId only matters for diagnostics in the guard; the generated shims
-  // pass structure through Kind. Use the A-form id of the family by kind.
-  // (The guard semantics are identical for every member of a family.)
+  // The caller's A form already ran the guard under its own FnId; the call
+  // structure arrives through Kind.
   jvm::Vm &V = vmOf(Env);
   jvm::JThread &T = threadOf(Env);
   jvm::MethodInfo *M = methodOf(Env, MethodId);
@@ -163,7 +162,7 @@ Value jinn::jni::callMethodCommon(JNIEnv *Env, CallKind Kind, jobject Receiver,
 
 namespace jinn::jni {
 
-/// Shared core of Get<T>Field / GetStatic<T>Field (generated shims convert).
+/// Shared core of Get<T>Field / GetStatic<T>Field (the callers convert).
 Value getFieldCommon(JNIEnv *Env, FnId Id, jobject ObjOrCls, jfieldID FieldId,
                      bool Static) {
   EnvGuard G(Env, Id);

@@ -28,6 +28,8 @@ enum class FnId : uint16_t {
 
 /// Number of JNI functions (229 in JNI 1.6, as in the paper).
 constexpr size_t NumJniFunctions = static_cast<size_t>(FnId::Count);
+static_assert(NumJniFunctions == 229,
+              "JniFunctions.def must list the 229 JNI 1.6 functions");
 
 /// Most parameters any registry function takes after its JNIEnv*. The one
 /// arity bound: it sizes FnTraits::Params, the captured-argument array of

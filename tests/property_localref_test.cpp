@@ -43,12 +43,21 @@ void *operator new(std::size_t Size) {
     return P;
   throw std::bad_alloc();
 }
+// The nothrow form is replaced too (std::stable_sort's temporary buffer
+// uses it), so every block the replaced deletes free came from malloc.
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  HeapAllocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Size ? Size : 1);
+}
 // The replacement operator new above allocates with malloc, so free is
 // the matching release; GCC cannot see that through the inlined callers.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void *P) noexcept { std::free(P); }
 void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 #pragma GCC diagnostic pop
 
 namespace {

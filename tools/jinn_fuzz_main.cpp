@@ -24,6 +24,7 @@
 
 #include "fuzz/Corpus.h"
 #include "fuzz/Fuzzer.h"
+#include "jinn/JinnAgent.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -119,6 +120,12 @@ int main(int Argc, char **Argv) {
       printUsage();
       return 2;
     }
+  }
+
+  std::string MachineError = agent::checkMachineNames(Opts.Machines);
+  if (!MachineError.empty()) {
+    std::fprintf(stderr, "jinn-fuzz: %s\n", MachineError.c_str());
+    return 2;
   }
 
   if (ListMachines) {

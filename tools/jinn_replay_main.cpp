@@ -22,6 +22,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "jinn/JinnAgent.h"
 #include "scenarios/Scenarios.h"
 #include "trace/Export.h"
 #include "trace/Replay.h"
@@ -29,6 +30,9 @@
 #include "workloads/Workloads.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,6 +59,11 @@ struct DriverOptions {
   std::vector<std::string> Machines; ///< replay machine filter
 };
 
+/// Bounds of the numeric options: --threads starts that many OS threads,
+/// and --scale divides 64-bit transition counts.
+constexpr uint64_t MaxThreads = 64;
+constexpr uint64_t MaxScale = UINT32_MAX;
+
 void printUsage() {
   std::printf(
       "usage: jinn-replay [options]\n"
@@ -64,14 +73,28 @@ void printUsage() {
       "\n"
       "  --micro <class>     run one microbenchmark (e.g. LocalDangling)\n"
       "  --workload <name>   record a Table 3 workload (e.g. jack, db)\n"
-      "  --scale <n>         workload scale divisor (default 4096)\n"
-      "  --threads <n>       drive the workload from <n> OS threads\n"
+      "  --scale <n>         workload scale divisor, 1..4294967295\n"
+      "                      (default 4096)\n"
+      "  --threads <n>       drive the workload from <n> OS threads, 1..64\n"
       "  --record-only       record without inline machines; replay is the\n"
       "                      only checker (no inline comparison)\n"
       "  --trace <path>      keep the binary trace file at <path>\n"
       "  --chrome <path>     write chrome://tracing JSON to <path>\n"
       "  --counters          print the aggregated counters report\n"
-      "  --machines <a,b>    replay only these machines\n");
+      "  --machines <a,b>    replay only these machines (spec names)\n");
+}
+
+/// Parses a decimal count in [1, Max]; anything else is a usage error.
+bool parseCount(const char *Text, uint64_t Max, uint64_t &Out) {
+  if (!std::isdigit(static_cast<unsigned char>(Text[0])))
+    return false;
+  char *End = nullptr;
+  errno = 0;
+  unsigned long long V = std::strtoull(Text, &End, 10);
+  if (*End != '\0' || errno == ERANGE || V == 0 || V > Max)
+    return false;
+  Out = V;
+  return true;
 }
 
 bool reportsEqual(const agent::JinnReport &A, const agent::JinnReport &B) {
@@ -264,18 +287,26 @@ int main(int Argc, char **Argv) {
       }
       return Argv[++I];
     };
+    auto Count = [&](const char *Flag, uint64_t Max) -> uint64_t {
+      const char *Text = Value(Flag);
+      uint64_t N = 0;
+      if (!parseCount(Text, Max, N)) {
+        std::fprintf(stderr, "jinn-replay: %s needs a count in 1..%llu, not "
+                             "'%s'\n",
+                     Flag, static_cast<unsigned long long>(Max), Text);
+        printUsage();
+        std::exit(1);
+      }
+      return N;
+    };
     if (std::strcmp(Argv[I], "--micro") == 0) {
       Opts.Micro = Value("--micro");
     } else if (std::strcmp(Argv[I], "--workload") == 0) {
       Opts.Workload = Value("--workload");
     } else if (std::strcmp(Argv[I], "--scale") == 0) {
-      Opts.Scale = std::strtoull(Value("--scale"), nullptr, 10);
-      if (!Opts.Scale)
-        Opts.Scale = 1;
+      Opts.Scale = Count("--scale", MaxScale);
     } else if (std::strcmp(Argv[I], "--threads") == 0) {
-      Opts.Threads = (unsigned)std::strtoul(Value("--threads"), nullptr, 10);
-      if (!Opts.Threads)
-        Opts.Threads = 1;
+      Opts.Threads = static_cast<unsigned>(Count("--threads", MaxThreads));
     } else if (std::strcmp(Argv[I], "--record-only") == 0) {
       Opts.RecordOnly = true;
     } else if (std::strcmp(Argv[I], "--trace") == 0) {
@@ -303,6 +334,12 @@ int main(int Argc, char **Argv) {
       printUsage();
       return 1;
     }
+  }
+
+  std::string MachineError = agent::checkMachineNames(Opts.Machines);
+  if (!MachineError.empty()) {
+    std::fprintf(stderr, "jinn-replay: %s\n", MachineError.c_str());
+    return 1;
   }
 
   if (!Opts.Workload.empty())
