@@ -13,6 +13,13 @@
 ///   new_delete_local  allocation + free (local-ref lifecycle)
 ///   frame_push_pop    pushdown counters (frame nesting, capacity)
 ///
+/// plus one JNI class kept out of the four-class geomean and the headline
+/// ratios:
+///
+///   global_use        GetArrayLength on a global int[] (the global-
+///                     reference use check), with its own paired
+///                     ratio/global/jinn_vs_interpose
+///
 /// and on two native-method calls made from Java, one native entry and
 /// exit per iteration (the local-reference frame push and pop):
 ///
@@ -71,12 +78,14 @@ const TierSpec Tiers[] = {
 
 /// One op class. A JNI call class runs C-side (Run, inside a native
 /// frame); a native-method call runs Java-side (Invoke, from the main
-/// thread). Exactly one of the two is set.
+/// thread). Exactly one of the two is set. Headline classes make up the
+/// per-tier geomean and the ratio/* entries.
 struct OpClass {
   const char *Name;
   uint64_t CrossingsPerIter;
   void (*Run)(JNIEnv *, uint64_t Iters);
   void (*Invoke)(ScenarioWorld &, uint64_t Iters);
+  bool Headline = false;
 };
 
 void runGetVersion(JNIEnv *Env, uint64_t Iters) {
@@ -107,6 +116,16 @@ void runFramePushPop(JNIEnv *Env, uint64_t Iters) {
     Fns->PushLocalFrame(Env, 8);
     Fns->PopLocalFrame(Env, nullptr);
   }
+}
+
+void runGlobalUse(JNIEnv *Env, uint64_t Iters) {
+  const JNINativeInterface_ *Fns = Env->functions;
+  jintArray Local = Fns->NewIntArray(Env, 4);
+  auto Global = static_cast<jintArray>(Fns->NewGlobalRef(Env, Local));
+  for (uint64_t I = 0; I < Iters; ++I)
+    Fns->GetArrayLength(Env, Global);
+  Fns->DeleteGlobalRef(Env, Global);
+  Fns->DeleteLocalRef(Env, Local);
 }
 
 constexpr const char *NativesClass = "BenchNatives";
@@ -167,12 +186,13 @@ void runNativeRefArgs(ScenarioWorld &World, uint64_t Iters) {
 }
 
 const OpClass Ops[] = {
-    {"get_version", 1, runGetVersion, nullptr},
-    {"string_utf_length", 1, runStringUtfLength, nullptr},
-    {"new_delete_local", 2, runNewDeleteLocal, nullptr},
-    {"frame_push_pop", 2, runFramePushPop, nullptr},
+    {"get_version", 1, runGetVersion, nullptr, true},
+    {"string_utf_length", 1, runStringUtfLength, nullptr, true},
+    {"new_delete_local", 2, runNewDeleteLocal, nullptr, true},
+    {"frame_push_pop", 2, runFramePushPop, nullptr, true},
     {"native_empty", 1, nullptr, runNativeEmpty},
     {"native_ref_args", 1, nullptr, runNativeRefArgs},
+    {"global_use", 1, runGlobalUse, nullptr},
 };
 
 /// Calls \p Body with a runner for \p Op in \p World: a JNI call class
@@ -311,14 +331,15 @@ int main(int Argc, char **Argv) {
   }
   bench::printRule();
 
-  // Geomean per tier over the JNI call classes, plus the headline ratios.
-  // The native-method rows stand on their own above.
+  // Geomean per tier over the headline JNI call classes, plus the headline
+  // ratios. The native-method and global_use rows stand on their own
+  // above.
   double Gm[sizeof(Tiers) / sizeof(Tiers[0])];
   for (size_t T = 0; T < sizeof(Tiers) / sizeof(Tiers[0]); ++T) {
     double Acc = 0;
     size_t N = 0;
     for (size_t O = 0; O < sizeof(Ops) / sizeof(Ops[0]); ++O)
-      if (Ops[O].Run) {
+      if (Ops[O].Headline) {
         Acc += std::log(Ns[O][T]);
         ++N;
       }
@@ -363,6 +384,16 @@ int main(int Argc, char **Argv) {
                   Ratio);
       World.shutdown();
     }
+    // The JNI class outside the headline (global_use), paired the same
+    // way.
+    ScenarioWorld World(tierConfig(Tiers[Jinn]));
+    for (const OpClass &Op : Ops)
+      if (Op.Run && !Op.Headline) {
+        double Ratio = pairedRatio(World, Floor, Op, MachineIters);
+        Json.add("ratio/global/jinn_vs_interpose", Ratio, "x");
+        std::printf("global use: jinn/interpose = %.3fx\n", Ratio);
+      }
+    World.shutdown();
     Floor.shutdown();
   }
 

@@ -22,12 +22,16 @@
 /// whose line count the synthesis experiment compares against the
 /// generated wrappers.
 ///
-/// Shadow-state layout (DESIGN.md §10): thread-confined encodings (local
-/// references, expected JNIEnv, critical depth) live in per-thread tables
-/// or wait-free atomic arrays; the genuinely-global tables (global refs,
-/// monitors, pins, entity IDs) are lock-striped so concurrent crossings
-/// contend only when they hash to the same shard. Every machine exposes
-/// lockAcquires() as a contention proxy for the scaling bench.
+/// Shadow-state layout (DESIGN.md §10): the per-thread encodings (expected
+/// JNIEnv, critical depth and held resources, the three pushdown depths,
+/// JNI monitor entries, local references) live in one ThreadShadow block
+/// per thread, which a crossing finds once and then reads and writes with
+/// no lock; the global-reference live set is a GlobalSlotTable of atomic
+/// words indexed by the handle's global slot; the tables keyed by entity
+/// identity that any thread may touch (pins, entity IDs) are lock-striped
+/// so concurrent crossings contend only when they hash to the same shard.
+/// Every machine exposes lockAcquires() as a contention proxy for the
+/// scaling bench.
 ///
 /// Checks never call JNI functions; they inspect the VM through the
 /// policy-free JVMTI peek interface. (The paper's Jinn calls functions like
@@ -39,12 +43,11 @@
 #ifndef JINN_JINN_MACHINES_H
 #define JINN_JINN_MACHINES_H
 
-#include "jinn/LocalRefShadow.h"
 #include "jinn/ShardedState.h"
+#include "jinn/ThreadShadow.h"
 #include "spec/StateMachine.h"
 
-#include <map>
-#include <mutex>
+#include <functional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -54,7 +57,7 @@ namespace jinn::agent {
 /// Concurrency-layout knobs shared by the machines (JinnOptions carries
 /// the user-facing copies and MachineSet forwards them here).
 struct MachineTuning {
-  /// Lock stripes per global shadow table (rounded to a power of two).
+  /// Lock stripes per striped shadow table (rounded to a power of two).
   unsigned ShardCount = DefaultShardCount;
 };
 
@@ -64,16 +67,15 @@ struct MachineTuning {
 
 /// JNIEnv* state: the JNIEnv passed to every JNI function must belong to
 /// the executing thread. Error: JNIEnv* mismatch (pitfall 14). The
-/// expected-env table is read on every JNI call, so it is an
-/// AtomicWordArray: the hot read path is wait-free.
+/// expected env is read on every JNI call from the thread's shadow block.
 class JniEnvStateMachine : public spec::MachineBase {
 public:
-  JniEnvStateMachine();
+  explicit JniEnvStateMachine(ThreadShadows &Threads);
   void onThreadStart(const spec::ThreadStartInfo &Info) override;
-  uint64_t lockAcquires() const { return 0; } ///< lock-free encoding
+  uint64_t lockAcquires() const { return 0; } ///< see LocalRefMachine
 
 private:
-  AtomicWordArray ExpectedEnv; ///< env identity, indexed by thread id
+  ThreadShadows &Threads; ///< ThreadShadow::ExpectedEnv
 };
 
 /// Exception state: no exception-sensitive JNI call while an exception is
@@ -86,30 +88,25 @@ public:
 
 /// Critical-section state: between Get*Critical and Release*Critical only
 /// the four critical functions are legal. Errors: critical-section
-/// violation, unmatched release (pitfall 16). The per-thread depth tally
-/// is read on every critical-sensitive call (nearly every JNI function),
-/// so it lives in an AtomicWordArray; only the per-resource held map —
-/// touched exclusively by the rare critical acquire/release — still takes
-/// the mutex.
+/// violation, unmatched release (pitfall 16). The depth, read on every
+/// critical-sensitive call (nearly every JNI function), and the held
+/// resource counts both live in the thread's shadow block: no path locks.
 class CriticalStateMachine : public spec::MachineBase {
 public:
-  CriticalStateMachine();
+  explicit CriticalStateMachine(ThreadShadows &Threads);
 
   /// Shadow nesting depth for \p ThreadId (0 when not in a section).
-  /// Wait-free; safe to call from any thread.
-  int depthOf(uint32_t ThreadId) const {
-    return static_cast<int>(static_cast<int64_t>(Depth.load(ThreadId)));
+  /// Safe to call from any thread.
+  int depthOf(uint32_t ThreadId) const;
+  /// True while the crossing's thread is inside a critical section.
+  bool inCritical(spec::TransitionContext &Ctx) const {
+    return Threads.at(Ctx).CriticalDepth.get() > 0;
   }
 
-  uint64_t lockAcquires() const {
-    return HeldAcquires.load(std::memory_order_relaxed);
-  }
+  uint64_t lockAcquires() const { return 0; } ///< see LocalRefMachine
 
 private:
-  AtomicWordArray Depth; ///< per-thread nesting depth (single-writer)
-  mutable std::mutex Mu; ///< guards Held (critical acquire/release only)
-  mutable std::atomic<uint64_t> HeldAcquires{0};
-  std::map<std::pair<uint32_t, uint64_t>, int> Held; ///< (thread, obj)->count
+  ThreadShadows &Threads; ///< CriticalDepth, Held[].Criticals
 };
 
 //===----------------------------------------------------------------------===
@@ -198,37 +195,34 @@ private:
 };
 
 /// Monitor: MonitorEnter/MonitorExit must pair by program termination.
-/// The held set is striped by object identity; read-only held lookups
-/// (heldEntryCount, the VM-death sweep) take shard locks shared.
+/// A JNI MonitorExit succeeds only on the thread that owns the monitor,
+/// so the entry counts live in that thread's shadow block; the VM-death
+/// sweep counts the distinct monitors still held across all blocks.
 class MonitorMachine : public spec::MachineBase {
 public:
-  explicit MonitorMachine(const MachineTuning &Tuning = {});
+  explicit MonitorMachine(ThreadShadows &Threads);
   void onVmDeath(spec::Reporter &Rep, jvm::Vm &Vm) override;
-
-  /// Outstanding JNI entry count for object identity \p Obj (read-only,
-  /// shared shard lock).
-  int64_t heldEntryCount(uint64_t Obj) const;
-  /// Number of distinct monitors currently held through JNI.
-  size_t heldMonitorCount() const { return Held.size(); }
-
-  uint64_t lockAcquires() const { return Held.lockAcquires(); }
+  uint64_t lockAcquires() const { return 0; } ///< see LocalRefMachine
 
 private:
-  StripedTable<int64_t> Held; ///< object identity -> entry count
+  ThreadShadows &Threads; ///< Held[].Monitors
 };
 
 /// Global / weak-global references: explicit acquire/release; use after
-/// release is dangling; unreleased references leak. The live set is
-/// striped by handle word; the use-site membership test — the hot path —
-/// takes its shard lock shared.
+/// release is dangling; unreleased references leak. The live set is a
+/// GlobalSlotTable, so no path takes a lock.
 class GlobalRefMachine : public spec::MachineBase {
 public:
-  explicit GlobalRefMachine(const MachineTuning &Tuning = {});
+  GlobalRefMachine();
   void onVmDeath(spec::Reporter &Rep, jvm::Vm &Vm) override;
-  uint64_t lockAcquires() const { return Live.lockAcquires(); }
+  uint64_t lockAcquires() const { return 0; } ///< lock-free encoding
 
 private:
-  StripedTable<uint8_t> Live; ///< live global/weak handle words (set)
+  GlobalSlotTable Live; ///< live global/weak handle word per global slot
+  /// True when \p Word (global or weak) is not live in the shadow and the
+  /// VM does not hold it live either; a pre-agent reference the VM holds
+  /// is adopted instead.
+  bool dangling(spec::TransitionContext &Ctx, uint64_t Word);
 };
 
 /// Local references: the machine of paper Figure 2/Figure 8 — acquire on
@@ -237,17 +231,18 @@ private:
 /// dangling, double-free, wrong thread, and ID/reference confusion.
 ///
 /// JNI local references are thread-confined by specification, so the
-/// shadow tables are too: each VM thread owns a LocalRefShadow reached
-/// through a thread-local cache — no lock on the hot path. Cross-thread
-/// *use* of a local reference is a detected violation (the wrong-thread
-/// check in useCheck), not a supported access pattern. The registry that
-/// backs the cache is only locked on first touch per (machine, thread)
-/// and for the cross-thread observation queries below, which callers must
-/// only invoke once the owning thread has quiesced.
+/// shadow is too: each VM thread's LocalRefShadow sits in its shadow
+/// block — no lock on the hot path. Cross-thread *use* of a local
+/// reference is a detected violation (the wrong-thread check in useCheck),
+/// not a supported access pattern. The observation queries below may only
+/// be called once the owning thread has quiesced.
+///
+/// lockAcquires() reports the ThreadShadows registry, shared by the seven
+/// machines with per-thread encodings: it locks only on a block's first
+/// touch per OS thread and for cross-thread observation.
 class LocalRefMachine : public spec::MachineBase {
 public:
-  LocalRefMachine();
-  ~LocalRefMachine() override;
+  explicit LocalRefMachine(ThreadShadows &Threads);
   void onThreadStart(const spec::ThreadStartInfo &Info) override;
 
   /// Live local references currently tracked for \p ThreadId.
@@ -259,29 +254,14 @@ public:
   /// after every acquire/release with the new live count.
   std::function<void(uint32_t ThreadId, size_t Live)> OnCountChange;
 
-  uint64_t lockAcquires() const {
-    return RegistryAcquires.load(std::memory_order_relaxed);
-  }
+  uint64_t lockAcquires() const { return Threads.lockAcquires(); }
 
 private:
-  /// RegistryMu guards only the map structure (insertion of new per-thread
-  /// entries). The *contents* of a LocalRefShadow are only touched by the
-  /// thread whose transitions they shadow (machine transitions run on the
-  /// thread making the JNI call; offline replay runs every logical thread
-  /// on one OS thread), so the hot path is a two-word thread-local cache
-  /// compare and no lock.
-  mutable std::mutex RegistryMu;
-  mutable std::atomic<uint64_t> RegistryAcquires{0};
-  std::unordered_map<uint32_t, std::unique_ptr<LocalRefShadow>> Shadows;
-  const uint64_t InstanceId; ///< keys the thread-local cache
+  ThreadShadows &Threads; ///< ThreadShadow::Locals
 
-  LocalRefShadow &shadowOf(uint32_t ThreadId);
-  /// shadowOf with the lookup hoisted to once per crossing: the resolved
-  /// shadow is memoized on the CapturedCall, so a crossing that runs
-  /// several of this machine's actions (or one action with many reference
-  /// arguments) pays the thread-local cache compare once.
-  LocalRefShadow &shadowAt(spec::TransitionContext &Ctx);
-  LocalRefShadow *findShadow(uint32_t ThreadId) const;
+  LocalRefShadow &shadowAt(spec::TransitionContext &Ctx) {
+    return Threads.at(Ctx).Locals;
+  }
   /// Adds local reference \p Word to \p Shadow's top frame and checks
   /// the frame's capacity.
   void acquire(spec::TransitionContext &Ctx, LocalRefShadow &Shadow,
@@ -303,7 +283,7 @@ private:
 // Three rules are stack-shaped and need the spec language's bounded
 // counter facility (spec::CounterSpec): a finite state set cannot count
 // how many frames/monitors/criticals are outstanding. Each machine keeps
-// one wait-free per-thread depth word; every transition declares its
+// one depth in the thread's shadow block; every transition declares its
 // CounterOp so speclint and the static verifier (analysis/verify) can
 // interpret the counter abstractly. Error ownership is disjoint from the
 // regular machines: LocalRef keeps frame *leaks*, Monitor keeps monitor
@@ -315,15 +295,13 @@ private:
 /// at native return stay with the local-reference machine.)
 class LocalFrameNestingMachine : public spec::MachineBase {
 public:
-  LocalFrameNestingMachine();
-  /// Shadow nesting depth for \p ThreadId. Wait-free.
-  int depthOf(uint32_t ThreadId) const {
-    return static_cast<int>(static_cast<int64_t>(Depth.load(ThreadId)));
-  }
-  uint64_t lockAcquires() const { return 0; } ///< lock-free encoding
+  explicit LocalFrameNestingMachine(ThreadShadows &Threads);
+  /// Shadow nesting depth for \p ThreadId, from any thread.
+  int depthOf(uint32_t ThreadId) const;
+  uint64_t lockAcquires() const { return 0; } ///< see LocalRefMachine
 
 private:
-  AtomicWordArray Depth; ///< per-thread explicit-frame depth (single-writer)
+  ThreadShadows &Threads; ///< ThreadShadow::LocalFrameDepth
 };
 
 /// Monitor balance: every JNI MonitorExit must match an earlier JNI
@@ -331,15 +309,13 @@ private:
 /// held at termination stay with the monitor machine's leak check.)
 class MonitorBalanceMachine : public spec::MachineBase {
 public:
-  MonitorBalanceMachine();
-  /// Outstanding JNI monitor entries for \p ThreadId. Wait-free.
-  int depthOf(uint32_t ThreadId) const {
-    return static_cast<int>(static_cast<int64_t>(Depth.load(ThreadId)));
-  }
-  uint64_t lockAcquires() const { return 0; } ///< lock-free encoding
+  explicit MonitorBalanceMachine(ThreadShadows &Threads);
+  /// Outstanding JNI monitor entries for \p ThreadId, from any thread.
+  int depthOf(uint32_t ThreadId) const;
+  uint64_t lockAcquires() const { return 0; } ///< see LocalRefMachine
 
 private:
-  AtomicWordArray Depth; ///< per-thread JNI entry count (single-writer)
+  ThreadShadows &Threads; ///< ThreadShadow::MonitorDepth
 };
 
 /// Critical-section nesting: a thread must not open a second critical
@@ -350,15 +326,13 @@ private:
 /// critical-section state machine.)
 class CriticalNestingMachine : public spec::MachineBase {
 public:
-  CriticalNestingMachine();
-  /// Shadow critical depth for \p ThreadId. Wait-free.
-  int depthOf(uint32_t ThreadId) const {
-    return static_cast<int>(static_cast<int64_t>(Depth.load(ThreadId)));
-  }
-  uint64_t lockAcquires() const { return 0; } ///< lock-free encoding
+  explicit CriticalNestingMachine(ThreadShadows &Threads);
+  /// Shadow critical depth for \p ThreadId, from any thread.
+  int depthOf(uint32_t ThreadId) const;
+  uint64_t lockAcquires() const { return 0; } ///< see LocalRefMachine
 
 private:
-  AtomicWordArray Depth; ///< per-thread critical depth (single-writer)
+  ThreadShadows &Threads; ///< ThreadShadow::CriticalNestingDepth
 };
 
 /// Convenience: constructs all fourteen machines — the paper's eleven in
@@ -366,23 +340,25 @@ private:
 struct MachineSet {
   MachineSet() : MachineSet(MachineTuning{}) {}
   explicit MachineSet(const MachineTuning &Tuning)
-      : EntityTyping(Tuning), PinnedResource(Tuning), Monitor(Tuning),
-        GlobalRef(Tuning) {}
+      : EntityTyping(Tuning), PinnedResource(Tuning) {}
 
-  JniEnvStateMachine EnvState;
+  /// One shadow block per thread, shared by the per-thread machines.
+  ThreadShadows Threads;
+
+  JniEnvStateMachine EnvState{Threads};
   ExceptionStateMachine ExceptionState;
-  CriticalStateMachine CriticalState;
+  CriticalStateMachine CriticalState{Threads};
   FixedTypingMachine FixedTyping{CriticalState};
   EntityTypingMachine EntityTyping;
   AccessControlMachine AccessControl;
   NullnessMachine Nullness;
   PinnedResourceMachine PinnedResource;
-  MonitorMachine Monitor;
+  MonitorMachine Monitor{Threads};
   GlobalRefMachine GlobalRef;
-  LocalRefMachine LocalRef;
-  LocalFrameNestingMachine LocalFrameNesting;
-  MonitorBalanceMachine MonitorBalance;
-  CriticalNestingMachine CriticalNesting;
+  LocalRefMachine LocalRef{Threads};
+  LocalFrameNestingMachine LocalFrameNesting{Threads};
+  MonitorBalanceMachine MonitorBalance{Threads};
+  CriticalNestingMachine CriticalNesting{Threads};
 
   /// All machines: paper order, then the pushdown machines.
   std::vector<spec::MachineBase *> all();

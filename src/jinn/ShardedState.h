@@ -5,26 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared-state layouts that let the fourteen machines scale with cores
-/// instead of serializing every boundary crossing on one mutex per
-/// machine (DESIGN.md §10):
+/// Shared-state layouts for the shadow tables that are genuinely global
+/// (DESIGN.md §10); the per-thread encodings live in ThreadShadow.h.
 ///
-///   StripedTable   lock-striped shards for the genuinely-global shadow
-///                  tables (global refs, monitors, pinned resources,
-///                  entity IDs). Each shard pairs a shared_mutex with a
-///                  small open-addressed map (OpenMap, support/OpenMap.h)
-///                  whose entries live in one flat slab — inserts and
-///                  erases never malloc except on the amortized slab
-///                  doubling, so shard critical sections stay
-///                  allocation-free and short.
+///   StripedTable     lock-striped shards for the tables keyed by entity
+///                    identity whose entries any thread may touch (pinned
+///                    resources, entity IDs). Each shard pairs a
+///                    shared_mutex with a small open-addressed map
+///                    (OpenMap, support/OpenMap.h) whose entries live in
+///                    one flat slab — inserts and erases never malloc
+///                    except on the amortized slab doubling, so shard
+///                    critical sections stay allocation-free and short.
 ///
-///   AtomicWordArray  a grow-only, chunked array of atomic words indexed
-///                  by thread id, for the read-dominated per-thread
-///                  encodings (expected JNIEnv, critical depth). Readers
-///                  are wait-free (two relaxed-ish atomic loads); writers
-///                  take a mutex only to install a missing chunk. Chunks
-///                  never move, so no reader ever observes a relocated
-///                  slot.
+///   GlobalSlotTable  the global-reference live set as one atomic word
+///                    per VM global slot: a use is one load and compare,
+///                    an acquire one store, a release one compare-exchange.
+///                    No lock on any path.
 ///
 /// Every lock acquisition on a striped shard is counted (relaxed,
 /// per-shard to avoid the counter itself becoming a contended line) so
@@ -36,6 +32,7 @@
 #ifndef JINN_JINN_SHARDEDSTATE_H
 #define JINN_JINN_SHARDEDSTATE_H
 
+#include "jvm/Handle.h"
 #include "support/OpenMap.h"
 
 #include <atomic>
@@ -60,9 +57,8 @@ inline uint64_t mixBits(uint64_t X) {
 
 /// Lock-striped table: N shards, each an independently locked OpenMap.
 /// Handles hash to a shard with mixBits, so concurrent threads touching
-/// different entities contend only 1/N of the time. Reads that dominate a
-/// machine's hot path (GlobalRef use checks, Monitor held lookups) take
-/// the shard lock shared; mutations take it exclusive.
+/// different entities contend only 1/N of the time. Reads take the shard
+/// lock shared; mutations take it exclusive.
 template <typename ValueT> class StripedTable {
 public:
   explicit StripedTable(unsigned ShardCount = DefaultShardCount) {
@@ -134,79 +130,104 @@ private:
   uint64_t Mask = 0;
 };
 
-/// Grow-only chunked array of atomic 64-bit words indexed by thread id.
-/// The wait-free read path is what makes the read-dominated machines
-/// (JNIEnv* state, critical depth) scale: every JNI call reads its
-/// thread's slot without any lock or RMW. Slots are single-writer in
-/// practice (a thread only updates its own entry), so relaxed ordering
-/// suffices for the checks built on top.
-class AtomicWordArray {
+/// The global-reference machine's live set, laid out like the VM's global
+/// table: one atomic word per 20-bit global slot of the handle encoding,
+/// holding the handle word the shadow considers live there (0: none). A
+/// slot is live under at most one handle at a time — the VM reissues it
+/// only after a delete, under a new generation — so a word set keyed by
+/// slot needs no hashing, no probing and no lock:
+///
+///   - a use is one acquire load compared with the whole word, so a
+///     handle of an older generation (or of the other kind) never matches;
+///   - an acquire or a pre-agent adoption is one release store;
+///   - a release is one compare-exchange from the word to 0, which fails
+///     for a word the slot does not hold.
+///
+/// Chunks of 1024 slots are allocated on first store, installed by
+/// compare-exchange, and never move, so a reader never observes a
+/// relocated slot and no path takes a lock.
+class GlobalSlotTable {
 public:
-  static constexpr uint32_t ChunkBits = 10; // 1024 slots per chunk
-  static constexpr uint32_t NumChunks = 64; // 65536 thread ids
+  static constexpr uint32_t ChunkBits = 10;
+  static constexpr uint32_t NumChunks =
+      static_cast<uint32_t>((jvm::handle_detail::SlotMask + 1) >> ChunkBits);
 
-  AtomicWordArray() {
+  GlobalSlotTable() {
     for (auto &C : Chunks)
       C.store(nullptr, std::memory_order_relaxed);
   }
-  ~AtomicWordArray() {
+  ~GlobalSlotTable() {
     for (auto &C : Chunks)
       delete[] C.load(std::memory_order_relaxed);
   }
-  AtomicWordArray(const AtomicWordArray &) = delete;
-  AtomicWordArray &operator=(const AtomicWordArray &) = delete;
+  GlobalSlotTable(const GlobalSlotTable &) = delete;
+  GlobalSlotTable &operator=(const GlobalSlotTable &) = delete;
 
-  /// Wait-free: 0 when the slot was never written.
-  uint64_t load(uint32_t Index) const {
+  /// The word live in \p Word's slot (0 when none): a use holds when it
+  /// equals \p Word. Wait-free.
+  uint64_t wordAt(uint64_t Word) const {
+    uint32_t Slot = slotOf(Word);
     const std::atomic<uint64_t> *Chunk =
-        Chunks[chunkOf(Index)].load(std::memory_order_acquire);
-    if (!Chunk)
-      return 0;
-    return Chunk[slotOf(Index)].load(std::memory_order_relaxed);
+        Chunks[Slot >> ChunkBits].load(std::memory_order_acquire);
+    return Chunk ? Chunk[Slot & ChunkMask].load(std::memory_order_acquire)
+                 : 0;
   }
 
-  void store(uint32_t Index, uint64_t Value) {
-    slot(Index).store(Value, std::memory_order_relaxed);
+  /// Makes \p Word the live word of its slot.
+  void publish(uint64_t Word) {
+    uint32_t Slot = slotOf(Word);
+    chunk(Slot >> ChunkBits)[Slot & ChunkMask].store(
+        Word, std::memory_order_release);
   }
 
-  /// Signed add on the slot (used for the critical-section depth tally).
-  int64_t fetchAdd(uint32_t Index, int64_t Delta) {
-    return static_cast<int64_t>(
-        slot(Index).fetch_add(static_cast<uint64_t>(Delta),
-                              std::memory_order_relaxed));
+  /// Clears \p Word's slot if it holds \p Word; false when it does not.
+  bool retire(uint64_t Word) {
+    uint32_t Slot = slotOf(Word);
+    std::atomic<uint64_t> *Chunk =
+        Chunks[Slot >> ChunkBits].load(std::memory_order_acquire);
+    uint64_t Expected = Word;
+    return Chunk && Chunk[Slot & ChunkMask].compare_exchange_strong(
+                        Expected, 0, std::memory_order_acq_rel,
+                        std::memory_order_acquire);
+  }
+
+  /// Slots holding a live word (the VM-death leak count).
+  size_t liveCount() const {
+    size_t N = 0;
+    for (const auto &C : Chunks)
+      if (const std::atomic<uint64_t> *Chunk =
+              C.load(std::memory_order_acquire))
+        for (uint32_t I = 0; I <= ChunkMask; ++I)
+          N += Chunk[I].load(std::memory_order_acquire) != 0;
+    return N;
   }
 
 private:
-  static uint32_t chunkOf(uint32_t Index) {
-    // Ids beyond the addressable range alias the last chunk's last slot;
-    // thread ids are 12-bit in the handle encoding, so this is a
-    // never-taken guard rather than a real sharing concern.
-    uint32_t C = Index >> ChunkBits;
-    return C < NumChunks ? C : NumChunks - 1;
-  }
-  static uint32_t slotOf(uint32_t Index) {
-    return (Index >> ChunkBits) < NumChunks ? (Index & ((1u << ChunkBits) - 1))
-                                            : (1u << ChunkBits) - 1;
+  static constexpr uint32_t ChunkMask = (1u << ChunkBits) - 1;
+
+  static uint32_t slotOf(uint64_t Word) {
+    namespace D = jvm::handle_detail;
+    return static_cast<uint32_t>((Word >> D::SlotShift) & D::SlotMask);
   }
 
-  std::atomic<uint64_t> &slot(uint32_t Index) {
-    uint32_t C = chunkOf(Index);
+  /// Chunk \p C, installed by compare-exchange on first use: the thread
+  /// that loses an install race frees its copy and takes the winner's.
+  std::atomic<uint64_t> *chunk(uint32_t C) {
     std::atomic<uint64_t> *Chunk = Chunks[C].load(std::memory_order_acquire);
-    if (!Chunk) {
-      std::lock_guard<std::mutex> Lock(GrowMu);
-      Chunk = Chunks[C].load(std::memory_order_relaxed);
-      if (!Chunk) {
-        Chunk = new std::atomic<uint64_t>[1u << ChunkBits];
-        for (uint32_t I = 0; I < (1u << ChunkBits); ++I)
-          Chunk[I].store(0, std::memory_order_relaxed);
-        Chunks[C].store(Chunk, std::memory_order_release);
-      }
-    }
-    return Chunk[slotOf(Index)];
+    if (Chunk)
+      return Chunk;
+    auto *Fresh = new std::atomic<uint64_t>[1u << ChunkBits];
+    for (uint32_t I = 0; I <= ChunkMask; ++I)
+      Fresh[I].store(0, std::memory_order_relaxed);
+    if (Chunks[C].compare_exchange_strong(Chunk, Fresh,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire))
+      return Fresh;
+    delete[] Fresh;
+    return Chunk;
   }
 
   std::atomic<std::atomic<uint64_t> *> Chunks[NumChunks];
-  std::mutex GrowMu;
 };
 
 } // namespace jinn::agent

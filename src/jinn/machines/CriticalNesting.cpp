@@ -47,7 +47,8 @@ const char NestedCriticalMsg[] =
 
 } // namespace
 
-CriticalNestingMachine::CriticalNestingMachine() {
+CriticalNestingMachine::CriticalNestingMachine(ThreadShadows &Blocks)
+    : Threads(Blocks) {
   Spec.Name = "Critical-section nesting";
   Spec.ObservedEntity = "A thread's stack of open critical sections";
   Spec.Errors = "Nested critical sections";
@@ -65,7 +66,7 @@ CriticalNestingMachine::CriticalNestingMachine() {
       CounterOp::Push, [this](TransitionContext &Ctx) {
         if (!Ctx.call().returnPtr())
           return; // acquisition failed; no section was opened
-        Depth.fetchAdd(Ctx.threadId(), 1);
+        Threads.at(Ctx).CriticalNestingDepth.add(1);
       }));
 
   // Pop: the matching release. Decrements at the return, so a release the
@@ -78,10 +79,10 @@ CriticalNestingMachine::CriticalNestingMachine() {
             isCriticalRelease),
         Direction::ReturnJavaToC}},
       CounterOp::Pop, [this](TransitionContext &Ctx) {
-        uint32_t Tid = Ctx.threadId();
+        ShadowDepth &Depth = Threads.at(Ctx).CriticalNestingDepth;
         if (mutate::active(mutate::M::SpecCriticalPopGuardDropped) ||
-            static_cast<int64_t>(Depth.load(Tid)) > 0)
-          Depth.fetchAdd(Tid, -1);
+            Depth.get() > 0)
+          Depth.add(-1);
       }));
 
   // Push at the bound: a second acquire inside an open section. Aborting
@@ -96,9 +97,14 @@ CriticalNestingMachine::CriticalNestingMachine() {
       CounterOp::Push, [this](TransitionContext &Ctx) {
         int64_t Bound =
             mutate::active(mutate::M::SpecCriticalGuardWeakened) ? 2 : 1;
-        if (static_cast<int64_t>(Depth.load(Ctx.threadId())) < Bound)
+        if (Threads.at(Ctx).CriticalNestingDepth.get() < Bound)
           return;
         Ctx.reporter().violation(Ctx, Spec, NestedCriticalMsg);
       }));
   Spec.Transitions.back().Violation = NestedCriticalMsg;
+}
+
+int CriticalNestingMachine::depthOf(uint32_t ThreadId) const {
+  const ThreadShadow *Shadow = Threads.find(ThreadId);
+  return Shadow ? static_cast<int>(Shadow->CriticalNestingDepth.get()) : 0;
 }

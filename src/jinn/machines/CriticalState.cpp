@@ -13,13 +13,15 @@
 ///
 /// The Inside->Error transition matches almost every JNI function, so its
 /// guard — "is this thread's depth nonzero?" — runs on nearly every
-/// crossing. The per-thread depth therefore lives in a wait-free
-/// AtomicWordArray; only the per-resource Held map, touched exclusively by
-/// the rare critical acquire/release pair, still takes the mutex.
+/// crossing. The depth and the per-resource held counts both live in the
+/// thread's shadow block (ThreadShadow), which only that thread's
+/// crossings write: no path takes a lock or allocates in the steady
+/// state.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "jinn/machines/MachineUtil.h"
+#include "mutate/Mutation.h"
 
 using namespace jinn;
 using namespace jinn::agent;
@@ -28,7 +30,8 @@ using jinn::jni::FnTraits;
 using jinn::jni::PinFamily;
 using jinn::jni::ResourceRole;
 
-CriticalStateMachine::CriticalStateMachine() {
+CriticalStateMachine::CriticalStateMachine(ThreadShadows &Blocks)
+    : Threads(Blocks) {
   Spec.Name = "Critical-section state";
   Spec.ObservedEntity = "A thread";
   Spec.Errors = "Critical section violation";
@@ -51,11 +54,10 @@ CriticalStateMachine::CriticalStateMachine() {
         if (!Ctx.call().returnPtr())
           return; // acquisition failed; no state change
         uint64_t Resource = identityOf(Ctx, Ctx.call().refWord(0));
-        uint32_t Tid = Ctx.threadId();
-        Depth.fetchAdd(Tid, 1);
-        HeldAcquires.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> Lock(Mu);
-        Held[{Tid, Resource}] += 1;
+        ThreadShadow &Shadow = Threads.at(Ctx);
+        Shadow.CriticalDepth.add(1);
+        if (Resource) // a dead resource can never be released as held
+          Shadow.Held.findOrEmplace(Resource).Criticals += 1;
       }));
 
   // Release: Return:Java->C of the matching release functions. The
@@ -73,36 +75,29 @@ CriticalStateMachine::CriticalStateMachine() {
             }),
         Direction::CallCToJava}},
       [this](TransitionContext &Ctx) {
-        uint32_t Tid = Ctx.threadId();
+        ThreadShadow &Shadow = Threads.at(Ctx);
         int BufIndex = Ctx.call().traits().firstParam(ArgClass::OutPtr);
         const void *Buf =
             BufIndex >= 0 ? Ctx.call().arg(BufIndex).Ptr : nullptr;
         uint64_t BufTarget = 0;
         bool Found = Buf && Ctx.releasedBuffer(Buf, BufTarget);
-        // Decide under the lock, report after releasing it: violation()
-        // may allocate a throwable and thereby trigger a collection, which
-        // must not happen while a machine mutex is held. The depth word is
-        // only ever written by its own thread, so reading it outside the
-        // Held lock cannot race.
-        const char *Error = nullptr;
-        if (!Found || depthOf(Tid) <= 0) {
-          Error = "An unmatched critical-section release was issued";
-        } else {
-          uint64_t Resource = BufTarget;
-          HeldAcquires.fetch_add(1, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> Lock(Mu);
-          auto It = Held.find({Tid, Resource});
-          if (It == Held.end() || It->second <= 0) {
-            Error = "A critical resource was released that this thread "
-                    "does not hold";
-          } else {
-            if (--It->second == 0)
-              Held.erase(It);
-            Depth.fetchAdd(Tid, -1);
-          }
+        if (!Found || Shadow.CriticalDepth.get() <= 0) {
+          Ctx.reporter().violation(
+              Ctx, Spec, "An unmatched critical-section release was issued");
+          return;
         }
-        if (Error)
-          Ctx.reporter().violation(Ctx, Spec, Error);
+        HeldCounts *Held = Shadow.Held.find(BufTarget);
+        if (!Held || Held->Criticals <= 0) {
+          Ctx.reporter().violation(Ctx, Spec,
+                                   "A critical resource was released that "
+                                   "this thread does not hold");
+          return;
+        }
+        if (!mutate::active(mutate::M::SpecThreadShadowCriticalHeldKept))
+          Held->Criticals -= 1; // mutant: the release leaves the count
+        if (Held->empty())
+          Shadow.Held.eraseFound(Held);
+        Shadow.CriticalDepth.add(-1);
       }));
 
   // Error: any critical-section-sensitive call while inside.
@@ -113,10 +108,15 @@ CriticalStateMachine::CriticalStateMachine() {
             [](const FnTraits &Traits) { return !Traits.CriticalAllowed; }),
         Direction::CallCToJava}},
       [this](TransitionContext &Ctx) {
-        if (depthOf(Ctx.threadId()) <= 0)
+        if (!inCritical(Ctx))
           return;
         Ctx.reporter().violation(
             Ctx, Spec,
             "A JNI call was made inside a JNI critical section");
       }));
+}
+
+int CriticalStateMachine::depthOf(uint32_t ThreadId) const {
+  const ThreadShadow *Shadow = Threads.find(ThreadId);
+  return Shadow ? static_cast<int>(Shadow->CriticalDepth.get()) : 0;
 }

@@ -11,8 +11,8 @@
 /// start through JVMTI.
 ///
 /// This machine fires on *every* JNI function, so its read path is the
-/// single hottest shadow lookup in the checker: the expected-env table is
-/// an AtomicWordArray and the check is two wait-free atomic loads.
+/// single hottest shadow lookup in the checker: the expected env sits in
+/// the thread's shadow block, and the check is one relaxed load.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +22,8 @@
 using namespace jinn;
 using namespace jinn::agent;
 
-JniEnvStateMachine::JniEnvStateMachine() {
+JniEnvStateMachine::JniEnvStateMachine(ThreadShadows &Blocks)
+    : Threads(Blocks) {
   Spec.Name = "JNIEnv* state";
   Spec.ObservedEntity = "A thread";
   Spec.Errors = "JNIEnv* mismatch";
@@ -45,7 +46,8 @@ JniEnvStateMachine::JniEnvStateMachine() {
                            Ctx.currentThreadName().c_str()));
           return;
         }
-        uint64_t Expected = ExpectedEnv.load(Ctx.threadId());
+        uint64_t Expected =
+            Threads.at(Ctx).ExpectedEnv.load(std::memory_order_relaxed);
         if (Expected && Expected != Ctx.envWord())
           Ctx.reporter().violation(
               Ctx, Spec, "A stale JNIEnv pointer was used for this thread");
@@ -53,5 +55,6 @@ JniEnvStateMachine::JniEnvStateMachine() {
 }
 
 void JniEnvStateMachine::onThreadStart(const spec::ThreadStartInfo &Info) {
-  ExpectedEnv.store(Info.Id, Info.EnvWord);
+  Threads.start(Info).ExpectedEnv.store(Info.EnvWord,
+                                        std::memory_order_relaxed);
 }

@@ -103,7 +103,7 @@ FixedTypingMachine::FixedTypingMachine(const CriticalStateMachine &Critical)
             }),
         Direction::CallCToJava}},
       [this](TransitionContext &Ctx) {
-        if (this->Critical.depthOf(Ctx.threadId()) > 0)
+        if (this->Critical.inCritical(Ctx))
           return; // cannot type-check inside a critical region
         const FnTraits &Traits = Ctx.call().traits();
         for (int I = 0; I < Traits.NumParams; ++I) {

@@ -13,9 +13,10 @@
 /// References created before the agent attached are adopted on first use
 /// instead of being reported — Jinn has no false positives (paper §2.2).
 ///
-/// The live set is striped by handle word: acquire/release take one
-/// shard's lock exclusive, and the hot use-site membership test takes it
-/// shared, so threads touching different references rarely contend.
+/// The live set is a GlobalSlotTable: one atomic word per VM global slot.
+/// A use compares the slot's word with the whole handle word, generation
+/// included; acquire and adoption store it; a delete compare-exchanges it
+/// to 0. No path takes a lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,8 +45,22 @@ bool takesRefParam(const FnTraits &Traits) {
 
 } // namespace
 
-GlobalRefMachine::GlobalRefMachine(const MachineTuning &Tuning)
-    : Live(Tuning.ShardCount) {
+bool GlobalRefMachine::dangling(TransitionContext &Ctx, uint64_t Word) {
+  uint64_t Held = Live.wordAt(Word);
+  if (mutate::active(mutate::M::SpecGlobalRefSlotGenerationIgnored)
+          ? Held != 0 // mutant: any occupant of the slot passes
+          : Held == Word)
+    return false;
+  jvm::Vm::PeekResult Peek = peekRef(Ctx, Word);
+  if (Peek.S == jvm::Vm::PeekResult::Status::Live ||
+      Peek.S == jvm::Vm::PeekResult::Status::ClearedWeak) {
+    Live.publish(Word); // pre-agent ref: adopt it
+    return false;
+  }
+  return true;
+}
+
+GlobalRefMachine::GlobalRefMachine() {
   Spec.Name = "Global or weak global reference";
   Spec.ObservedEntity = "A global or weak global JNI reference";
   Spec.Errors = "Leak and dangling reference";
@@ -64,12 +79,8 @@ GlobalRefMachine::GlobalRefMachine(const MachineTuning &Tuning)
             }),
         Direction::ReturnJavaToC}},
       [this](TransitionContext &Ctx) {
-        uint64_t Word = Ctx.call().returnWord();
-        if (Word) {
-          auto &Shard = Live.shardFor(Word);
-          auto Lock = StripedTable<uint8_t>::exclusive(Shard);
-          Shard.Map.findOrEmplace(Word, 1);
-        }
+        if (uint64_t Word = Ctx.call().returnWord())
+          Live.publish(Word);
       }));
 
   // Release: DeleteGlobalRef / DeleteWeakGlobalRef.
@@ -88,12 +99,8 @@ GlobalRefMachine::GlobalRefMachine(const MachineTuning &Tuning)
         uint64_t Word = Ctx.call().refWord(0);
         if (!Word)
           return;
-        {
-          auto &Shard = Live.shardFor(Word);
-          auto Lock = StripedTable<uint8_t>::exclusive(Shard);
-          if (Shard.Map.erase(Word))
-            return;
-        }
+        if (Live.retire(Word))
+          return;
         jvm::Vm::PeekResult Peek = peekRef(Ctx, Word);
         if (Peek.S == jvm::Vm::PeekResult::Status::Live ||
             Peek.S == jvm::Vm::PeekResult::Status::ClearedWeak)
@@ -122,20 +129,8 @@ GlobalRefMachine::GlobalRefMachine(const MachineTuning &Tuning)
           if (!Bits || (Bits->Kind != RefKind::Global &&
                         Bits->Kind != RefKind::WeakGlobal))
             continue; // locals belong to the local-reference machine
-          {
-            const auto &Shard = Live.shardFor(Word);
-            auto Lock = StripedTable<uint8_t>::shared(Shard);
-            if (Shard.Map.find(Word))
-              continue;
-          }
-          jvm::Vm::PeekResult Peek = peekRef(Ctx, Word);
-          if (Peek.S == jvm::Vm::PeekResult::Status::Live ||
-              Peek.S == jvm::Vm::PeekResult::Status::ClearedWeak) {
-            auto &Shard = Live.shardFor(Word);
-            auto Lock = StripedTable<uint8_t>::exclusive(Shard);
-            Shard.Map.findOrEmplace(Word, 1); // pre-agent ref: adopt it
+          if (!dangling(Ctx, Word))
             continue;
-          }
           Ctx.reporter().violation(
               Ctx, Spec,
               formatString("argument %d is a dangling %s reference "
@@ -160,20 +155,8 @@ GlobalRefMachine::GlobalRefMachine(const MachineTuning &Tuning)
         if (!Bits || (Bits->Kind != RefKind::Global &&
                       Bits->Kind != RefKind::WeakGlobal))
           return;
-        {
-          const auto &Shard = Live.shardFor(Word);
-          auto Lock = StripedTable<uint8_t>::shared(Shard);
-          if (Shard.Map.find(Word))
-            return;
-        }
-        jvm::Vm::PeekResult Peek = peekRef(Ctx, Word);
-        if (Peek.S == jvm::Vm::PeekResult::Status::Live ||
-            Peek.S == jvm::Vm::PeekResult::Status::ClearedWeak) {
-          auto &Shard = Live.shardFor(Word);
-          auto Lock = StripedTable<uint8_t>::exclusive(Shard);
-          Shard.Map.findOrEmplace(Word, 1);
+        if (!dangling(Ctx, Word))
           return;
-        }
         Ctx.reporter().violation(
             Ctx, Spec,
             "a native method returned a dangling global reference");
@@ -182,7 +165,7 @@ GlobalRefMachine::GlobalRefMachine(const MachineTuning &Tuning)
 
 void GlobalRefMachine::onVmDeath(spec::Reporter &Rep, jvm::Vm &Vm) {
   (void)Vm;
-  size_t LiveCount = Live.size();
+  size_t LiveCount = Live.liveCount();
   if (LiveCount > 0)
     Rep.endOfRun(Spec,
                  formatString("%zu global or weak global reference(s) were "

@@ -10,7 +10,7 @@
 /// "as many pops as pushes", so the machine declares a counter
 /// (spec::CounterSpec) and its transitions declare push/pop moves; the one
 /// live state just says "balanced so far". The dynamic encoding is a
-/// wait-free per-thread depth word.
+/// depth in the thread's shadow block (ThreadShadow).
 ///
 /// Error ownership: this machine owns the *underflow* (PopLocalFrame
 /// without a matching push) — transferred here from the local-reference
@@ -30,7 +30,8 @@ using spec::CounterOp;
 static const char UnmatchedPopMsg[] =
     "PopLocalFrame without a matching PushLocalFrame";
 
-LocalFrameNestingMachine::LocalFrameNestingMachine() {
+LocalFrameNestingMachine::LocalFrameNestingMachine(ThreadShadows &Blocks)
+    : Threads(Blocks) {
   Spec.Name = "Local-frame nesting";
   Spec.ObservedEntity = "A thread's stack of explicitly pushed local frames";
   Spec.Errors = "Unmatched pop";
@@ -50,7 +51,7 @@ LocalFrameNestingMachine::LocalFrameNestingMachine() {
       CounterOp::Push, [this](TransitionContext &Ctx) {
         if (static_cast<jint>(Ctx.call().returnWord()) != JNI_OK)
           return;
-        Depth.fetchAdd(Ctx.threadId(), 1);
+        Threads.at(Ctx).LocalFrameDepth.add(1);
       }));
 
   // Pop above zero: the matching PopLocalFrame. The decrement runs at the
@@ -61,9 +62,9 @@ LocalFrameNestingMachine::LocalFrameNestingMachine() {
       {{FunctionSelector::one(jni::FnId::PopLocalFrame),
         Direction::ReturnJavaToC}},
       CounterOp::Pop, [this](TransitionContext &Ctx) {
-        uint32_t Tid = Ctx.threadId();
-        if (static_cast<int64_t>(Depth.load(Tid)) > 0)
-          Depth.fetchAdd(Tid, -1);
+        ShadowDepth &Depth = Threads.at(Ctx).LocalFrameDepth;
+        if (Depth.get() > 0)
+          Depth.add(-1);
       }));
 
   // Pop at zero: underflow — there is no frame this pop could match.
@@ -73,10 +74,15 @@ LocalFrameNestingMachine::LocalFrameNestingMachine() {
         {{FunctionSelector::one(jni::FnId::PopLocalFrame),
           Direction::CallCToJava}},
         CounterOp::Pop, [this](TransitionContext &Ctx) {
-          if (static_cast<int64_t>(Depth.load(Ctx.threadId())) > 0)
+          if (Threads.at(Ctx).LocalFrameDepth.get() > 0)
             return;
           Ctx.reporter().violation(Ctx, Spec, UnmatchedPopMsg);
         }));
     Spec.Transitions.back().Violation = UnmatchedPopMsg;
   }
+}
+
+int LocalFrameNestingMachine::depthOf(uint32_t ThreadId) const {
+  const ThreadShadow *Shadow = Threads.find(ThreadId);
+  return Shadow ? static_cast<int>(Shadow->LocalFrameDepth.get()) : 0;
 }

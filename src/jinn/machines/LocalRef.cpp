@@ -18,13 +18,10 @@
 /// confusion (pitfall 6).
 ///
 /// Concurrency: local references are thread-confined by the JNI spec, and
-/// so is the shadow. Each thread's LocalRefShadow is reached through a
-/// thread-local cache keyed by (machine instance, logical thread id) — the
-/// logical id matters because offline trace replay runs every recorded
-/// thread on one OS thread. The hot path is a two-word compare and no
-/// lock; RegistryMu is taken only on the first touch per (machine, thread)
-/// and by the cross-thread observation queries (liveCount/topCapacity),
-/// which callers must only invoke once the owning thread has quiesced.
+/// so is the shadow. Each thread's LocalRefShadow sits in its shadow block
+/// (ThreadShadow), found once per crossing with no lock; the cross-thread
+/// observation queries (liveCount/topCapacity) may only be called once
+/// the owning thread has quiesced.
 /// Cross-thread *use* of a local reference is a reported violation (the
 /// wrong-thread check below fires before any shadow access), not a
 /// supported access pattern.
@@ -54,20 +51,6 @@ bool isLocalUseFunction(const FnTraits &Traits) {
          Traits.Resource != ResourceRole::PopFrame;
 }
 
-/// The thread-local fast path: one entry per OS thread, keyed by machine
-/// instance and logical thread id. Pointers cached here stay valid because
-/// shadows are heap-allocated (unique_ptr) and never destroyed before the
-/// machine itself; instance ids are never reused, so an entry from a
-/// destroyed machine can never match a live one.
-struct ShadowCacheEntry {
-  uint64_t Instance = 0;
-  uint32_t Tid = 0;
-  void *Shadow = nullptr;
-};
-thread_local ShadowCacheEntry LocalShadowCache;
-
-std::atomic<uint64_t> NextLocalRefInstanceId{1};
-
 /// True for a local reference word: the only words this machine acquires.
 bool isLocalWord(uint64_t Word) {
   std::optional<jvm::HandleBits> Bits = jvm::decodeHandle(Word);
@@ -87,53 +70,18 @@ std::string usedRefName(int ArgIndex) {
 
 } // namespace
 
-LocalRefMachine::~LocalRefMachine() = default;
-
-LocalRefShadow &LocalRefMachine::shadowOf(uint32_t ThreadId) {
-  ShadowCacheEntry &Cache = LocalShadowCache;
-  if (Cache.Instance == InstanceId && Cache.Tid == ThreadId)
-    return *static_cast<LocalRefShadow *>(Cache.Shadow);
-  RegistryAcquires.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> Lock(RegistryMu);
-  std::unique_ptr<LocalRefShadow> &Slot = Shadows[ThreadId];
-  if (!Slot) // base frame of the default capacity for detached-style use
-    Slot = std::make_unique<LocalRefShadow>();
-  Cache = {InstanceId, ThreadId, Slot.get()};
-  return *Slot;
-}
-
-LocalRefShadow &LocalRefMachine::shadowAt(TransitionContext &Ctx) {
-  jvmti::CapturedCall &Call = Ctx.call();
-  if (void *Memo = Call.memo(this))
-    return *static_cast<LocalRefShadow *>(Memo);
-  LocalRefShadow &Shadow = shadowOf(Ctx.threadId());
-  Call.setMemo(this, &Shadow);
-  return Shadow;
-}
-
-LocalRefShadow *LocalRefMachine::findShadow(uint32_t ThreadId) const {
-  RegistryAcquires.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> Lock(RegistryMu);
-  auto It = Shadows.find(ThreadId);
-  return It != Shadows.end() ? It->second.get() : nullptr;
-}
-
 void LocalRefMachine::onThreadStart(const spec::ThreadStartInfo &Info) {
-  RegistryAcquires.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> Lock(RegistryMu);
-  std::unique_ptr<LocalRefShadow> &Slot = Shadows[Info.Id];
-  if (!Slot)
-    Slot = std::make_unique<LocalRefShadow>(Info.FrameCapacity);
+  Threads.start(Info);
 }
 
 size_t LocalRefMachine::liveCount(uint32_t ThreadId) const {
-  const LocalRefShadow *Shadow = findShadow(ThreadId);
-  return Shadow ? Shadow->liveCount() : 0;
+  const ThreadShadow *Shadow = Threads.find(ThreadId);
+  return Shadow ? Shadow->Locals.liveCount() : 0;
 }
 
 uint32_t LocalRefMachine::topCapacity(uint32_t ThreadId) const {
-  const LocalRefShadow *Shadow = findShadow(ThreadId);
-  return Shadow ? Shadow->topCapacity() : 0;
+  const ThreadShadow *Shadow = Threads.find(ThreadId);
+  return Shadow ? Shadow->Locals.topCapacity() : 0;
 }
 
 void LocalRefMachine::acquire(TransitionContext &Ctx, LocalRefShadow &Shadow,
@@ -193,9 +141,7 @@ void LocalRefMachine::useCheck(TransitionContext &Ctx, uint64_t Word,
                    usedRefName(ArgIndex).c_str()));
 }
 
-LocalRefMachine::LocalRefMachine()
-    : InstanceId(NextLocalRefInstanceId.fetch_add(1,
-                                                  std::memory_order_relaxed)) {
+LocalRefMachine::LocalRefMachine(ThreadShadows &Blocks) : Threads(Blocks) {
   Spec.Name = "Local reference";
   Spec.ObservedEntity = "A local JNI reference";
   Spec.Errors = "Overflow, leak, dangling, and double-free";

@@ -11,19 +11,22 @@
 /// the JVM already throws (IllegalMonitorStateException), as the paper
 /// notes.
 ///
-/// The held set is striped by object identity; read-only queries
-/// (heldEntryCount, the VM-death sweep) take shard locks shared.
+/// A JNI MonitorExit succeeds only on the thread that owns the monitor, so
+/// the entry counts live in the owner's shadow block (ThreadShadow) and no
+/// crossing takes a lock. The VM-death sweep counts the distinct monitors
+/// still held across all blocks.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "jinn/machines/MachineUtil.h"
 #include "mutate/Mutation.h"
 
+#include <algorithm>
+
 using namespace jinn;
 using namespace jinn::agent;
 
-MonitorMachine::MonitorMachine(const MachineTuning &Tuning)
-    : Held(Tuning.ShardCount) {
+MonitorMachine::MonitorMachine(ThreadShadows &Blocks) : Threads(Blocks) {
   Spec.Name = "Monitor";
   Spec.ObservedEntity = "A monitor";
   Spec.Errors = "Leak";
@@ -42,11 +45,8 @@ MonitorMachine::MonitorMachine(const MachineTuning &Tuning)
         if (mutate::active(mutate::M::SpecMonitorIdentitySwapped))
           Word = Ctx.call().returnWord(); // mutant: wrong entity (JNI_OK)
         uint64_t Obj = identityOf(Ctx, Word);
-        if (Obj) {
-          auto &Shard = Held.shardFor(Obj);
-          auto Lock = StripedTable<int64_t>::exclusive(Shard);
-          Shard.Map.findOrEmplace(Obj, 0) += 1;
-        }
+        if (Obj)
+          Threads.at(Ctx).Held.findOrEmplace(Obj).Monitors += 1;
       }));
 
   Spec.Transitions.push_back(makeTransition(
@@ -57,26 +57,28 @@ MonitorMachine::MonitorMachine(const MachineTuning &Tuning)
         if (static_cast<jint>(Ctx.call().returnWord()) != JNI_OK)
           return;
         uint64_t Obj = identityOf(Ctx, Ctx.call().refWord(0));
-        auto &Shard = Held.shardFor(Obj);
-        auto Lock = StripedTable<int64_t>::exclusive(Shard);
-        int64_t *Count = Shard.Map.find(Obj);
-        if (!Count)
+        OpenMap<HeldCounts, 2> &Held = Threads.at(Ctx).Held;
+        HeldCounts *Counts = Held.find(Obj);
+        if (!Counts || Counts->Monitors <= 0)
           return; // the JVM already threw for unbalanced exits
-        if (--*Count == 0)
-          Shard.Map.erase(Obj);
+        Counts->Monitors -= 1;
+        if (Counts->empty())
+          Held.eraseFound(Counts);
       }));
-}
-
-int64_t MonitorMachine::heldEntryCount(uint64_t Obj) const {
-  const auto &Shard = Held.shardFor(Obj);
-  auto Lock = StripedTable<int64_t>::shared(Shard);
-  const int64_t *Count = Shard.Map.find(Obj);
-  return Count ? *Count : 0;
 }
 
 void MonitorMachine::onVmDeath(spec::Reporter &Rep, jvm::Vm &Vm) {
   (void)Vm;
-  size_t HeldCount = Held.size();
+  std::vector<uint64_t> Held;
+  Threads.forEach([&Held](const ThreadShadow &Shadow) {
+    Shadow.Held.forEach([&Held](uint64_t Obj, const HeldCounts &Counts) {
+      if (Counts.Monitors > 0)
+        Held.push_back(Obj);
+    });
+  });
+  std::sort(Held.begin(), Held.end());
+  size_t HeldCount = static_cast<size_t>(
+      std::unique(Held.begin(), Held.end()) - Held.begin());
   if (HeldCount > 0)
     Rep.endOfRun(Spec,
                  formatString("%zu monitor(s) still held through JNI at "

@@ -12,7 +12,7 @@
 /// outstanding JNI entry, which the JVM only punishes with an
 /// IllegalMonitorStateException long after the balance bug was introduced.
 /// The per-thread entry tally is the declared counter; the dynamic
-/// encoding is a wait-free per-thread depth word.
+/// encoding is a depth in the thread's shadow block (ThreadShadow).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +26,8 @@ using spec::CounterOp;
 static const char UnmatchedExitMsg[] =
     "MonitorExit without a matching JNI MonitorEnter";
 
-MonitorBalanceMachine::MonitorBalanceMachine() {
+MonitorBalanceMachine::MonitorBalanceMachine(ThreadShadows &Blocks)
+    : Threads(Blocks) {
   Spec.Name = "Monitor balance";
   Spec.ObservedEntity = "A thread's stack of JNI monitor entries";
   Spec.Errors = "Unmatched exit";
@@ -43,7 +44,7 @@ MonitorBalanceMachine::MonitorBalanceMachine() {
       CounterOp::Push, [this](TransitionContext &Ctx) {
         if (static_cast<jint>(Ctx.call().returnWord()) != JNI_OK)
           return;
-        Depth.fetchAdd(Ctx.threadId(), 1);
+        Threads.at(Ctx).MonitorDepth.add(1);
       }));
 
   // Pop above zero: the matching MonitorExit. Decrements at the return
@@ -57,9 +58,9 @@ MonitorBalanceMachine::MonitorBalanceMachine() {
         if (!mutate::active(mutate::M::SpecMonitorExitGateDropped) &&
             static_cast<jint>(Ctx.call().returnWord()) != JNI_OK)
           return;
-        uint32_t Tid = Ctx.threadId();
-        if (static_cast<int64_t>(Depth.load(Tid)) > 0)
-          Depth.fetchAdd(Tid, -1);
+        ShadowDepth &Depth = Threads.at(Ctx).MonitorDepth;
+        if (Depth.get() > 0)
+          Depth.add(-1);
       }));
 
   // Pop at zero: underflow — this thread holds no JNI monitor entry.
@@ -71,9 +72,14 @@ MonitorBalanceMachine::MonitorBalanceMachine() {
       {{FunctionSelector::one(jni::FnId::MonitorExit),
         Direction::CallCToJava}},
       CounterOp::Pop, [this](TransitionContext &Ctx) {
-        if (static_cast<int64_t>(Depth.load(Ctx.threadId())) > 0)
+        if (Threads.at(Ctx).MonitorDepth.get() > 0)
           return;
         Ctx.reporter().violation(Ctx, Spec, UnmatchedExitMsg);
       }));
   Spec.Transitions.back().Violation = UnmatchedExitMsg;
+}
+
+int MonitorBalanceMachine::depthOf(uint32_t ThreadId) const {
+  const ThreadShadow *Shadow = Threads.find(ThreadId);
+  return Shadow ? static_cast<int>(Shadow->MonitorDepth.get()) : 0;
 }

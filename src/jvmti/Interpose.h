@@ -230,7 +230,7 @@ public:
   //===------------------------------------------------------------------===
   // Per-crossing memo: one (owner, value) slot that lives for the whole
   // pre+call+post crossing. Machines use it to hoist a thread-local
-  // lookup (e.g. LocalRefMachine's instance-id -> thread-shadow cache)
+  // lookup (ThreadShadows' instance-id -> thread-block cache)
   // to once per crossing instead of once per action.
   //===------------------------------------------------------------------===
 

@@ -160,32 +160,70 @@ void probeLines(std::vector<std::string> &Out) {
         outcomeName(classify(W))));
   }
 
-  // Jinn-world false-positive contract: a held monitor plus one rejected
-  // foreign exit must stay report-free — the shadow tally must only pop
-  // for exits the VM accepted. (The spec-monitorbalance-exit-gate-dropped
-  // blind spot: before this probe no oracle sequence exercised a failing
-  // MonitorExit at depth > 0.)
-  {
+  // Jinn-world probes: run Body as a native method under the full machine
+  // set and record every report.
+  auto jinnProbe = [&Out](const char *Name, auto Body) {
     WorldConfig Cfg;
     Cfg.Checker = CheckerKind::Jinn;
     ScenarioWorld W(Cfg);
-    W.runAsNative("MutateProbeForeignExit", [&](JNIEnv *Env) {
-      jclass Object = Env->functions->FindClass(Env, "java/lang/Object");
-      jobject A = Env->functions->AllocObject(Env, Object);
-      jobject B = Env->functions->AllocObject(Env, Object);
-      Env->functions->MonitorEnter(Env, A);
-      Env->functions->MonitorExit(Env, B); // rejected: B is not owned
-      Env->functions->ExceptionClear(Env);
-      Env->functions->MonitorExit(Env, A); // the legitimate matching exit
-    });
+    W.runAsNative("MutateProbe", Body);
     W.shutdown();
     std::vector<std::string> Reports = sortedReports(W.Jinn->reporter());
     std::string Joined;
     for (const std::string &R : Reports)
       Joined += (Joined.empty() ? "" : ";") + R;
-    Out.push_back(formatString("probe:jinn-foreign-exit=reports:%zu[%s]",
+    Out.push_back(formatString("probe:%s=reports:%zu[%s]", Name,
                                Reports.size(), Joined.c_str()));
-  }
+  };
+
+  // False-positive contract: a held monitor plus one rejected foreign exit
+  // must stay report-free — the shadow tally must only pop for exits the
+  // VM accepted. (The spec-monitorbalance-exit-gate-dropped blind spot:
+  // before this probe no oracle sequence exercised a failing MonitorExit
+  // at depth > 0.)
+  jinnProbe("jinn-foreign-exit", [](JNIEnv *Env) {
+    jclass Object = Env->functions->FindClass(Env, "java/lang/Object");
+    jobject A = Env->functions->AllocObject(Env, Object);
+    jobject B = Env->functions->AllocObject(Env, Object);
+    Env->functions->MonitorEnter(Env, A);
+    Env->functions->MonitorExit(Env, B); // rejected: B is not owned
+    Env->functions->ExceptionClear(Env);
+    Env->functions->MonitorExit(Env, A); // the legitimate matching exit
+  });
+
+  // A deleted global whose slot the VM reissued under a new generation is
+  // still dangling: the use check must compare the whole handle word.
+  // (Before this probe every dangling global in the battery was used while
+  // its slot stood empty.)
+  jinnProbe("jinn-global-reissued", [](JNIEnv *Env) {
+    const JNINativeInterface_ *Fns = Env->functions;
+    jclass Object = Fns->FindClass(Env, "java/lang/Object");
+    jobject Obj = Fns->AllocObject(Env, Object);
+    jobject Old = Fns->NewGlobalRef(Env, Obj);
+    Fns->DeleteGlobalRef(Env, Old);
+    jobject Reissued = Fns->NewGlobalRef(Env, Obj); // same slot, next gen
+    Fns->GetObjectClass(Env, Old);
+    Fns->ExceptionClear(Env);
+    Fns->DeleteGlobalRef(Env, Reissued);
+  });
+
+  // A critical release must drop the thread's held count: afterwards,
+  // releasing a critical section through another live buffer of the same
+  // array is a release of a resource this thread does not hold. (Before
+  // this probe no sequence released a critical resource twice.)
+  jinnProbe("jinn-critical-stale-held", [](JNIEnv *Env) {
+    const JNINativeInterface_ *Fns = Env->functions;
+    jintArray A = Fns->NewIntArray(Env, 4);
+    jintArray B = Fns->NewIntArray(Env, 4);
+    void *CritA = Fns->GetPrimitiveArrayCritical(Env, A, nullptr);
+    Fns->ReleasePrimitiveArrayCritical(Env, A, CritA, 0);
+    jint *ElemsA = Fns->GetIntArrayElements(Env, A, nullptr);
+    void *CritB = Fns->GetPrimitiveArrayCritical(Env, B, nullptr);
+    Fns->ReleasePrimitiveArrayCritical(Env, B, ElemsA, 0); // names A
+    Fns->ReleasePrimitiveArrayCritical(Env, B, CritB, 0);
+    Fns->ExceptionClear(Env);
+    Fns->ReleaseIntArrayElements(Env, A, ElemsA, 0);
+  });
 }
 
 //===----------------------------------------------------------------------===

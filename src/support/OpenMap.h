@@ -33,8 +33,13 @@ namespace jinn {
 /// probe stops at the first empty slot, and insert/erase churn at a fixed
 /// live size never grows or rehashes the slab. The slab is the arena — no
 /// per-entry allocation. Not thread-safe by itself; a StripedTable shard
-/// (or a thread-confined owner) provides the exclusion.
-template <typename ValueT> class OpenMap {
+/// (or a thread-confined owner) provides the exclusion. \p FirstSlots
+/// sizes the first slab: a map that usually holds an entry or two (a
+/// thread's held monitors) starts small, since there is one per thread.
+template <typename ValueT, size_t FirstSlots = 16> class OpenMap {
+  static_assert(FirstSlots >= 2 && std::has_single_bit(FirstSlots),
+                "the first slab is a power of two of at least 2 slots");
+
 public:
   ValueT *find(uint64_t Key) {
     if (Slots.empty())
@@ -127,10 +132,10 @@ private:
     return static_cast<size_t>((Key * HashMultiplier) >> Shift);
   }
 
-  /// Doubles the slab (16 slots at first) and reinserts every entry.
+  /// Doubles the slab (FirstSlots at first) and reinserts every entry.
   void grow() {
     std::vector<Slot> Old = std::move(Slots);
-    size_t NewCap = Old.empty() ? 16 : Old.size() * 2;
+    size_t NewCap = Old.empty() ? FirstSlots : Old.size() * 2;
     Slots.assign(NewCap, Slot{});
     Mask = NewCap - 1;
     Shift = 64 - std::countr_zero(NewCap);

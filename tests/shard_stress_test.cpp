@@ -10,8 +10,9 @@
 /// resources across shard boundaries, with and without deliberate
 /// violations. The merged report list must match a single-threaded run of
 /// the same logical scenarios, shard-count and report-buffer knobs must
-/// not change what is reported, and the whole suite must run clean under
-/// -fsanitize=thread (configure with -DJINN_TSAN=ON). The OpenMap each
+/// not change what is reported, warm clean crossings of the lock-free
+/// shadow families must take no lock, and the whole suite must run clean
+/// under -fsanitize=thread (configure with -DJINN_TSAN=ON). The OpenMap each
 /// shard holds is checked on its own: backward-shift erase across the
 /// slab's wrap-around, and a fixed slab under insert/erase churn.
 ///
@@ -23,6 +24,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -132,10 +134,57 @@ TEST(ShardStress, CorrectChurnAcrossShardBoundariesIsSilent) {
                [](JNIEnv *Env) { correctChurn(Env, Iterations); });
   W.Vm.shutdown();
   EXPECT_TRUE(W.Jinn.reporter().reports().empty());
-  // The contention proxy was published for the striped machines.
-  EXPECT_GT(W.Vm.diags().counter("jinn.lock_acquires.global-ref"), 0u);
-  EXPECT_GT(W.Vm.diags().counter("jinn.lock_acquires.monitor"), 0u);
+  // The contention proxy was published for every machine. Global refs and
+  // monitors take no lock at all (slot table, thread shadow blocks); pins
+  // are still striped.
+  const auto &Counters = W.Vm.diags().counters();
+  for (const char *Name : {"jinn.lock_acquires.global-ref",
+                           "jinn.lock_acquires.monitor"}) {
+    ASSERT_EQ(Counters.count(Name), 1u) << Name;
+    EXPECT_EQ(Counters.at(Name), 0u) << Name;
+  }
   EXPECT_GT(W.Vm.diags().counter("jinn.lock_acquires.pinned-resource"), 0u);
+}
+
+/// One clean round of the four lock-free shadow families: a global
+/// reference used and deleted, a monitor entered and exited, a critical
+/// section, and an explicit local frame.
+void cleanLockFreeMix(JNIEnv *Env) {
+  const JNINativeInterface_ *Fns = Env->functions;
+  jintArray Arr = Fns->NewIntArray(Env, 4);
+  jobject G = Fns->NewGlobalRef(Env, Arr);
+  Fns->GetArrayLength(Env, static_cast<jarray>(G));
+  if (Fns->MonitorEnter(Env, G) == JNI_OK)
+    Fns->MonitorExit(Env, G);
+  if (void *Elems = Fns->GetPrimitiveArrayCritical(Env, Arr, nullptr))
+    Fns->ReleasePrimitiveArrayCritical(Env, Arr, Elems, 0);
+  if (Fns->PushLocalFrame(Env, 4) == JNI_OK) {
+    Fns->NewStringUTF(Env, "framed");
+    Fns->PopLocalFrame(Env, nullptr);
+  }
+  Fns->DeleteGlobalRef(Env, G);
+  Fns->DeleteLocalRef(Env, Arr);
+}
+
+TEST(ShardStress, WarmCleanCrossingsTakeNoShadowLock) {
+  JinnWorld W;
+  agent::MachineSet &Machines = W.Jinn.machines();
+  auto countsOf = [&Machines] {
+    std::map<std::string, uint64_t> Out;
+    for (const auto &[Name, Count] : Machines.lockAcquireCounts())
+      Out[Name] = Count;
+    return Out;
+  };
+  cleanLockFreeMix(W.env()); // warm-up: the thread's shadow block
+  std::map<std::string, uint64_t> Before = countsOf();
+  for (int I = 0; I < Iterations; ++I)
+    cleanLockFreeMix(W.env());
+  std::map<std::string, uint64_t> After = countsOf();
+  for (const char *Name :
+       {"global-ref", "monitor", "critical-state", "local-ref"})
+    EXPECT_EQ(After.at(Name), Before.at(Name)) << Name;
+  W.Vm.shutdown();
+  EXPECT_TRUE(W.Jinn.reporter().reports().empty());
 }
 
 TEST(ShardStress, MergedReportListMatchesSingleThreadedRun) {
