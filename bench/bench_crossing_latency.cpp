@@ -13,12 +13,15 @@
 ///   new_delete_local  allocation + free (local-ref lifecycle)
 ///   frame_push_pop    pushdown counters (frame nesting, capacity)
 ///
-/// plus one JNI class kept out of the four-class geomean and the headline
-/// ratios:
+/// plus two JNI classes kept out of the four-class geomean and the
+/// headline ratios, each with its own paired ratio:
 ///
 ///   global_use        GetArrayLength on a global int[] (the global-
-///                     reference use check), with its own paired
-///                     ratio/global/jinn_vs_interpose
+///                     reference use check); ratio/global/jinn_vs_interpose
+///   global_use_mt     three attached threads each running GetArrayLength
+///                     and MonitorEnter/MonitorExit on one shared global
+///                     int[] (contended global-handle resolution);
+///                     ratio/global_mt/jinn_vs_interpose
 ///
 /// and on two native-method calls made from Java, one native entry and
 /// exit per iteration (the local-reference frame push and pop):
@@ -49,11 +52,13 @@
 #include "scenarios/Scenarios.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -79,13 +84,17 @@ const TierSpec Tiers[] = {
 /// One op class. A JNI call class runs C-side (Run, inside a native
 /// frame); a native-method call runs Java-side (Invoke, from the main
 /// thread). Exactly one of the two is set. Headline classes make up the
-/// per-tier geomean and the ratio/* entries.
+/// per-tier geomean and the ratio/* entries. A class with a RatioKey stands
+/// outside the headline and emits its own paired
+/// ratio/<RatioKey>/jinn_vs_interpose; with Invoke set, it drives its own
+/// attached threads rather than native methods.
 struct OpClass {
   const char *Name;
   uint64_t CrossingsPerIter;
   void (*Run)(JNIEnv *, uint64_t Iters);
   void (*Invoke)(ScenarioWorld &, uint64_t Iters);
   bool Headline = false;
+  const char *RatioKey = nullptr;
 };
 
 void runGetVersion(JNIEnv *Env, uint64_t Iters) {
@@ -126,6 +135,52 @@ void runGlobalUse(JNIEnv *Env, uint64_t Iters) {
     Fns->GetArrayLength(Env, Global);
   Fns->DeleteGlobalRef(Env, Global);
   Fns->DeleteLocalRef(Env, Local);
+}
+
+/// Threads of global_use_mt: as many as the monitor soak's request workers.
+constexpr unsigned SharedGlobalThreads = 3;
+
+/// global_use_mt: SharedGlobalThreads attached threads share one global
+/// int[]; each runs its share of \p Iters iterations of GetArrayLength,
+/// MonitorEnter and MonitorExit on it. The first thread creates and deletes
+/// the global; the others start once it is published. A contended
+/// MonitorEnter returns JNI_ERR in this VM (it cannot block), so the exit
+/// runs only after a successful enter.
+void runGlobalUseMt(ScenarioWorld &World, uint64_t Iters) {
+  JavaVM *Jvm = World.Rt.javaVm();
+  std::atomic<jobject> Shared{nullptr};
+  std::atomic<unsigned> Done{0};
+  auto Worker = [&](bool Owner) {
+    JNIEnv *Env = nullptr;
+    if (Jvm->functions->AttachCurrentThread(Jvm, &Env, nullptr) != JNI_OK)
+      std::abort();
+    const JNINativeInterface_ *Fns = Env->functions;
+    if (Owner) {
+      jintArray Local = Fns->NewIntArray(Env, 4);
+      Shared.store(Fns->NewGlobalRef(Env, Local), std::memory_order_release);
+      Fns->DeleteLocalRef(Env, Local);
+    }
+    jobject Global;
+    while (!(Global = Shared.load(std::memory_order_acquire)))
+      std::this_thread::yield();
+    for (uint64_t I = 0; I < Iters / SharedGlobalThreads; ++I) {
+      Fns->GetArrayLength(Env, static_cast<jarray>(Global));
+      if (Fns->MonitorEnter(Env, Global) == JNI_OK)
+        Fns->MonitorExit(Env, Global);
+    }
+    Done.fetch_add(1, std::memory_order_acq_rel);
+    if (Owner) {
+      while (Done.load(std::memory_order_acquire) < SharedGlobalThreads)
+        std::this_thread::yield();
+      Fns->DeleteGlobalRef(Env, Global);
+    }
+    Jvm->functions->DetachCurrentThread(Jvm);
+  };
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < SharedGlobalThreads; ++T)
+    Threads.emplace_back(Worker, T == 0);
+  for (std::thread &Th : Threads)
+    Th.join();
 }
 
 constexpr const char *NativesClass = "BenchNatives";
@@ -192,7 +247,8 @@ const OpClass Ops[] = {
     {"frame_push_pop", 2, runFramePushPop, nullptr, true},
     {"native_empty", 1, nullptr, runNativeEmpty},
     {"native_ref_args", 1, nullptr, runNativeRefArgs},
-    {"global_use", 1, runGlobalUse, nullptr},
+    {"global_use", 1, runGlobalUse, nullptr, false, "global"},
+    {"global_use_mt", 3, nullptr, runGlobalUseMt, false, "global_mt"},
 };
 
 /// Calls \p Body with a runner for \p Op in \p World: a JNI call class
@@ -265,6 +321,7 @@ const char *machineStem(const std::string &SpecName) {
 double pairedRatio(ScenarioWorld &World, ScenarioWorld &Floor,
                    const OpClass &Op, uint64_t Iters) {
   auto sample = [&](ScenarioWorld &W) {
+    W.Vm.diags().clear(); // global_use_mt's contention notes
     W.Vm.gc();
     double Seconds = 0;
     withRunner(W, Op, [&](auto Run) {
@@ -332,7 +389,7 @@ int main(int Argc, char **Argv) {
   bench::printRule();
 
   // Geomean per tier over the headline JNI call classes, plus the headline
-  // ratios. The native-method and global_use rows stand on their own
+  // ratios. The native-method and global-use rows stand on their own
   // above.
   double Gm[sizeof(Tiers) / sizeof(Tiers[0])];
   for (size_t T = 0; T < sizeof(Tiers) / sizeof(Tiers[0]); ++T) {
@@ -372,7 +429,7 @@ int main(int Argc, char **Argv) {
       double Acc = 0;
       size_t N = 0;
       for (const OpClass &Op : Ops)
-        if (Op.Invoke) {
+        if (Op.Invoke && !Op.RatioKey) {
           Acc += std::log(pairedRatio(World, Floor, Op, MachineIters));
           ++N;
         }
@@ -384,14 +441,15 @@ int main(int Argc, char **Argv) {
                   Ratio);
       World.shutdown();
     }
-    // The JNI class outside the headline (global_use), paired the same
-    // way.
+    // The JNI classes outside the headline (global_use, global_use_mt),
+    // paired the same way.
     ScenarioWorld World(tierConfig(Tiers[Jinn]));
     for (const OpClass &Op : Ops)
-      if (Op.Run && !Op.Headline) {
+      if (Op.RatioKey) {
         double Ratio = pairedRatio(World, Floor, Op, MachineIters);
-        Json.add("ratio/global/jinn_vs_interpose", Ratio, "x");
-        std::printf("global use: jinn/interpose = %.3fx\n", Ratio);
+        Json.add(std::string("ratio/") + Op.RatioKey + "/jinn_vs_interpose",
+                 Ratio, "x");
+        std::printf("%s: jinn/interpose = %.3fx\n", Op.Name, Ratio);
       }
     World.shutdown();
     Floor.shutdown();

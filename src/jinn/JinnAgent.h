@@ -60,8 +60,8 @@ struct JinnOptions {
   TraceMode Mode = TraceMode::InlineCheck;
   /// Recorder tuning; only consulted when Mode records.
   trace::TraceRecorderOptions Recorder;
-  /// Lock stripes per striped shadow table (PinnedResource/EntityTyping);
-  /// rounded to a power of two in [1, 256].
+  /// Lock stripes of PinnedResource's outstanding-pin table, the one
+  /// striped shadow table; rounded to a power of two in [1, 256].
   unsigned ShardCount = DefaultShardCount;
   /// Per-thread report buffer capacity: reports are merged under the
   /// global reporter lock only when a buffer fills, a thread detaches, or

@@ -27,9 +27,10 @@
 /// JNI monitor entries, local references) live in one ThreadShadow block
 /// per thread, which a crossing finds once and then reads and writes with
 /// no lock; the global-reference live set is a GlobalSlotTable of atomic
-/// words indexed by the handle's global slot; the tables keyed by entity
-/// identity that any thread may touch (pins, entity IDs) are lock-striped
-/// so concurrent crossings contend only when they hash to the same shard.
+/// words indexed by the handle's global slot; the one table keyed by
+/// entity identity that any thread may touch (outstanding pins) is
+/// lock-striped so concurrent crossings contend only when they hash to the
+/// same shard.
 /// Every machine exposes lockAcquires() as a contention proxy for the
 /// scaling bench.
 ///
@@ -48,8 +49,6 @@
 #include "spec/StateMachine.h"
 
 #include <functional>
-#include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace jinn::agent {
@@ -57,7 +56,8 @@ namespace jinn::agent {
 /// Concurrency-layout knobs shared by the machines (JinnOptions carries
 /// the user-facing copies and MachineSet forwards them here).
 struct MachineTuning {
-  /// Lock stripes per striped shadow table (rounded to a power of two).
+  /// Lock stripes of PinnedResource's outstanding-pin table (rounded to a
+  /// power of two); no other machine keeps a striped table.
   unsigned ShardCount = DefaultShardCount;
 };
 
@@ -127,36 +127,22 @@ private:
 };
 
 /// Entity-specific typing: method/field IDs constrain receivers, argument
-/// types, and staticness (the Eclipse SWT bug of §6.4.3). The observed-ID
-/// sets are striped by ID identity.
+/// types, and staticness (the Eclipse SWT bug of §6.4.3). An ID is the
+/// VM's MethodInfo/FieldInfo, which carries its signature, so the machine
+/// keeps no table.
 class EntityTypingMachine : public spec::MachineBase {
 public:
-  explicit EntityTypingMachine(const MachineTuning &Tuning = {});
-  uint64_t lockAcquires() const {
-    return SeenMethodIds.lockAcquires() + SeenFieldIds.lockAcquires();
-  }
-
-private:
-  /// IDs observed at producer returns (GetMethodID etc.), keyed by the
-  /// ID's pointer identity; the value is unused (set semantics).
-  StripedTable<uint8_t> SeenMethodIds;
-  StripedTable<uint8_t> SeenFieldIds;
+  EntityTypingMachine();
+  uint64_t lockAcquires() const { return 0; } ///< stateless
 };
 
 /// Access control: no assignment to final fields through the 18 Set
-/// functions (pitfall 9). Recording is rare (ID production); checking is
-/// the hot path, so lookups take the lock shared.
+/// functions (pitfall 9). A field ID's modifiers are fixed when its class
+/// is defined, so the check reads them from the ID and keeps no table.
 class AccessControlMachine : public spec::MachineBase {
 public:
   AccessControlMachine();
-  uint64_t lockAcquires() const {
-    return Acquires.load(std::memory_order_relaxed);
-  }
-
-private:
-  mutable std::shared_mutex Mu; ///< guards RecordedFinal
-  mutable std::atomic<uint64_t> Acquires{0};
-  std::unordered_map<const void *, bool> RecordedFinal; ///< field id -> isFinal
+  uint64_t lockAcquires() const { return 0; } ///< stateless
 };
 
 /// Nullness: the experimentally-determined non-null parameters (pitfall 2).
@@ -340,7 +326,7 @@ private:
 struct MachineSet {
   MachineSet() : MachineSet(MachineTuning{}) {}
   explicit MachineSet(const MachineTuning &Tuning)
-      : EntityTyping(Tuning), PinnedResource(Tuning) {}
+      : PinnedResource(Tuning) {}
 
   /// One shadow block per thread, shared by the per-thread machines.
   ThreadShadows Threads;

@@ -43,7 +43,7 @@
 
 namespace jinn::agent {
 
-/// Default shard count for the striped machines (JinnOptions::ShardCount).
+/// Default shard count of the striped pin table (JinnOptions::ShardCount).
 inline constexpr unsigned DefaultShardCount = 16;
 
 /// splitmix64 finalizer: spreads handle words (whose low bits carry the

@@ -8,8 +8,9 @@
 /// Paper Figure 7, "Access control": JNI in practice ignores visibility
 /// (consistent with reflection after setAccessible(true)) but honors
 /// `final`; Jinn raises an error when any of the 18 Set<T>Field /
-/// SetStatic<T>Field functions writes a final field (pitfall 9). Field
-/// modifiers are recorded when field IDs are produced.
+/// SetStatic<T>Field functions writes a final field (pitfall 9). A field
+/// ID's modifiers are fixed when its class is defined, so the check reads
+/// them from the ID itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,22 +27,16 @@ AccessControlMachine::AccessControlMachine() {
   Spec.Encoding = "Map from field IDs to their modifiers";
   Spec.States = {"Recorded", "Checked"};
 
-  // Record modifiers when field IDs are produced.
+  // Record: the modifiers a field ID names are fixed when its class is
+  // defined (FieldInfo::IsFinal), so production records nothing; the
+  // transition stays as the spec's Recorded state (Table 2 counts it).
   Spec.Transitions.push_back(makeTransition(
       "Recorded", "Recorded",
       {{FunctionSelector::matching(
             "GetFieldID/GetStaticFieldID/FromReflectedField",
             [](const FnTraits &Traits) { return Traits.ProducesFieldId; }),
         Direction::ReturnJavaToC}},
-      [this](TransitionContext &Ctx) {
-        const void *Id = Ctx.call().returnPtr();
-        if (!Id || !Ctx.call().returnFieldIdValid())
-          return;
-        const auto *F = static_cast<const jvm::FieldInfo *>(Id);
-        Acquires.fetch_add(1, std::memory_order_relaxed);
-        std::unique_lock<std::shared_mutex> Lock(Mu);
-        RecordedFinal[Id] = F->IsFinal;
-      }));
+      [](TransitionContext &) {}));
 
   // Check: the 18 field-writing functions.
   Spec.Transitions.push_back(makeTransition(
@@ -54,16 +49,7 @@ AccessControlMachine::AccessControlMachine() {
         jvm::FieldInfo *F = Ctx.call().fieldArg();
         if (!F)
           return; // invalid IDs belong to the entity-typing machine
-        bool IsFinal;
-        {
-          // Read-mostly: recording only happens at ID production, so the
-          // per-write check takes the lock shared.
-          Acquires.fetch_add(1, std::memory_order_relaxed);
-          std::shared_lock<std::shared_mutex> Lock(Mu);
-          auto It = RecordedFinal.find(F);
-          IsFinal = It != RecordedFinal.end() ? It->second : F->IsFinal;
-        }
-        if (IsFinal)
+        if (F->IsFinal)
           Ctx.reporter().violation(
               Ctx, Spec,
               formatString("assignment to final field %s",

@@ -8,8 +8,9 @@
 /// Paper Figure 7, "Entity-specific typing": a method or field ID
 /// constrains the other parameters of the 131 functions that consume it —
 /// staticness, the receiver's class, argument conformance, and the
-/// Call<T>/Get<T>/Set<T> return kind. Signatures are recorded when the
-/// producer functions return IDs; the consumers are checked against them.
+/// Call<T>/Get<T>/Set<T> return kind. An ID is the VM's MethodInfo or
+/// FieldInfo, so the consumers are checked against the signature it
+/// carries.
 /// This machine catches the Eclipse/SWT bug of §6.4.3 (a static call
 /// through a class that merely *inherits* the method) and pitfall 6 when a
 /// garbage value is used as an ID.
@@ -53,8 +54,7 @@ bool conformsTo(TransitionContext &Ctx, uint64_t Word,
 
 } // namespace
 
-EntityTypingMachine::EntityTypingMachine(const MachineTuning &Tuning)
-    : SeenMethodIds(Tuning.ShardCount), SeenFieldIds(Tuning.ShardCount) {
+EntityTypingMachine::EntityTypingMachine() {
   Spec.Name = "Entity-specific typing";
   Spec.ObservedEntity = "A pair of ID parameters";
   Spec.Errors = "Type mismatch for Java field assignment or between actual "
@@ -62,7 +62,10 @@ EntityTypingMachine::EntityTypingMachine(const MachineTuning &Tuning)
   Spec.Encoding = "Map from entity IDs to their signatures";
   Spec.States = {"Recorded", "Checked"};
 
-  // Record: Return:Java->C of the ID-producing functions.
+  // Record: Return:Java->C of the ID-producing functions. An ID is the
+  // VM's MethodInfo/FieldInfo, which already carries its signature, so
+  // production records nothing; the transition stays as the spec's
+  // Recorded state (Table 2 counts it).
   Spec.Transitions.push_back(makeTransition(
       "Recorded", "Recorded",
       {{FunctionSelector::matching(
@@ -72,18 +75,7 @@ EntityTypingMachine::EntityTypingMachine(const MachineTuning &Tuning)
               return Traits.ProducesMethodId || Traits.ProducesFieldId;
             }),
         Direction::ReturnJavaToC}},
-      [this](TransitionContext &Ctx) {
-        const void *Id = Ctx.call().returnPtr();
-        if (!Id)
-          return;
-        uint64_t Key = reinterpret_cast<uint64_t>(Id);
-        StripedTable<uint8_t> &Table = Ctx.call().traits().ProducesMethodId
-                                           ? SeenMethodIds
-                                           : SeenFieldIds;
-        auto &Shard = Table.shardFor(Key);
-        auto Lock = StripedTable<uint8_t>::exclusive(Shard);
-        Shard.Map.findOrEmplace(Key, 1);
-      }));
+      [](TransitionContext &) {}));
 
   // Check: Call:C->Java of the 131 consuming functions.
   Spec.Transitions.push_back(makeTransition(

@@ -359,10 +359,12 @@ void *JniRuntime::newBuffer(jvm::ObjectId Target, jvm::PinKind Kind,
   return Data;
 }
 
-const BufferRecord *JniRuntime::findBuffer(const void *Data) const {
+std::optional<BufferInfo> JniRuntime::findBuffer(const void *Data) const {
   std::lock_guard<std::mutex> Lock(BuffersMutex);
   auto It = Buffers.find(Data);
-  return It == Buffers.end() ? nullptr : It->second.get();
+  if (It == Buffers.end())
+    return std::nullopt;
+  return static_cast<const BufferInfo &>(*It->second);
 }
 
 std::unique_ptr<BufferRecord> JniRuntime::takeBuffer(const void *Data) {

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -49,15 +50,20 @@ public:
                                   JniNativeStdFn &Bound) = 0;
 };
 
-/// A buffer handed to C code by Get<T>ArrayElements / GetString*Chars /
-/// Get*Critical. The runtime tracks it until the matching release.
-struct BufferRecord {
+/// What a buffer handed to C code by Get<T>ArrayElements /
+/// GetString*Chars / Get*Critical is: its pinned object and its shape.
+struct BufferInfo {
   jvm::ObjectId Target;
   jvm::PinKind Kind = jvm::PinKind::ArrayElements;
   jvm::JType Elem = jvm::JType::Void;
   size_t Len = 0;
-  std::unique_ptr<char[]> Storage;
   size_t Bytes = 0;
+};
+
+/// A tracked buffer and its storage. The runtime owns it until the
+/// matching release.
+struct BufferRecord : BufferInfo {
+  std::unique_ptr<char[]> Storage;
 };
 
 class JniRuntime : public jvm::VmEventObserver {
@@ -136,8 +142,10 @@ public:
   /// Allocates and tracks a buffer of \p Bytes for \p Target.
   void *newBuffer(jvm::ObjectId Target, jvm::PinKind Kind, jvm::JType Elem,
                   size_t Len, size_t Bytes);
-  /// Looks up a tracked buffer by its data pointer.
-  const BufferRecord *findBuffer(const void *Data) const;
+  /// Looks up a tracked buffer by its data pointer. The facts are copied
+  /// under the buffer lock: a release on another thread may free the
+  /// record the moment the lock drops.
+  std::optional<BufferInfo> findBuffer(const void *Data) const;
   /// Removes a tracked buffer, returning it (empty when unknown).
   std::unique_ptr<BufferRecord> takeBuffer(const void *Data);
   /// Re-inserts a buffer taken with takeBuffer (JNI_COMMIT keeps it live).

@@ -829,48 +829,57 @@ uint64_t Vm::newGlobalRef(ObjectId Target, bool Weak) {
     Index = FreeGlobalSlots.back();
     FreeGlobalSlots.pop_back();
   } else {
-    Index = static_cast<uint32_t>(Globals.size());
-    Globals.emplace_back();
+    Index = static_cast<uint32_t>(Globals.grow(1));
   }
   GlobalSlot &Slot = Globals[Index];
-  Slot.Gen += 1;
-  Slot.Live = true;
-  Slot.Weak = Weak;
-  Slot.Cleared = false;
-  Slot.Target = Target;
+  uint64_t Gen =
+      GlobalSlot::genOf(Slot.State.load(std::memory_order_relaxed)) + 1;
+  // Target before State: a reader that sees the live state sees this
+  // target; one that sees this target while holding an older state sees
+  // the state move and retries.
+  Slot.Target.store(Target.raw(), std::memory_order_release);
+  Slot.State.store((Gen << 3) | GlobalSlot::LiveBit |
+                       (Weak ? GlobalSlot::WeakBit : 0),
+                   std::memory_order_release);
 
   HandleBits Bits;
   Bits.Kind = Weak ? RefKind::WeakGlobal : RefKind::Global;
   Bits.Thread = 0;
   Bits.Slot = Index;
-  Bits.Gen = static_cast<uint32_t>(Slot.Gen); // encodeHandle keeps 23 bits
+  Bits.Gen = static_cast<uint32_t>(Gen); // encodeHandle keeps 23 bits
   return encodeHandle(Bits);
 }
 
-LocalRefState Vm::globalRefStateLocked(const HandleBits &Bits) const {
-  if (Bits.Slot >= Globals.size())
-    return LocalRefState::NeverIssued;
-  const GlobalSlot &Slot = Globals[Bits.Slot];
-  if (!generationIssued(Slot.Gen, Bits.Gen))
-    return LocalRefState::NeverIssued;
-  if (!Slot.Live || !sameGeneration(Slot.Gen, Bits.Gen))
-    return LocalRefState::Stale;
-  return LocalRefState::Live;
-}
-
 LocalRefState Vm::globalRefState(const HandleBits &Bits) const {
-  std::lock_guard<std::mutex> Lock(GlobalsMutex);
-  return globalRefStateLocked(Bits);
+  ObjectId Target;
+  return lookupGlobal(Bits, Target);
 }
 
 LocalRefState Vm::lookupGlobal(const HandleBits &Bits,
                                ObjectId &Target) const {
-  std::lock_guard<std::mutex> Lock(GlobalsMutex);
-  LocalRefState State = globalRefStateLocked(Bits);
-  const GlobalSlot *Slot =
-      State == LocalRefState::Live ? &Globals[Bits.Slot] : nullptr;
-  Target = Slot && !Slot->Cleared ? Slot->Target : ObjectId();
-  return State;
+  Target = ObjectId();
+  if (Bits.Slot >= Globals.size())
+    return LocalRefState::NeverIssued;
+  const GlobalSlot &Slot = Globals[Bits.Slot];
+  uint64_t State = Slot.State.load(std::memory_order_acquire);
+  for (;;) {
+    uint64_t Gen = GlobalSlot::genOf(State);
+    if (!generationIssued(Gen, Bits.Gen))
+      return LocalRefState::NeverIssued;
+    if (!(State & GlobalSlot::LiveBit) || !sameGeneration(Gen, Bits.Gen))
+      return LocalRefState::Stale;
+    if (State & GlobalSlot::ClearedBit)
+      return LocalRefState::Live; // a cleared weak resolves to null
+    uint64_t Raw = Slot.Target.load(std::memory_order_acquire);
+    // Seqlock-style re-check: the state word never repeats, so an
+    // unchanged state means Raw is the target of this very generation.
+    uint64_t Again = Slot.State.load(std::memory_order_acquire);
+    if (Again == State) {
+      Target = ObjectId::fromRaw(Raw);
+      return LocalRefState::Live;
+    }
+    State = Again;
+  }
 }
 
 ObjectId Vm::resolveGlobal(const HandleBits &Bits) const {
@@ -881,22 +890,27 @@ ObjectId Vm::resolveGlobal(const HandleBits &Bits) const {
 
 bool Vm::deleteGlobalRef(const HandleBits &Bits) {
   std::lock_guard<std::mutex> Lock(GlobalsMutex);
-  if (globalRefStateLocked(Bits) != LocalRefState::Live)
+  if (globalRefState(Bits) != LocalRefState::Live)
     return false;
   GlobalSlot &Slot = Globals[Bits.Slot];
-  Slot.Live = false;
-  Slot.Target = ObjectId();
-  Slot.Gen += 1;
+  uint64_t Gen =
+      GlobalSlot::genOf(Slot.State.load(std::memory_order_relaxed)) + 1;
+  // State before zeroing Target: a reader whose target load sees the zero
+  // then sees the dead state and retries.
+  Slot.State.store(Gen << 3, std::memory_order_release);
+  Slot.Target.store(0, std::memory_order_release);
   FreeGlobalSlots.push_back(Bits.Slot);
   return true;
 }
 
 size_t Vm::liveGlobalCount(bool Weak) const {
   std::lock_guard<std::mutex> Lock(GlobalsMutex);
+  uint64_t Want = GlobalSlot::LiveBit | (Weak ? GlobalSlot::WeakBit : 0);
   size_t N = 0;
-  for (const GlobalSlot &Slot : Globals)
-    if (Slot.Live && Slot.Weak == Weak)
-      ++N;
+  for (size_t I = 0, End = Globals.size(); I < End; ++I) {
+    uint64_t State = Globals[I].State.load(std::memory_order_relaxed);
+    N += (State & (GlobalSlot::LiveBit | GlobalSlot::WeakBit)) == Want;
+  }
   return N;
 }
 
@@ -1141,9 +1155,14 @@ void Vm::collectRoots(std::vector<ObjectId> &Roots) {
       Thread->collectRoots(Roots);
   {
     std::lock_guard<std::mutex> Lock(GlobalsMutex);
-    for (const GlobalSlot &Slot : Globals)
-      if (Slot.Live && !Slot.Weak && !Slot.Cleared)
-        Roots.push_back(Slot.Target);
+    for (size_t I = 0, End = Globals.size(); I < End; ++I) {
+      const GlobalSlot &Slot = Globals[I];
+      uint64_t State = Slot.State.load(std::memory_order_relaxed);
+      if ((State & (GlobalSlot::LiveBit | GlobalSlot::WeakBit)) ==
+          GlobalSlot::LiveBit)
+        Roots.push_back(
+            ObjectId::fromRaw(Slot.Target.load(std::memory_order_relaxed)));
+    }
   }
   {
     std::lock_guard<std::mutex> Lock(PinsMutex);
@@ -1176,13 +1195,20 @@ void Vm::gc() {
   beginCollector();
 
   auto ClearDeadWeakGlobals = [this] {
+    constexpr uint64_t Flags = GlobalSlot::LiveBit | GlobalSlot::WeakBit |
+                               GlobalSlot::ClearedBit;
     std::lock_guard<std::mutex> GLock(GlobalsMutex);
-    for (GlobalSlot &Slot : Globals) {
-      if (Slot.Live && Slot.Weak && !Slot.Cleared &&
-          !TheHeap.isMarked(Slot.Target)) {
-        Slot.Cleared = true;
-        Slot.Target = ObjectId();
-      }
+    for (size_t I = 0, End = Globals.size(); I < End; ++I) {
+      GlobalSlot &Slot = Globals[I];
+      uint64_t State = Slot.State.load(std::memory_order_relaxed);
+      if ((State & Flags) != (GlobalSlot::LiveBit | GlobalSlot::WeakBit) ||
+          TheHeap.isMarked(
+              ObjectId::fromRaw(Slot.Target.load(std::memory_order_relaxed))))
+        continue;
+      // Same order as a delete: the cleared state, then the zero target.
+      Slot.State.store(State | GlobalSlot::ClearedBit,
+                       std::memory_order_release);
+      Slot.Target.store(0, std::memory_order_release);
     }
   };
 

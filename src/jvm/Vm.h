@@ -358,10 +358,10 @@ private:
   Klass *defineArrayClassLocked(std::string_view Name);
   Klass *lookupClassLocked(std::string_view Name) const;
   void registerClassLocked(const std::string &Name, Klass *Kl);
-  LocalRefState globalRefStateLocked(const HandleBits &Bits) const;
   /// State of a global handle and, when Live, its target (null for a
-  /// cleared weak), decided under one GlobalsMutex acquisition so a
-  /// concurrent delete cannot tear the pair.
+  /// cleared weak). Lock-free: a seqlock-style read of the slot, retried
+  /// while a writer moves it, so a concurrent delete or weak clear cannot
+  /// tear the pair.
   LocalRefState lookupGlobal(const HandleBits &Bits, ObjectId &Target) const;
   void collectRoots(std::vector<ObjectId> &Roots);
   std::vector<VmEventObserver *> observersSnapshot() const;
@@ -405,12 +405,20 @@ private:
   void stopWorld();
   void resumeWorld();
 
+  /// One global-table slot, read lock-free (DESIGN.md §12). State packs
+  /// the generation (handles carry its low 23 bits) with the live, weak
+  /// and cleared bits; it changes at every new, delete and weak clear, and
+  /// never repeats. Writers hold GlobalsMutex and order their stores so a
+  /// reader that loads State, Target, State and sees State unchanged has
+  /// the target that belongs to that state: a new stores Target before its
+  /// live State, a delete or weak clear stores its State before zeroing
+  /// Target, and every Target store is a release.
   struct GlobalSlot {
-    ObjectId Target;
-    uint64_t Gen = 0; ///< handles carry its low 23 bits
-    bool Live = false;
-    bool Weak = false;
-    bool Cleared = false; ///< weak target collected
+    std::atomic<uint64_t> State{0};
+    std::atomic<uint64_t> Target{0}; ///< ObjectId::raw()
+
+    static constexpr uint64_t LiveBit = 1, WeakBit = 2, ClearedBit = 4;
+    static uint64_t genOf(uint64_t State) { return State >> 3; }
   };
 
   struct MonitorState {
@@ -473,8 +481,12 @@ private:
   /// Threads are never unregistered before VM death, so entries are stable.
   std::array<std::atomic<JThread *>, MaxThreadIds> ThreadTable = {};
 
-  mutable std::mutex GlobalsMutex; ///< Globals, FreeGlobalSlots
-  std::vector<GlobalSlot> Globals;
+  /// Serializes the global table's writers (new, delete, weak clearing,
+  /// the root scan, liveGlobalCount) and guards FreeGlobalSlots. Readers
+  /// (lookupGlobal and everything built on it) take no lock: slots never
+  /// move and are read seqlock-style.
+  mutable std::mutex GlobalsMutex;
+  ChunkedVector<GlobalSlot> Globals;
   std::vector<uint32_t> FreeGlobalSlots;
 
   mutable std::mutex MonitorsMutex; ///< Monitors

@@ -60,12 +60,6 @@ uint64_t CapturedCall::fieldArgWord() const {
   return Index < 0 ? 0 : Args[Index].Word;
 }
 
-bool CapturedCall::returnFieldIdValid() const {
-  if (Snap)
-    return Snap->RetFieldIdValid;
-  return RetPtr && vm().isFieldId(RetPtr);
-}
-
 bool CapturedCall::materializeCallArgs() {
   CallArgs = {};
   if (Snap) {

@@ -82,7 +82,6 @@ struct BoundarySnapshot {
   bool ExceptionPending = false;
   bool MethodIdValid = false;    ///< jmethodID argument passed isMethodId
   bool FieldIdValid = false;     ///< jfieldID argument passed isFieldId
-  bool RetFieldIdValid = false;  ///< returned jfieldID passed isFieldId
   bool BufferFound = false;      ///< released buffer had a pin record
   bool HasCallArgs = false;
   uint64_t BufferTarget = 0; ///< pinned target of the released buffer
@@ -216,9 +215,6 @@ public:
   bool returnIsRef() const { return RetIsRef; }
   uint64_t returnWord() const { return RetWord; }
   const void *returnPtr() const { return RetPtr; }
-  /// Whether the returned jfieldID is registered with the VM (snapshot-backed
-  /// under replay).
-  bool returnFieldIdValid() const;
 
   //===------------------------------------------------------------------===
   // Abort: a pre hook calls this to suppress the underlying call

@@ -143,10 +143,10 @@ bool TransitionContext::releasedBuffer(const void *Buf,
     TargetRaw = Snap->BufferTarget;
     return Snap->BufferFound;
   }
-  const jni::BufferRecord *Rec = Env->runtime->findBuffer(Buf);
-  if (!Rec)
+  std::optional<jni::BufferInfo> Info = Env->runtime->findBuffer(Buf);
+  if (!Info)
     return false;
-  TargetRaw = Rec->Target.raw();
+  TargetRaw = Info->Target.raw();
   return true;
 }
 

@@ -300,9 +300,6 @@ void TraceRecorder::captureJniSnapshot(jvmti::BoundarySnapshot &Snap,
     const void *Ptr = Call.arg(FieldIdx).Ptr;
     Snap.FieldIdValid = Ptr && Vm.isFieldId(Ptr);
   }
-  if (IsPost && Traits.ProducesFieldId)
-    Snap.RetFieldIdValid =
-        Call.returnPtr() && Vm.isFieldId(Call.returnPtr());
 
   // Pin-release buffer lookup (the released pointer is matched against the
   // runtime's outstanding pin records at call time).
@@ -311,10 +308,10 @@ void TraceRecorder::captureJniSnapshot(jvmti::BoundarySnapshot &Snap,
     if (BufIdx < 0)
       BufIdx = Traits.firstParam(jni::ArgClass::CString);
     const void *Buf = BufIdx >= 0 ? Call.arg(BufIdx).Ptr : nullptr;
-    if (const jni::BufferRecord *Record =
-            Buf ? Env->runtime->findBuffer(Buf) : nullptr) {
+    if (std::optional<jni::BufferInfo> Info =
+            Buf ? Env->runtime->findBuffer(Buf) : std::nullopt) {
       Snap.BufferFound = true;
-      Snap.BufferTarget = Record->Target.raw();
+      Snap.BufferTarget = Info->Target.raw();
     }
   }
 

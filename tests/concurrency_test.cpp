@@ -248,4 +248,50 @@ TEST(Concurrency, NoViolationIsLostUnderContention) {
             static_cast<size_t>(NumThreads));
 }
 
+TEST(Concurrency, RacingPinReleasesReportEachExtraRelease) {
+  // Two threads release one pinned buffer per round: one release pairs
+  // with the acquire, the other is a double free, whichever thread runs
+  // first and however the two checks interleave with the winning release
+  // freeing the runtime's buffer record. The checker copies what it needs
+  // under the runtime's buffer lock, so the loser's check never reads a
+  // freed record (run it in the ASan and TSan trees).
+  constexpr int Rounds = 200;
+  JinnWorld W;
+  JavaVM *Jvm = W.Rt.javaVm();
+  JNIEnv *Main = W.env();
+  jintArray Local = Main->functions->NewIntArray(Main, 8);
+  auto Shared =
+      static_cast<jintArray>(Main->functions->NewGlobalRef(Main, Local));
+  Main->functions->DeleteLocalRef(Main, Local);
+  std::atomic<jint *> Elems{nullptr};
+  SpinBarrier Barrier(2);
+  std::atomic<int> Failures{0};
+  auto Releaser = [&](bool Pins) {
+    JNIEnv *Env = nullptr;
+    if (Jvm->functions->AttachCurrentThread(Jvm, &Env, nullptr) != JNI_OK) {
+      ++Failures;
+      return;
+    }
+    const JNINativeInterface_ *Fns = Env->functions;
+    for (int R = 0; R < Rounds; ++R) {
+      if (Pins)
+        Elems.store(Fns->GetIntArrayElements(Env, Shared, nullptr));
+      Barrier.arriveAndWait();
+      Fns->ReleaseIntArrayElements(Env, Shared, Elems.load(), 0);
+      Fns->ExceptionClear(Env);
+      Barrier.arriveAndWait();
+    }
+    Jvm->functions->DetachCurrentThread(Jvm);
+  };
+  std::thread First(Releaser, true), Second(Releaser, false);
+  First.join();
+  Second.join();
+  EXPECT_EQ(Failures.load(), 0);
+  EXPECT_EQ(W.Rt.outstandingBuffers(), 0u);
+  EXPECT_EQ(W.Jinn.reporter().countFor("Pinned or copied string or array"),
+            static_cast<size_t>(Rounds));
+  EXPECT_EQ(W.reportCount(), static_cast<size_t>(Rounds));
+  Main->functions->DeleteGlobalRef(Main, Shared);
+}
+
 } // namespace

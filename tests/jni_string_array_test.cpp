@@ -43,12 +43,12 @@ TEST_F(JniStrArr, GetStringUTFCharsIsTerminatedButUtf16IsNot) {
   // GetStringChars makes NO terminator promise (pitfall 8): the tracked
   // buffer is exactly Len units long.
   const jchar *Chars = Fns->GetStringChars(Env, S, nullptr);
-  const jni::BufferRecord *Record = W.Rt.findBuffer(Chars);
-  ASSERT_NE(Record, nullptr);
-  EXPECT_EQ(Record->Len, 3u);
-  EXPECT_EQ(Record->Bytes, 3 * sizeof(jchar));
+  std::optional<jni::BufferInfo> Info = W.Rt.findBuffer(Chars);
+  ASSERT_TRUE(Info.has_value());
+  EXPECT_EQ(Info->Len, 3u);
+  EXPECT_EQ(Info->Bytes, 3 * sizeof(jchar));
   Fns->ReleaseStringChars(Env, S, Chars);
-  EXPECT_EQ(W.Rt.findBuffer(Chars), nullptr);
+  EXPECT_FALSE(W.Rt.findBuffer(Chars).has_value());
 }
 
 TEST_F(JniStrArr, StringRegionAndBounds) {
