@@ -97,8 +97,9 @@ private:
 };
 
 /// Open-addressed hash map from nonzero uint64 keys to values, with
-/// lock-free reads and externally serialized inserts. Lookups take a
-/// predicate over the value so callers using a *hash* as the key (e.g.
+/// lock-free reads and externally serialized inserts. Probes start at a
+/// mixed hash of the key (homeSlot), so structured keys spread. Lookups
+/// take a predicate over the value so callers using a *hash* as the key (e.g.
 /// name-keyed registries) can reject collisions and keep probing; exact-key
 /// callers pass a predicate that always accepts. Entries are never removed;
 /// growth rebuilds into a fresh table, publishes it, and retires the old
@@ -121,7 +122,7 @@ public:
   template <typename Pred> V find(uint64_t Key, Pred &&Accept) const {
     assert(Key != 0 && "key 0 is the empty sentinel");
     const Table *T = Root.load(std::memory_order_acquire);
-    for (size_t I = Key & T->Mask;; I = (I + 1) & T->Mask) {
+    for (size_t I = homeSlot(Key, T->Mask + 1);; I = (I + 1) & T->Mask) {
       uint64_t K = T->Entries[I].Key.load(std::memory_order_acquire);
       if (K == 0)
         return V();
@@ -156,6 +157,17 @@ public:
     ++Count;
   }
 
+  /// The slot where the probe for \p Key starts in a table of \p Capacity
+  /// slots (a power of two). The key is mixed first: mirror keys differ
+  /// only in their high word (ObjectId::raw() is Index << 32 | Gen) and
+  /// method/field ids are aligned pointers, so their low bits alone would
+  /// pile every key onto a few home slots.
+  static size_t homeSlot(uint64_t Key, size_t Capacity) {
+    Key = (Key ^ (Key >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    Key = (Key ^ (Key >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<size_t>(Key ^ (Key >> 31)) & (Capacity - 1);
+  }
+
 private:
   struct Entry {
     std::atomic<uint64_t> Key{0};
@@ -176,7 +188,7 @@ private:
   /// Publishes value before key so a reader that sees the key sees the
   /// value (and, transitively, whatever the value points at).
   static void place(Table &T, uint64_t Key, V Val) {
-    for (size_t I = Key & T.Mask;; I = (I + 1) & T.Mask) {
+    for (size_t I = homeSlot(Key, T.Mask + 1);; I = (I + 1) & T.Mask) {
       if (T.Entries[I].Key.load(std::memory_order_relaxed) == 0) {
         T.Entries[I].Val.store(Val, std::memory_order_relaxed);
         T.Entries[I].Key.store(Key, std::memory_order_release);

@@ -282,6 +282,20 @@ void pyLines(std::vector<std::string> &Out) {
     runPyDangleBug(I);
     pyCheckedLines(Out, "dangle", C);
   }
+  // The first handout of a fresh checker grows its handout table; once
+  // that object's slot recycles behind the checker, the stale pointer
+  // dangles. (Before this oracle every dangling use in the battery reached
+  // a freed object or a slot recorded by a later handout.)
+  {
+    pyc::PyInterp I;
+    pyjinn::PyChecker C(I);
+    const pyc::PyApi *Api = pyc::activePyApi(I);
+    pyc::PyObject *First = Api->PyInt_FromLong(&I, 1);
+    I.decref(First);
+    I.alloc(pyc::PyKind::Int); // reuses First's slot
+    Api->PyInt_AsLong(&I, First);
+    pyCheckedLines(Out, "recycled-first-handout", C);
+  }
 }
 
 //===----------------------------------------------------------------------===

@@ -37,7 +37,10 @@ const char *jinn::pyc::pyKindName(PyKind Kind) {
 }
 
 PyInterp::PyInterp() {
-  auto InitSingleton = [](PyObject &Obj, PyKind Kind, const char *Name) {
+  uint32_t NextSlot = 0;
+  auto InitSingleton = [&NextSlot](PyObject &Obj, PyKind Kind,
+                                   const char *Name) {
+    Obj.Slot = NextSlot++;
     Obj.RefCnt = 1;
     Obj.Kind = Kind;
     Obj.Freed = false;
@@ -48,6 +51,7 @@ PyInterp::PyInterp() {
   InitSingleton(RuntimeErrorType, PyKind::ExcType, "RuntimeError");
   InitSingleton(TypeErrorType, PyKind::ExcType, "TypeError");
   InitSingleton(SystemErrorType, PyKind::ExcType, "SystemError");
+  assert(NextSlot == NumSingletons);
   ActiveApi = defaultPyApi();
 }
 
@@ -62,6 +66,7 @@ PyObject *PyInterp::alloc(PyKind Kind) {
   } else {
     Arena.push_back(std::make_unique<PyObject>());
     Obj = Arena.back().get();
+    Obj->Slot = static_cast<uint32_t>(NumSingletons + Arena.size() - 1);
   }
   Obj->RefCnt = 1;
   Obj->Kind = Kind;

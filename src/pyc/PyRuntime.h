@@ -52,6 +52,11 @@ struct PyObject {
   PyKind Kind = PyKind::None;
   bool Freed = true;
   uint32_t Gen = 0; ///< bumped on every (re)allocation of this slot
+  /// Dense index of this object's storage, given once when the
+  /// interpreter creates it and never reassigned: the singletons take
+  /// 0..NumSingletons-1, arena storage follows in creation order.
+  /// Recycling keeps the number, so (Slot, Gen) names one allocation.
+  uint32_t Slot = 0;
 
   int64_t IntVal = 0;
   std::string StrVal;
@@ -68,6 +73,9 @@ struct PyStats {
 /// The interpreter instance.
 class PyInterp {
 public:
+  /// None and the three exception types, which take the first slots.
+  static constexpr uint32_t NumSingletons = 4;
+
   PyInterp();
   ~PyInterp();
   PyInterp(const PyInterp &) = delete;

@@ -10,6 +10,7 @@
 
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cstring>
 #include <type_traits>
 
@@ -46,37 +47,30 @@ void PyChecker::report(const char *Machine, const char *Fn,
                                        Fn);
 }
 
-void PyChecker::trackHandout(PyObject *Obj) {
-  // A borrowed reference needs no owner link: when the owner dies, the
-  // borrowed object's slot dies and recycles with it, and the recorded
-  // generation no longer matches.
-  if (Obj)
-    HandoutGen.findOrEmplace(reinterpret_cast<uintptr_t>(Obj)) = Obj->Gen;
+/// Entries of the handout table's first allocation.
+constexpr size_t FirstHandoutSlots = 64;
+
+void PyChecker::growAndTrack(PyObject *Obj) {
+  // Doubling keeps the growth amortized; a slot far beyond the table
+  // (a checker constructed over a populated arena) sizes it at once.
+  HandoutGen.resize(std::max<size_t>(
+      {size_t(Obj->Slot) + 1, HandoutGen.size() * 2, FirstHandoutSlots}));
+  if (mutate::active(mutate::M::PySpecHandoutGrowWriteDropped))
+    return; // mutant: the handout that grows the table goes unrecorded
+  HandoutGen[Obj->Slot] = Obj->Gen;
 }
 
-bool PyChecker::checkUse(const char *Fn, PyObject *Obj) {
-  if (!Obj)
-    return true; // null arguments are a different (production) concern
-  const uint32_t *Gen = HandoutGen.find(reinterpret_cast<uintptr_t>(Obj));
-  bool Dangling = Obj->Freed || (Gen && *Gen != Obj->Gen);
-  if (!Dangling)
-    return true;
+void PyChecker::reportDangling(const char *Fn) {
   report("Reference ownership", Fn,
          "use of a dangling reference (the co-owned object was released; "
          "borrowed references to it are invalid)");
-  return false;
 }
 
-bool PyChecker::checkKind(const char *Fn, PyObject *Obj,
-                          pyc::PyKind Kind) {
-  if (!Obj || Obj->Freed)
-    return true; // nullness/danglingness are other machines' errors
-  if (Obj->Kind == Kind)
-    return true;
+void PyChecker::reportKind(const char *Fn, pyc::PyKind Actual,
+                           pyc::PyKind Required) {
   report("Type constraints", Fn,
          formatString("argument has type %s where %s is required",
-                      pyc::pyKindName(Obj->Kind), pyc::pyKindName(Kind)));
-  return false;
+                      pyc::pyKindName(Actual), pyc::pyKindName(Required)));
 }
 
 size_t PyChecker::leakedObjects() const {

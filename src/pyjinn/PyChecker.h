@@ -25,7 +25,6 @@
 #define JINN_PYJINN_PYCHECKER_H
 
 #include "pyc/PyRuntime.h"
-#include "support/OpenMap.h"
 
 #include <iterator>
 #include <span>
@@ -119,13 +118,38 @@ public:
   //===--------------------------------------------------------------------===
 
   /// Records a reference handed to extension code (owned or borrowed).
-  void trackHandout(pyc::PyObject *Obj);
+  /// A borrowed reference needs no owner link: when the owner dies, the
+  /// borrowed object's slot dies and recycles with it, and the recorded
+  /// generation no longer matches.
+  void trackHandout(pyc::PyObject *Obj) {
+    if (!Obj)
+      return;
+    if (Obj->Slot < HandoutGen.size())
+      HandoutGen[Obj->Slot] = Obj->Gen;
+    else
+      growAndTrack(Obj);
+  }
 
-  /// Returns false (and reports) when \p Obj is dangling/invalidated.
-  bool checkUse(const char *Fn, pyc::PyObject *Obj);
+  /// Returns false (and reports) when \p Obj is dangling/invalidated:
+  /// freed, or handed out under another generation of its slot.
+  bool checkUse(const char *Fn, pyc::PyObject *Obj) {
+    if (!Obj)
+      return true; // null arguments are a different (production) concern
+    uint32_t Gen = Obj->Slot < HandoutGen.size() ? HandoutGen[Obj->Slot] : 0;
+    if (!Obj->Freed && (Gen == 0 || Gen == Obj->Gen))
+      return true;
+    reportDangling(Fn);
+    return false;
+  }
 
   /// §7.1 type constraints: \p Obj must be a live object of \p Kind.
-  bool checkKind(const char *Fn, pyc::PyObject *Obj, pyc::PyKind Kind);
+  bool checkKind(const char *Fn, pyc::PyObject *Obj, pyc::PyKind Kind) {
+    // Nullness and danglingness are other machines' errors.
+    if (!Obj || Obj->Freed || Obj->Kind == Kind)
+      return true;
+    reportKind(Fn, Obj->Kind, Kind);
+    return false;
+  }
 
   void report(const char *Machine, const char *Fn, std::string Message);
 
@@ -139,11 +163,22 @@ private:
   size_t BaselineLive;
   std::vector<PyViolation> Violations;
 
-  /// Object address -> generation at hand-out; a mismatch means the slot
-  /// was recycled and the extension's pointer dangles. Never erased or
-  /// iterated: a re-handout of a slot overwrites its entry, so the table
-  /// stays bounded by the interpreter's arena.
-  OpenMap<uint32_t> HandoutGen;
+  /// Object slot (pyc::PyObject::Slot) -> generation at hand-out; 0 means
+  /// never handed out (live generations start at 1). A mismatch means the
+  /// slot was recycled and the extension's pointer dangles. Grown on
+  /// demand by trackHandout, never shrunk or iterated: a re-handout of a
+  /// slot overwrites its entry, so the table stays bounded by the
+  /// interpreter's arena. Each checker keeps its own, so a nested checker
+  /// never overwrites what the outer one recorded.
+  std::vector<uint32_t> HandoutGen;
+
+  // The out-of-line halves of the inline checks above, kept out of the
+  // checked wrappers that share their translation unit.
+  [[gnu::cold, gnu::noinline]] void growAndTrack(pyc::PyObject *Obj);
+  [[gnu::cold, gnu::noinline]] void reportDangling(const char *Fn);
+  [[gnu::cold, gnu::noinline]] void reportKind(const char *Fn,
+                                               pyc::PyKind Actual,
+                                               pyc::PyKind Required);
 };
 
 /// Retrieves the checker installed on \p Interp (null when none).

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The open-addressed hash map behind both FFIs' checker shadow state:
-/// the JNI agent's striped shadow tables and per-thread local-reference
-/// shadow, and the Python/C checker's handout shadow. Its entries live in
+/// The open-addressed hash map behind the JNI agent's shadow state: its
+/// striped shadow tables and the per-thread block's held-resource map and
+/// local-reference shadow. (The Python/C checker's handout shadow is
+/// indexed by object slot and needs no hashing.) Its entries live in
 /// one flat slab, so inserts and erases never allocate except on the
 /// amortized slab doubling, and a lookup is a short linear probe instead
 /// of a tree walk.

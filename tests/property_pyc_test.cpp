@@ -7,8 +7,10 @@
 /// \file
 /// Property tests for the Python/C checker: random *protocol-correct*
 /// extension code never triggers it and never leaks; random injected
-/// use-after-release always triggers it; and the interpreter's refcount
-/// accounting balances exactly.
+/// use-after-release always triggers it; the interpreter's refcount
+/// accounting balances exactly; and the Reference-ownership verdicts of
+/// the checker's slot-indexed handout shadow equal those of an
+/// address-keyed reference model.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,8 @@
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace jinn;
 using namespace jinn::pyc;
@@ -135,6 +139,100 @@ TEST(PycProperty, FuzzGeneratedSequencesHoldTheProperty) {
       EXPECT_TRUE(R.Pass);
     }
   }
+}
+
+/// The Reference-ownership rule over an address-keyed shadow: a use
+/// dangles when the object is freed, or when it was handed out under a
+/// generation its storage no longer has.
+class AddressKeyedModel {
+public:
+  void handout(const PyObject *Obj) {
+    if (Obj)
+      GenAt[Obj] = Obj->Gen;
+  }
+  bool dangling(const PyObject *Obj) const {
+    auto It = GenAt.find(Obj);
+    return Obj->Freed || (It != GenAt.end() && It->second != Obj->Gen);
+  }
+
+private:
+  std::map<const PyObject *, uint32_t> GenAt;
+};
+
+TEST(PycProperty, VerdictsMatchAnAddressKeyedModel) {
+  size_t Reports = 0, CleanUses = 0;
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    PyInterp I;
+    PyChecker Checker(I);
+    const PyApi *Api = activePyApi(I);
+    AddressKeyedModel Model;
+    SplitMix64 Rng(Seed * 7919);
+    std::vector<PyObject *> Roots; // top-level objects, live or not
+    std::vector<PyObject *> Seen;  // every object a use may name
+    auto PickLiveRoot = [&]() -> PyObject * {
+      for (int Try = 0; Try < 8 && !Roots.empty(); ++Try)
+        if (PyObject *O = Roots[Rng.nextBelow(Roots.size())]; !O->Freed)
+          return O;
+      return nullptr;
+    };
+    // Runs one checked call on Obj and compares its verdict with the
+    // model's, taken before the call (a release may free the object).
+    auto CheckedCall = [&](PyObject *Obj, auto Call) {
+      bool Expected = Model.dangling(Obj);
+      size_t Before = Checker.countFor("Reference ownership");
+      Call(Obj);
+      size_t Got = Checker.countFor("Reference ownership") - Before;
+      EXPECT_EQ(Got, Expected ? 1u : 0u)
+          << "seed " << Seed << " gen " << Obj->Gen;
+      (Expected ? Reports : CleanUses) += 1;
+      I.PendingType = nullptr; // a report leaves an exception pending
+    };
+    for (int Step = 0; Step < 400; ++Step) {
+      switch (Rng.nextBelow(6)) {
+      case 0: { // a new reference handed out
+        PyObject *O = Api->PyInt_FromLong(&I, Step);
+        Model.handout(O);
+        Roots.push_back(O);
+        Seen.push_back(O);
+        break;
+      }
+      case 1: { // a container and its items handed out
+        PyObject *T = Api->Py_BuildValue(&I, "(ii)", 1L, 2L);
+        Model.handout(T);
+        Roots.push_back(T);
+        Seen.push_back(T);
+        for (PyObject *Item : T->Items) {
+          Model.handout(Item);
+          Seen.push_back(Item);
+        }
+        break;
+      }
+      case 2: { // interpreter-internal allocation: recycles a slot unseen
+        PyObject *O = I.alloc(PyKind::Int);
+        Roots.push_back(O);
+        Seen.push_back(O);
+        break;
+      }
+      case 3: // interpreter-internal release
+        if (PyObject *O = PickLiveRoot())
+          I.decref(O);
+        break;
+      case 4: // a checked use of any object ever named
+        if (!Seen.empty())
+          CheckedCall(Seen[Rng.nextBelow(Seen.size())], [&](PyObject *O) {
+            Api->PyInt_AsLong(&I, O);
+          });
+        break;
+      default: // a checked release of a live object
+        if (PyObject *O = PickLiveRoot())
+          CheckedCall(O, [&](PyObject *Obj) { Api->Py_DecRef(&I, Obj); });
+        break;
+      }
+    }
+  }
+  // Both verdicts were exercised.
+  EXPECT_GT(Reports, 100u);
+  EXPECT_GT(CleanUses, 100u);
 }
 
 TEST(PycProperty, ContainersReleaseChildrenRecursively) {

@@ -284,4 +284,101 @@ TEST(PyChecker, RecycledHandoutsDangleAfterTheHandoutTableGrows) {
   EXPECT_EQ(Checker.violations().size(), NumRecycled);
 }
 
+TEST(PyChecker, ObjectsBeyondALateCheckersHandoutTableAreClean) {
+  // The arena holds 300 objects before the checker exists; one handout of
+  // a recycled low slot gives the checker a table far smaller than the
+  // arena. Objects it never handed out are not dangling, even one whose
+  // slot recycled behind its back.
+  PyInterp I;
+  std::vector<PyObject *> Before;
+  for (int K = 0; K < 300; ++K)
+    Before.push_back(I.alloc(PyKind::Int));
+  I.decref(Before[0]);
+  I.decref(Before[250]);
+  I.alloc(PyKind::Int); // reuses Before[250]'s slot, unseen by any checker
+
+  PyChecker Checker(I);
+  const PyApi *Api = activePyApi(I);
+  PyObject *Low = Api->PyInt_FromLong(&I, 1); // reuses Before[0]'s slot
+  ASSERT_EQ(Low, Before[0]);
+  for (int K = 1; K < 300; ++K)
+    Api->PyInt_AsLong(&I, Before[K]);
+  EXPECT_TRUE(Checker.violations().empty());
+
+  // The handed-out low slot is still tracked.
+  I.decref(Low);
+  I.alloc(PyKind::Int);
+  Api->PyInt_AsLong(&I, Low);
+  EXPECT_EQ(Checker.countFor("Reference ownership"), 1u);
+}
+
+TEST(PyChecker, SingletonHandoutsStayValidAndAliasNoArenaObject) {
+  // None and the exception types are handed out like any object; they
+  // never die, so their handouts never dangle, and recording them must
+  // not shadow the arena object a later handout records.
+  PyInterp I;
+  PyChecker Checker(I);
+  const PyApi *Api = activePyApi(I);
+  PyObject *List = Api->PyList_New(&I, 0);
+  PyObject *Exc[] = {I.excRuntimeError(), I.excTypeError(),
+                     I.excSystemError()};
+  Api->PyList_Append(&I, List, I.none());
+  for (PyObject *Type : Exc)
+    Api->PyList_Append(&I, List, Type);
+  std::vector<PyObject *> Borrowed;
+  for (Py_ssize_t K = 0; K < 4; ++K)
+    Borrowed.push_back(Api->PyList_GetItem(&I, List, K));
+  EXPECT_EQ(Borrowed[0], I.none());
+
+  // Churn: arena slots are handed out again and again under rising
+  // generations, none of which may land on a singleton's entry.
+  for (int Round = 0; Round < 8; ++Round) {
+    std::vector<PyObject *> Ints;
+    for (long K = 0; K < 8; ++K)
+      Ints.push_back(Api->PyInt_FromLong(&I, K));
+    for (PyObject *Int : Ints)
+      Api->Py_DecRef(&I, Int);
+  }
+
+  // An arena object handed out, released and recycled behind the
+  // checker's back dangles; the singletons beside it stay valid.
+  PyObject *Obj = Api->PyInt_FromLong(&I, 7);
+  Api->Py_DecRef(&I, Obj);
+  I.alloc(PyKind::Int);
+  for (int Round = 0; Round < 3; ++Round) {
+    for (PyObject *Single : Borrowed)
+      Api->Py_IncRef(&I, Single);
+    for (PyObject *Type : Exc) {
+      Api->PyErr_SetString(&I, Type, "raised");
+      Api->PyErr_Clear(&I);
+    }
+  }
+  EXPECT_TRUE(Checker.violations().empty());
+  Api->PyInt_AsLong(&I, Obj);
+  EXPECT_EQ(Checker.countFor("Reference ownership"), 1u);
+  EXPECT_EQ(Checker.violations().size(), 1u);
+}
+
+TEST(PyChecker, NestedCheckerReHandoutDoesNotHideTheOuterRecord) {
+  // The outer checker records Obj; Obj dies and its slot recycles while
+  // an inner checker is installed, which hands the slot out again. Once
+  // the outer checker is back, the stale pointer still dangles for it.
+  PyInterp I;
+  PyChecker Outer(I);
+  const PyApi *Api = activePyApi(I);
+  PyObject *Obj = Api->PyInt_FromLong(&I, 1);
+  Api->Py_DecRef(&I, Obj);
+  PyObject *Again;
+  {
+    PyChecker Inner(I);
+    Again = activePyApi(I)->PyInt_FromLong(&I, 2);
+    ASSERT_EQ(Again, Obj); // the same slot, one generation on
+    activePyApi(I)->PyInt_AsLong(&I, Again);
+    EXPECT_TRUE(Inner.violations().empty());
+  }
+  EXPECT_TRUE(Outer.violations().empty());
+  activePyApi(I)->PyInt_AsLong(&I, Obj);
+  EXPECT_EQ(Outer.countFor("Reference ownership"), 1u);
+}
+
 } // namespace
