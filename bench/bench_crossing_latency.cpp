@@ -37,7 +37,8 @@
 /// ns/crossing per (op, treatment) and the intra-run ratios of Jinn and of
 /// recording over interpose-only: ratio/* over the four JNI call classes,
 /// and ratio/native/* over the two native-method calls from paired
-/// samples. Interpose-only has no agent, so its native calls run
+/// samples. ratio/interpose_vs_bare isolates the interposition layer:
+/// interpose-only over bare on the four JNI call classes, paired. Interpose-only has no agent, so its native calls run
 /// unwrapped.
 ///
 /// The per-machine mode then builds one Jinn world per machine of the
@@ -321,7 +322,6 @@ const char *machineStem(const std::string &SpecName) {
 double pairedRatio(ScenarioWorld &World, ScenarioWorld &Floor,
                    const OpClass &Op, uint64_t Iters) {
   auto sample = [&](ScenarioWorld &W) {
-    W.Vm.diags().clear(); // global_use_mt's contention notes
     W.Vm.gc();
     double Seconds = 0;
     withRunner(W, Op, [&](auto Run) {
@@ -453,6 +453,26 @@ int main(int Argc, char **Argv) {
       }
     World.shutdown();
     Floor.shutdown();
+  }
+
+  // The interposition layer alone (wrapper, argument capture, one no-op
+  // slot each way): interpose-only over bare, geomean over the headline
+  // JNI classes, each op paired as above.
+  {
+    ScenarioWorld BareWorld(tierConfig(Tiers[Bare]));
+    ScenarioWorld Interposed(tierConfig(Tiers[Interpose]));
+    double Acc = 0;
+    size_t N = 0;
+    for (const OpClass &Op : Ops)
+      if (Op.Headline) {
+        Acc += std::log(pairedRatio(Interposed, BareWorld, Op, MachineIters));
+        ++N;
+      }
+    double Ratio = std::exp(Acc / static_cast<double>(N));
+    Json.add("ratio/interpose_vs_bare", Ratio, "x");
+    std::printf("JNI calls: interpose/bare = %.3fx\n", Ratio);
+    Interposed.shutdown();
+    BareWorld.shutdown();
   }
 
   // Per-machine mode: each registry machine alone over the no-machine

@@ -10,8 +10,8 @@
 ///
 ///   StripedTable     lock-striped shards for the tables keyed by entity
 ///                    identity whose entries any thread may touch (pinned
-///                    resources, entity IDs). Each shard pairs a
-///                    shared_mutex with a small open-addressed map
+///                    resources). Each shard pairs a plain mutex with a
+///                    small open-addressed map
 ///                    (OpenMap, support/OpenMap.h) whose entries live in
 ///                    one flat slab — inserts and erases never malloc
 ///                    except on the amortized slab doubling, so shard
@@ -39,7 +39,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 
 namespace jinn::agent {
 
@@ -57,8 +56,10 @@ inline uint64_t mixBits(uint64_t X) {
 
 /// Lock-striped table: N shards, each an independently locked OpenMap.
 /// Handles hash to a shard with mixBits, so concurrent threads touching
-/// different entities contend only 1/N of the time. Reads take the shard
-/// lock shared; mutations take it exclusive.
+/// different entities contend only 1/N of the time. Every access takes
+/// the shard's plain mutex: both pin transitions mutate, and only the
+/// end-of-run sweeps merely read, so a reader-writer lock would buy no
+/// concurrency and cost more per acquisition.
 template <typename ValueT> class StripedTable {
 public:
   explicit StripedTable(unsigned ShardCount = DefaultShardCount) {
@@ -71,11 +72,11 @@ public:
   }
 
   struct Shard {
-    mutable std::shared_mutex Mu;
+    mutable std::mutex Mu;
     OpenMap<ValueT> Map;
-    /// Lock acquires on this shard (shared and exclusive), a contention
-    /// proxy. Relaxed and shard-local: the counter shares the shard's
-    /// cache neighborhood, not a global line.
+    /// Lock acquires on this shard, a contention proxy. Relaxed and
+    /// shard-local: the counter shares the shard's cache neighborhood, not
+    /// a global line.
     mutable std::atomic<uint64_t> Acquires{0};
     // Pad each shard out of its neighbors' cache lines.
     char Pad[64];
@@ -86,14 +87,10 @@ public:
     return Shards[mixBits(Key) & Mask];
   }
 
-  /// RAII shard guards that bump the acquire counter.
-  static std::unique_lock<std::shared_mutex> exclusive(Shard &S) {
+  /// RAII shard guard that bumps the acquire counter.
+  static std::unique_lock<std::mutex> lock(const Shard &S) {
     S.Acquires.fetch_add(1, std::memory_order_relaxed);
-    return std::unique_lock<std::shared_mutex>(S.Mu);
-  }
-  static std::shared_lock<std::shared_mutex> shared(const Shard &S) {
-    S.Acquires.fetch_add(1, std::memory_order_relaxed);
-    return std::shared_lock<std::shared_mutex>(S.Mu);
+    return std::unique_lock<std::mutex>(S.Mu);
   }
 
   unsigned shardCount() const { return Count; }
@@ -102,7 +99,7 @@ public:
   size_t size() const {
     size_t N = 0;
     for (unsigned I = 0; I < Count; ++I) {
-      auto Lock = shared(Shards[I]);
+      auto Lock = lock(Shards[I]);
       N += Shards[I].Map.size();
     }
     return N;
@@ -111,7 +108,7 @@ public:
   /// Visits every entry, one shard lock at a time.
   template <typename Fn> void forEach(Fn &&Visit) const {
     for (unsigned I = 0; I < Count; ++I) {
-      auto Lock = shared(Shards[I]);
+      auto Lock = lock(Shards[I]);
       Shards[I].Map.forEach(Visit);
     }
   }

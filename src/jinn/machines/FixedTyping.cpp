@@ -19,22 +19,15 @@
 
 #include "jinn/machines/MachineUtil.h"
 
+#include <bit>
+
 using namespace jinn;
 using namespace jinn::agent;
-using jinn::jni::ArgClass;
 using jinn::jni::FnTraits;
 using jinn::jni::RefConstraint;
 using jinn::jvm::JType;
 
 namespace {
-
-bool hasFixedTypedParam(const FnTraits &Traits) {
-  for (int I = 0; I < Traits.NumParams; ++I)
-    if (Traits.Params[I].Cls == ArgClass::Ref &&
-        Traits.Params[I].Constraint != RefConstraint::None)
-      return true;
-  return false;
-}
 
 /// Whether the live object \p Target satisfies \p Constraint.
 bool satisfies(jvm::Vm &Vm, jvm::ObjectId Target, RefConstraint Constraint) {
@@ -99,18 +92,16 @@ FixedTypingMachine::FixedTypingMachine(const CriticalStateMachine &Critical)
       {{FunctionSelector::matching(
             "any JNI function with a parameter of fixed Java type",
             [](const FnTraits &Traits) {
-              return hasFixedTypedParam(Traits) && !Traits.CriticalAllowed;
+              return Traits.FixedTypeMask != 0 && !Traits.CriticalAllowed;
             }),
         Direction::CallCToJava}},
       [this](TransitionContext &Ctx) {
         if (this->Critical.inCritical(Ctx))
           return; // cannot type-check inside a critical region
         const FnTraits &Traits = Ctx.call().traits();
-        for (int I = 0; I < Traits.NumParams; ++I) {
+        for (unsigned Mask = Traits.FixedTypeMask; Mask; Mask &= Mask - 1) {
+          int I = std::countr_zero(Mask);
           const jni::ParamTraits &Param = Traits.Params[I];
-          if (Param.Cls != ArgClass::Ref ||
-              Param.Constraint == RefConstraint::None)
-            continue;
           uint64_t Word = Ctx.call().refWord(I);
           if (!Word)
             continue; // nullness machine owns null errors

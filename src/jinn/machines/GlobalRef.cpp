@@ -23,9 +23,10 @@
 #include "jinn/machines/MachineUtil.h"
 #include "mutate/Mutation.h"
 
+#include <bit>
+
 using namespace jinn;
 using namespace jinn::agent;
-using jinn::jni::ArgClass;
 using jinn::jni::FnTraits;
 using jinn::jni::ResourceRole;
 using jinn::jvm::RefKind;
@@ -36,7 +37,7 @@ namespace {
 /// functions (those are Release transitions, handled above — running the
 /// Use transition there would re-adopt the reference being deleted).
 bool takesRefParam(const FnTraits &Traits) {
-  return Traits.hasParam(ArgClass::Ref) &&
+  return Traits.RefMask != 0 &&
          Traits.Resource != ResourceRole::GlobalRelease &&
          Traits.Resource != ResourceRole::WeakRelease &&
          Traits.Resource != ResourceRole::LocalDelete &&
@@ -118,11 +119,10 @@ GlobalRefMachine::GlobalRefMachine() {
                                    takesRefParam),
         Direction::CallCToJava}},
       [this](TransitionContext &Ctx) {
-        const FnTraits &Traits = Ctx.call().traits();
-        for (int I = 0; I < Traits.NumParams; ++I) {
-          if (Traits.Params[I].Cls != ArgClass::Ref)
-            continue;
-          uint64_t Word = Ctx.call().refWord(I);
+        for (unsigned Mask = Ctx.call().traits().RefMask; Mask;
+             Mask &= Mask - 1) {
+          int I = std::countr_zero(Mask);
+          uint64_t Word = Ctx.call().arg(I).Word;
           if (!Word)
             continue;
           std::optional<jvm::HandleBits> Bits = jvm::decodeHandle(Word);

@@ -35,9 +35,10 @@
 #include "jinn/machines/MachineUtil.h"
 #include "mutate/Mutation.h"
 
+#include <bit>
+
 using namespace jinn;
 using namespace jinn::agent;
-using jinn::jni::ArgClass;
 using jinn::jni::FnTraits;
 using jinn::jni::ResourceRole;
 using jinn::jvm::RefKind;
@@ -46,7 +47,7 @@ namespace {
 
 bool isLocalUseFunction(const FnTraits &Traits) {
   // DeleteLocalRef / PopLocalFrame are Release sites, not Use sites.
-  return Traits.hasParam(ArgClass::Ref) &&
+  return Traits.RefMask != 0 &&
          Traits.Resource != ResourceRole::LocalDelete &&
          Traits.Resource != ResourceRole::PopFrame;
 }
@@ -221,10 +222,11 @@ LocalRefMachine::LocalRefMachine(ThreadShadows &Blocks) : Threads(Blocks) {
                                    isLocalUseFunction),
         Direction::CallCToJava}},
       [this](TransitionContext &Ctx) {
-        const FnTraits &Traits = Ctx.call().traits();
-        for (int I = 0; I < Traits.NumParams && !Ctx.aborted(); ++I)
-          if (Traits.Params[I].Cls == ArgClass::Ref)
-            useCheck(Ctx, Ctx.call().refWord(I), I);
+        for (unsigned Mask = Ctx.call().traits().RefMask;
+             Mask && !Ctx.aborted(); Mask &= Mask - 1) {
+          int I = std::countr_zero(Mask);
+          useCheck(Ctx, Ctx.call().arg(I).Word, I);
+        }
       }));
 
   // Use at Return:C->Java: a native method returning a reference. Listed

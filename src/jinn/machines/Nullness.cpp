@@ -15,26 +15,12 @@
 #include "jinn/machines/MachineUtil.h"
 #include "mutate/Mutation.h"
 
+#include <bit>
+
 using namespace jinn;
 using namespace jinn::agent;
 using jinn::jni::ArgClass;
 using jinn::jni::FnTraits;
-
-namespace {
-
-bool isNullCheckable(ArgClass Cls) {
-  return Cls == ArgClass::Ref || Cls == ArgClass::CString ||
-         Cls == ArgClass::MethodId || Cls == ArgClass::FieldId;
-}
-
-bool hasNonNullParam(const FnTraits &Traits) {
-  for (int I = 0; I < Traits.NumParams; ++I)
-    if (Traits.Params[I].NonNull && isNullCheckable(Traits.Params[I].Cls))
-      return true;
-  return false;
-}
-
-} // namespace
 
 NullnessMachine::NullnessMachine() {
   Spec.Name = "Nullness";
@@ -45,18 +31,20 @@ NullnessMachine::NullnessMachine() {
 
   Spec.Transitions.push_back(makeTransition(
       "Checked", "Checked",
-      {{FunctionSelector::matching(
-            "any JNI function with a non-null parameter", hasNonNullParam),
+      {{FunctionSelector::matching("any JNI function with a non-null parameter",
+                                   [](const FnTraits &Traits) {
+                                     return Traits.NonNullMask != 0;
+                                   }),
         Direction::CallCToJava}},
       [this](TransitionContext &Ctx) {
-        const FnTraits &Traits = Ctx.call().traits();
-        for (int I = 0; I < Traits.NumParams; ++I) {
-          const jni::ParamTraits &Param = Traits.Params[I];
-          if (!Param.NonNull || !isNullCheckable(Param.Cls))
-            continue;
+        unsigned Mask = Ctx.call().traits().NonNullMask;
+        if (mutate::active(mutate::M::SpecNullnessMaskTopBitSkipped))
+          Mask &= ~(1u << (std::bit_width(Mask) - 1)); // mutant
+        for (; Mask; Mask &= Mask - 1) {
+          int I = std::countr_zero(Mask);
           const jvmti::CapturedArg &Arg = Ctx.call().arg(I);
-          bool IsNull = Param.Cls == ArgClass::Ref ? Arg.Word == 0
-                                                   : Arg.Ptr == nullptr;
+          bool IsNull = Arg.Cls == ArgClass::Ref ? Arg.Word == 0
+                                                 : Arg.Ptr == nullptr;
           if (mutate::active(mutate::M::SpecNullnessInverted))
             IsNull = !IsNull;
           if (IsNull) {

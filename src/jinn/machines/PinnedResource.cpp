@@ -53,7 +53,7 @@ PinnedResourceMachine::PinnedResourceMachine(const MachineTuning &Tuning)
           return;
         int Family = static_cast<int>(Ctx.call().traits().Pin);
         auto &Shard = Outstanding.shardFor(Resource);
-        auto Lock = StripedTable<PinCounts>::exclusive(Shard);
+        auto Lock = StripedTable<PinCounts>::lock(Shard);
         Shard.Map.findOrEmplace(Resource).ByFamily[Family] += 1;
       }));
 
@@ -102,7 +102,7 @@ PinnedResourceMachine::PinnedResourceMachine(const MachineTuning &Tuning)
         bool DoubleFree = false;
         {
           auto &Shard = Outstanding.shardFor(BufTarget);
-          auto Lock = StripedTable<PinCounts>::exclusive(Shard);
+          auto Lock = StripedTable<PinCounts>::lock(Shard);
           PinCounts *Counts = Shard.Map.find(BufTarget);
           if (!Counts || Counts->ByFamily[Family] <= 0) {
             DoubleFree = true;

@@ -56,13 +56,6 @@ const char *jinn::jni::refConstraintClassName(RefConstraint C) {
   JINN_UNREACHABLE("invalid RefConstraint");
 }
 
-int FnTraits::firstParam(ArgClass Cls) const {
-  for (int I = 0; I < NumParams; ++I)
-    if (Params[I].Cls == Cls)
-      return I;
-  return -1;
-}
-
 int FnTraits::countParams(ArgClass Cls) const {
   int N = 0;
   for (int I = 0; I < NumParams; ++I)
@@ -408,6 +401,22 @@ void applyNameRules(FnTraits &T, std::string_view Name) {
     MarkNullable(0);
 }
 
+/// Derives the per-parameter masks and first-index table from Params,
+/// after the name rules have refined it.
+void deriveParamFacts(FnTraits &T) {
+  for (int I = T.NumParams - 1; I >= 0; --I) {
+    const ParamTraits &P = T.Params[I];
+    const auto Bit = static_cast<uint8_t>(1u << I);
+    T.First[static_cast<size_t>(P.Cls)] = static_cast<int8_t>(I);
+    if (P.Cls == ArgClass::Ref)
+      T.RefMask |= Bit;
+    if (P.NonNull && isNullCheckable(P.Cls))
+      T.NonNullMask |= Bit;
+    if (P.Cls == ArgClass::Ref && P.Constraint != RefConstraint::None)
+      T.FixedTypeMask |= Bit;
+  }
+}
+
 /// The registry's largest arity, which every fixed-capacity argument array
 /// (FnTraits::Params, CapturedCall, TraceEvent::Args) must hold.
 constexpr size_t LargestArity = std::max({
@@ -417,6 +426,9 @@ constexpr size_t LargestArity = std::max({
 });
 static_assert(LargestArity <= MaxJniParams,
               "a registry function takes more parameters than MaxJniParams");
+static_assert(MaxJniParams <= 8, "parameter masks are one byte wide");
+static_assert(NumArgClasses == static_cast<size_t>(ArgClass::OutPtr) + 1,
+              "NumArgClasses must count every ArgClass");
 
 std::array<FnTraits, NumJniFunctions> buildTraits() {
   std::array<FnTraits, NumJniFunctions> Table;
@@ -432,8 +444,10 @@ std::array<FnTraits, NumJniFunctions> buildTraits() {
 #include "jni/JniFunctions.def"
 #undef JNI_FN
 
-  for (size_t I = 0; I < NumJniFunctions; ++I)
+  for (size_t I = 0; I < NumJniFunctions; ++I) {
     applyNameRules(Table[I], fnName(static_cast<FnId>(I)));
+    deriveParamFacts(Table[I]);
+  }
   return Table;
 }
 

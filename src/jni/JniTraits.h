@@ -38,6 +38,9 @@ enum class ArgClass : uint8_t {
   OutPtr,      ///< other pointers (jboolean *isCopy, buffers, JavaVM **)
 };
 
+/// Number of ArgClass values (the size of FnTraits::First).
+inline constexpr size_t NumArgClasses = 8;
+
 /// The Java type a reference parameter is statically constrained to by the
 /// JNI signature itself ("fixed typing", paper §5.2).
 enum class RefConstraint : uint8_t {
@@ -128,8 +131,20 @@ struct FnTraits {
   bool ProducesMethodId = false; ///< GetMethodID / GetStaticMethodID / From*
   bool ProducesFieldId = false;
 
+  /// Parameter facts that Params already fixes, derived from it once per
+  /// process by allFnTraits() so a crossing reads them instead of
+  /// re-scanning Params. Bit I of a mask stands for parameter I.
+  uint8_t RefMask = 0;       ///< Ref parameters
+  uint8_t NonNullMask = 0;   ///< NonNull Ref, CString, MethodId, FieldId
+  uint8_t FixedTypeMask = 0; ///< Ref parameters with a RefConstraint
+  /// First[C]: index of the first parameter of ArgClass C, or -1.
+  std::array<int8_t, NumArgClasses> First = {-1, -1, -1, -1,
+                                             -1, -1, -1, -1};
+
   /// Index of the first parameter of class \p Cls, or -1.
-  int firstParam(ArgClass Cls) const;
+  int firstParam(ArgClass Cls) const {
+    return First[static_cast<size_t>(Cls)];
+  }
   /// True if any parameter has class \p Cls.
   bool hasParam(ArgClass Cls) const { return firstParam(Cls) >= 0; }
   /// Number of parameters with class \p Cls.
@@ -138,6 +153,13 @@ struct FnTraits {
 
 /// Traits of function \p Id.
 const FnTraits &fnTraits(FnId Id);
+
+/// Whether a null \p Cls argument is detectable at the boundary: the
+/// parameter classes NonNullMask may name.
+constexpr bool isNullCheckable(ArgClass Cls) {
+  return Cls == ArgClass::Ref || Cls == ArgClass::CString ||
+         Cls == ArgClass::MethodId || Cls == ArgClass::FieldId;
+}
 
 /// The whole table (for census walks).
 const std::array<FnTraits, NumJniFunctions> &allFnTraits();

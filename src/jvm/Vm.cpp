@@ -1052,10 +1052,12 @@ MonitorResult Vm::monitorEnter(JThread &Thread, ObjectId Obj) {
     It->second.Count += 1;
     return MonitorResult::Ok;
   }
-  Diags.report(IncidentKind::Note, "jvm",
-               formatString("monitor contention: thread %u blocked on a "
-                            "monitor owned by thread %u",
-                            Thread.id(), It->second.OwnerThread));
+  Diags.setCounter("jvm.monitor_contended_enters", ++ContendedEnters);
+  if (ContendedEnters <= MaxContentionNotes)
+    Diags.report(IncidentKind::Note, "jvm",
+                 formatString("monitor contention: thread %u blocked on a "
+                              "monitor owned by thread %u",
+                              Thread.id(), It->second.OwnerThread));
   return MonitorResult::WouldBlock;
 }
 

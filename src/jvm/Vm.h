@@ -248,8 +248,13 @@ public:
   // Monitors
   //===--------------------------------------------------------------------===
 
+  /// Enters \p Obj's monitor for \p Thread. An enter on a monitor another
+  /// thread owns returns WouldBlock and counts in the Diagnostics counter
+  /// "jvm.monitor_contended_enters"; only the first MaxContentionNotes of
+  /// them also leave a note, so a contended run keeps a bounded sink.
   MonitorResult monitorEnter(JThread &Thread, ObjectId Obj);
   MonitorResult monitorExit(JThread &Thread, ObjectId Obj);
+  static constexpr uint64_t MaxContentionNotes = 8;
   /// Number of distinct monitors currently held (any thread).
   size_t heldMonitorCount() const {
     std::lock_guard<std::mutex> Lock(MonitorsMutex);
@@ -489,8 +494,9 @@ private:
   ChunkedVector<GlobalSlot> Globals;
   std::vector<uint32_t> FreeGlobalSlots;
 
-  mutable std::mutex MonitorsMutex; ///< Monitors
+  mutable std::mutex MonitorsMutex; ///< Monitors, ContendedEnters
   std::map<uint64_t, MonitorState> Monitors;
+  uint64_t ContendedEnters = 0;
 
   mutable std::mutex PinsMutex; ///< Pins, NextPinCookie, pin-count updates
   std::vector<PinRecord> Pins;

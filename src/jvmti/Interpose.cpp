@@ -304,8 +304,6 @@ template <FnId Id, typename F, F Impl> struct MakeWrapper;
 template <FnId Id, typename Ret, typename... Args,
           Ret (*Impl)(JNIEnv *, Args...)>
 struct MakeWrapper<Id, Ret (*)(JNIEnv *, Args...), Impl> {
-  static_assert(sizeof...(Args) <= jni::MaxJniParams);
-
   /// The one specialised wrapper per function: one acquire load of the
   /// published program, one record, and either the bare call (no slot
   /// observes this function) or capture plus the pre and post slot runs.
@@ -316,7 +314,7 @@ struct MakeWrapper<Id, Ret (*)(JNIEnv *, Args...), Impl> {
       return Impl(Env, As...);
     const DispatchTable::FnRec &Rec = *RecPtr;
     CapturedCall Call(Id, Env, Rec.Traits);
-    (Call.captureOne(As), ...);
+    Call.capture(As...);
     if (Rec.PreCount) {
       Table->runPre(Rec, Call);
       if (Call.aborted()) {

@@ -36,22 +36,27 @@
 
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace jinn::jvmti {
 
-/// One classified argument of an in-flight call.
+/// One classified argument of an in-flight call. Trivially
+/// default-constructible on purpose: a crossing writes exactly the records
+/// of its function's arguments and never pays to clear the others.
 struct CapturedArg {
-  jni::ArgClass Cls = jni::ArgClass::Scalar;
-  uint64_t Word = 0;         ///< handle bits, ID bits, or scalar payload
-  const void *Ptr = nullptr; ///< cstring / jvalue array / out-pointer
+  jni::ArgClass Cls;
+  uint64_t Word;   ///< handle bits, ID bits, or scalar payload
+  const void *Ptr; ///< cstring / jvalue array / out-pointer
 };
+static_assert(std::is_trivially_default_constructible_v<CapturedArg>);
 
 /// One recorded handle observation: what Vm::peekHandle returned for a
 /// handle word at the instant a boundary was crossed. Peeks are volatile
@@ -183,12 +188,20 @@ public:
   const BoundarySnapshot *snapshot() const { return Snap; }
   const ReplayEnvironment *replayEnv() const { return Renv; }
 
+  /// The captured arguments: a live JNI call captures exactly its
+  /// function's NumParams, and replay restores exactly those (a trace
+  /// event with any other count is refused by Trace::wellFormed). Records
+  /// past numArgs() are uninitialised.
   size_t numArgs() const { return NumArgs; }
-  const CapturedArg &arg(size_t Index) const { return Args[Index]; }
+  const CapturedArg &arg(size_t Index) const {
+    assert(Index < NumArgs && "argument past the captured count");
+    return Args[Index];
+  }
 
   /// Reference argument \p Index as a handle word (0 when not a ref).
   uint64_t refWord(size_t Index) const {
-    return Args[Index].Cls == jni::ArgClass::Ref ? Args[Index].Word : 0;
+    const CapturedArg &A = arg(Index);
+    return A.Cls == jni::ArgClass::Ref ? A.Word : 0;
   }
 
   /// The jmethodID argument, validated against the VM registry (nullptr
@@ -242,33 +255,13 @@ public:
   // Capture plumbing (used by the generated wrappers)
   //===------------------------------------------------------------------===
 
-  template <typename T>
-  std::enable_if_t<std::is_base_of_v<_jobject, T>> captureOne(T *V) {
-    push({jni::ArgClass::Ref, jni::handleWord(V), nullptr});
-  }
-  void captureOne(jmethodID V) {
-    push({jni::ArgClass::MethodId,
-          static_cast<uint64_t>(reinterpret_cast<uintptr_t>(V)), V});
-  }
-  void captureOne(jfieldID V) {
-    push({jni::ArgClass::FieldId,
-          static_cast<uint64_t>(reinterpret_cast<uintptr_t>(V)), V});
-  }
-  void captureOne(const char *V) {
-    push({jni::ArgClass::CString, 0, V});
-  }
-  void captureOne(const jvalue *V) {
-    push({jni::ArgClass::JvalueArray, 0, V});
-  }
-  template <typename T>
-  std::enable_if_t<std::is_arithmetic_v<T> || std::is_enum_v<T>>
-  captureOne(T V) {
-    push({jni::ArgClass::Scalar, static_cast<uint64_t>(V), nullptr});
-  }
-  template <typename T>
-  std::enable_if_t<!std::is_base_of_v<_jobject, T>> captureOne(T *V) {
-    push({jni::ArgClass::OutPtr,
-          static_cast<uint64_t>(reinterpret_cast<uintptr_t>(V)), V});
+  /// Captures a live call's arguments: writes exactly their records, in
+  /// order, each classified by its static type.
+  template <typename... Ts> void capture(Ts... Vs) {
+    static_assert(sizeof...(Ts) <= jni::MaxJniParams);
+    [[maybe_unused]] size_t I = 0;
+    ((Args[I++] = classify(Vs)), ...);
+    NumArgs = sizeof...(Ts);
   }
 
   template <typename T> void setReturn(T V) {
@@ -313,6 +306,38 @@ public:
   }
 
 private:
+  template <typename T>
+  static std::enable_if_t<std::is_base_of_v<_jobject, T>, CapturedArg>
+  classify(T *V) {
+    return {jni::ArgClass::Ref, jni::handleWord(V), nullptr};
+  }
+  static CapturedArg classify(jmethodID V) {
+    return {jni::ArgClass::MethodId,
+            static_cast<uint64_t>(reinterpret_cast<uintptr_t>(V)), V};
+  }
+  static CapturedArg classify(jfieldID V) {
+    return {jni::ArgClass::FieldId,
+            static_cast<uint64_t>(reinterpret_cast<uintptr_t>(V)), V};
+  }
+  static CapturedArg classify(const char *V) {
+    return {jni::ArgClass::CString, 0, V};
+  }
+  static CapturedArg classify(const jvalue *V) {
+    return {jni::ArgClass::JvalueArray, 0, V};
+  }
+  template <typename T>
+  static std::enable_if_t<std::is_arithmetic_v<T> || std::is_enum_v<T>,
+                          CapturedArg>
+  classify(T V) {
+    return {jni::ArgClass::Scalar, static_cast<uint64_t>(V), nullptr};
+  }
+  template <typename T>
+  static std::enable_if_t<!std::is_base_of_v<_jobject, T>, CapturedArg>
+  classify(T *V) {
+    return {jni::ArgClass::OutPtr,
+            static_cast<uint64_t>(reinterpret_cast<uintptr_t>(V)), V};
+  }
+
   void push(CapturedArg Arg) {
     if (NumArgs == Args.size())
       argumentOverflow();

@@ -66,6 +66,15 @@ void PyChecker::reportDangling(const char *Fn) {
          "borrowed references to it are invalid)");
 }
 
+void PyChecker::reportGil(const char *Fn, const char *Message) {
+  report("GIL state", Fn, Message);
+}
+
+void PyChecker::reportPending(const char *Fn) {
+  report("Exception state", Fn,
+         "Python/C API call while an exception is pending");
+}
+
 void PyChecker::reportKind(const char *Fn, pyc::PyKind Actual,
                            pyc::PyKind Required) {
   report("Type constraints", Fn,
@@ -122,13 +131,11 @@ template <PyFnId Id, typename... Ps> bool preCall(PyChecker &C, Ps... As) {
   constexpr const PyFnSpec &Row = pyFnSpec(Id);
   if (!mutate::active(mutate::M::PySpecGilCheckDropped) &&
       C.ShadowGilDepth <= 0) {
-    C.report("GIL state", Row.Name,
-             "Python/C API call without holding the GIL");
+    C.reportGil(Row.Name, "Python/C API call without holding the GIL");
     return false;
   }
   if (!Row.ExceptionOblivious && C.interp().PendingType) {
-    C.report("Exception state", Row.Name,
-             "Python/C API call while an exception is pending");
+    C.reportPending(Row.Name);
     return false;
   }
   if (!(checkArg(C, Row.Name, As) && ...))
@@ -171,10 +178,10 @@ struct MakeWrapper<Id, Ret (*)(PyInterp *, Ps...), Impl> {
     PyChecker &C = *checkerOf(*I);
     if constexpr (pyFnSpec(Id).GilDelta < 0) {
       if (C.ShadowGilDepth <= 0) {
-        C.report("GIL state", pyFnSpec(Id).Name,
-                 Id == PyFnId::PyGILState_Release
-                     ? "release of a GIL this thread does not hold"
-                     : "the GIL is not held (double save would deadlock)");
+        C.reportGil(pyFnSpec(Id).Name,
+                    Id == PyFnId::PyGILState_Release
+                        ? "release of a GIL this thread does not hold"
+                        : "the GIL is not held (double save would deadlock)");
         return suppressed<Ret>();
       }
     }

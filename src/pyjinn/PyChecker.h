@@ -152,6 +152,11 @@ public:
   }
 
   void report(const char *Machine, const char *Fn, std::string Message);
+  /// The GIL-state and exception-state reports of the checked wrappers,
+  /// out of line so no wrapper builds their message strings inline.
+  [[gnu::cold, gnu::noinline]] void reportGil(const char *Fn,
+                                              const char *Message);
+  [[gnu::cold, gnu::noinline]] void reportPending(const char *Fn);
 
   pyc::PyInterp &interp() { return Interp; }
   int ShadowGilDepth = 1;

@@ -60,6 +60,23 @@ void Trace::rebuildThreadNames() {
       ThreadNames[Ev.ThreadId] = Ev.Name;
 }
 
+namespace {
+
+/// Whether \p Ev carries exactly its function's parameters, each of the
+/// class the trait table declares: replay then restores a full capture,
+/// as the live wrapper writes one.
+bool argsMatchTraits(const TraceEvent &Ev) {
+  const jni::FnTraits &Traits = jni::fnTraits(static_cast<jni::FnId>(Ev.Fn));
+  if (Ev.NumArgs != Traits.NumParams)
+    return false;
+  for (size_t I = 0; I < Ev.NumArgs; ++I)
+    if (Ev.Args[I].Cls != static_cast<uint8_t>(Traits.Params[I].Cls))
+      return false;
+  return true;
+}
+
+} // namespace
+
 bool Trace::wellFormed(std::string *Err) const {
   for (size_t I = 0; I < Events.size(); ++I) {
     const TraceEvent &Ev = Events[I];
@@ -67,8 +84,9 @@ bool Trace::wellFormed(std::string *Err) const {
     bool Jni = Ev.Kind == EventKind::JniPre || Ev.Kind == EventKind::JniPost;
     if (Jni && Ev.Fn >= jni::NumJniFunctions)
       Bad = "JNI function id out of range";
-    else if (Jni && Ev.NumArgs > TraceEvent::MaxArgs)
-      Bad = "more JNI arguments than a trace event holds";
+    else if (Jni && !argsMatchTraits(Ev))
+      Bad = "JNI arguments differ from the function's parameters in "
+            "count or class";
     else if (Ev.NumNativeArgs > TraceEvent::MaxNativeArgs)
       Bad = "more native arguments than a trace event holds";
     else if (Ev.Snap.NumPeeks > jvmti::BoundarySnapshot::MaxPeeks ||

@@ -113,9 +113,10 @@ struct Trace {
   /// Repopulates ThreadNames from ThreadAttach events.
   void rebuildThreadNames();
 
-  /// Checks every field replay and lifting index by: JNI function ids and
-  /// argument counts of JniPre/JniPost events, and the snapshot's peek and
-  /// call-argument counts. A trace read from a file is foreign input; a
+  /// Checks every field replay and lifting index by: JNI function ids of
+  /// JniPre/JniPost events and their arguments, which must match the
+  /// function's parameters in count and class, and the snapshot's peek
+  /// and call-argument counts. A trace read from a file is foreign input; a
   /// consumer calls this first and refuses the trace (with \p Err naming
   /// the first bad event) instead of reading out of range.
   bool wellFormed(std::string *Err = nullptr) const;

@@ -32,11 +32,14 @@
 #include "jvmti/Jvmti.h"
 #include "scenarios/Scenarios.h"
 #include "trace/Replay.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -204,6 +207,47 @@ TEST(CompiledDispatch, InterposeOnlyObservesEveryFunction) {
   JNIEnv *Env = World.env();
   EXPECT_GT(Env->functions->GetVersion(Env), 0);
   World.shutdown();
+}
+
+// The wrapper writes only its function's argument records, so every
+// crossing must capture exactly the function's NumParams arguments, each
+// of the class the trait table declares; anything else would leave a
+// machine reading an unwritten record. An all-function pre hook checks
+// every crossing of every microbenchmark and Table 3 workload.
+TEST(CompiledDispatch, EveryCrossingCapturesItsDeclaredParameters) {
+  std::mutex Mu;
+  std::vector<bool> Seen(jni::NumJniFunctions);
+  auto Observed = [&](const std::function<void(scenarios::ScenarioWorld &)>
+                          &Run) {
+    scenarios::ScenarioWorld World(jinnConfig());
+    jvmti::dispatcherFor(World.Rt).addPreAll([&](jvmti::CapturedCall &Call) {
+      const jni::FnTraits &Traits = Call.traits();
+      {
+        std::lock_guard<std::mutex> Lock(Mu);
+        Seen[static_cast<size_t>(Call.id())] = true;
+      }
+      ASSERT_EQ(Call.numArgs(), Traits.NumParams) << jni::fnName(Call.id());
+      for (size_t I = 0; I < Call.numArgs(); ++I)
+        EXPECT_EQ(Call.arg(I).Cls, Traits.Params[I].Cls)
+            << jni::fnName(Call.id()) << " argument " << I;
+    });
+    Run(World);
+    World.shutdown();
+  };
+  for (const scenarios::MicroInfo &Info : scenarios::allMicrobenchmarks()) {
+    SCOPED_TRACE(Info.ClassName);
+    Observed([&](scenarios::ScenarioWorld &World) {
+      scenarios::runMicrobenchmark(Info.Id, World);
+    });
+  }
+  for (const workloads::WorkloadInfo &Info : workloads::allWorkloads()) {
+    SCOPED_TRACE(Info.Name);
+    Observed([&](scenarios::ScenarioWorld &World) {
+      workloads::prepareWorkloadWorld(World);
+      workloads::runWorkload(Info, World, /*ScaleDivisor=*/1u << 16);
+    });
+  }
+  EXPECT_GE(std::count(Seen.begin(), Seen.end(), true), 34);
 }
 
 TEST(CompiledDispatch, SampledThreadGating) {

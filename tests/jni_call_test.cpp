@@ -611,6 +611,21 @@ struct Conformance : ::testing::TestWithParam<bool> {
 
   size_t jinnReports() { return C.Jinn ? C.Jinn->reportCount() : 0; }
 
+  /// Under Jinn, adds an all-function pre hook that checks every capture:
+  /// exactly the function's NumParams arguments, each of the class its
+  /// traits declare (the wrapper writes no other argument record).
+  void checkEveryCapture() {
+    if (!C.Jinn)
+      return;
+    jvmti::dispatcherFor(C.W.Rt).addPreAll([](jvmti::CapturedCall &Call) {
+      const jni::FnTraits &Traits = Call.traits();
+      ASSERT_EQ(Call.numArgs(), Traits.NumParams) << jni::fnName(Call.id());
+      for (size_t I = 0; I < Call.numArgs(); ++I)
+        EXPECT_EQ(Call.arg(I).Cls, Traits.Params[I].Cls)
+            << jni::fnName(Call.id()) << " argument " << I;
+    });
+  }
+
   /// What one erroneous call did: its rendered result, and how many policy
   /// incidents and Jinn reports it added. Clears the pending exception a
   /// Jinn report throws, so each call starts clean.
@@ -628,6 +643,7 @@ struct Conformance : ::testing::TestWithParam<bool> {
 };
 
 TEST_P(Conformance, EveryCallFormReturnsTheSameValue) {
+  checkEveryCapture();
 #define CHECK_CALLS(TName, CType, D)                                           \
   checkCalls(CALL_SLOTS(TName, CType), #TName, D, Sample##TName);
   jobject SampleObject = C.str("conformance");
@@ -650,6 +666,7 @@ TEST_P(Conformance, EveryCallFormReturnsTheSameValue) {
 }
 
 TEST_P(Conformance, EveryFieldAccessorRoundTrips) {
+  checkEveryCapture();
 #define CHECK_FIELDS(TName, CType, D)                                          \
   checkFields(FIELD_SLOTS(TName, CType), #TName, D, Sample##TName);
   jobject SampleObject = C.str("field");

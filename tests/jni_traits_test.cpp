@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 
 using namespace jinn;
@@ -169,6 +170,46 @@ TEST(JniTraits, ProducersAreMarked) {
 TEST(JniTraits, EveryFunctionHasAtMostFiveParams) {
   for (const FnTraits &T : allFnTraits())
     EXPECT_LE(T.NumParams, 5) << fnName(T.Id);
+}
+
+// The parameter facts allFnTraits() derives once must equal a fresh
+// recomputation from Params, for every function: the masks and First[] are
+// a cache of Params, never a second source.
+TEST(JniTraits, DerivedParameterFactsMatchParams) {
+  for (const FnTraits &T : allFnTraits()) {
+    uint8_t Ref = 0, NonNull = 0, Fixed = 0;
+    std::array<int, NumArgClasses> First;
+    First.fill(-1);
+    for (int I = 0; I < T.NumParams; ++I) {
+      const ParamTraits &P = T.Params[I];
+      if (First[static_cast<size_t>(P.Cls)] < 0)
+        First[static_cast<size_t>(P.Cls)] = I;
+      bool IsRef = P.Cls == ArgClass::Ref;
+      bool Checkable = IsRef || P.Cls == ArgClass::CString ||
+                       P.Cls == ArgClass::MethodId ||
+                       P.Cls == ArgClass::FieldId;
+      Ref |= IsRef << I;
+      NonNull |= (P.NonNull && Checkable) << I;
+      Fixed |= (IsRef && P.Constraint != RefConstraint::None) << I;
+    }
+    EXPECT_EQ(T.RefMask, Ref) << fnName(T.Id);
+    EXPECT_EQ(T.NonNullMask, NonNull) << fnName(T.Id);
+    EXPECT_EQ(T.FixedTypeMask, Fixed) << fnName(T.Id);
+    for (size_t C = 0; C < NumArgClasses; ++C)
+      EXPECT_EQ(T.firstParam(static_cast<ArgClass>(C)), First[C])
+          << fnName(T.Id) << " class " << C;
+  }
+  // Spot checks against the signatures themselves.
+  const FnTraits &GetMethod = fnTraits(FnId::GetMethodID);
+  EXPECT_EQ(GetMethod.NonNullMask, 0b111);
+  EXPECT_EQ(GetMethod.FixedTypeMask, 0b001);
+  const FnTraits &SetElem = fnTraits(FnId::SetObjectArrayElement);
+  EXPECT_EQ(SetElem.RefMask, 0b101);
+  EXPECT_EQ(SetElem.NonNullMask, 0b001); // storing null is legal
+  EXPECT_EQ(fnTraits(FnId::IsSameObject).NonNullMask, 0);
+  EXPECT_EQ(fnTraits(FnId::GetVersion).RefMask, 0);
+  EXPECT_EQ(fnTraits(FnId::CallIntMethodA).firstParam(ArgClass::JvalueArray),
+            2);
 }
 
 TEST(JniTraits, ObliviousFunctionsAreExactlyThePaperSet) {

@@ -355,6 +355,59 @@ TEST(TraceFileFormat, ReplayRejectsOutOfRangeEvents) {
   }
 }
 
+// A JNI event must carry exactly its function's parameters, each of the
+// class the traits declare. A live capture writes only those records, so
+// replay must never build a short call: a crafted event one argument
+// short, or with one argument reclassified, is refused through the file
+// format with an error naming the event, and nothing replays.
+TEST(TraceFileFormat, ReplayRejectsShortOrMisclassifiedArguments) {
+  ScenarioWorld World(recordingConfig(agent::TraceMode::RecordAndReplay));
+  runMicrobenchmark(MicroId::LocalDangling, World);
+  World.shutdown();
+  trace::Trace Recorded = World.Jinn->recorder()->collect();
+  ASSERT_TRUE(Recorded.wellFormed());
+  auto First = std::find_if(
+      Recorded.Events.begin(), Recorded.Events.end(),
+      [](const trace::TraceEvent &Ev) {
+        return Ev.Kind == trace::EventKind::JniPre && Ev.NumArgs >= 1;
+      });
+  ASSERT_NE(First, Recorded.Events.end());
+  size_t Index = First - Recorded.Events.begin();
+
+  const std::pair<const char *, void (*)(trace::TraceEvent &)> Crafted[] = {
+      {"short", [](trace::TraceEvent &Ev) { --Ev.NumArgs; }},
+      {"long", [](trace::TraceEvent &Ev) { ++Ev.NumArgs; }},
+      {"class",
+       [](trace::TraceEvent &Ev) {
+         Ev.Args[0].Cls = Ev.Args[0].Cls == uint8_t(jni::ArgClass::Ref)
+                              ? uint8_t(jni::ArgClass::Scalar)
+                              : uint8_t(jni::ArgClass::Ref);
+       }},
+  };
+  for (const auto &[Tag, Apply] : Crafted) {
+    SCOPED_TRACE(Tag);
+    trace::Trace Bad = Recorded;
+    Apply(Bad.Events[Index]);
+    std::string Err;
+    EXPECT_FALSE(Bad.wellFormed(&Err));
+    EXPECT_EQ(Err, "malformed trace event " + std::to_string(Index) +
+                       " (jni-pre): JNI arguments differ from the "
+                       "function's parameters in count or class");
+
+    std::string Path = tracePath(Tag);
+    ASSERT_TRUE(trace::writeTraceFile(Bad, Path, &Err)) << Err;
+    trace::Trace FromDisk;
+    ASSERT_TRUE(trace::readTraceFile(FromDisk, Path, &Err)) << Err;
+    std::remove(Path.c_str());
+    trace::ReplayResult Replayed = trace::replayTrace(FromDisk, World.Vm);
+    EXPECT_NE(Replayed.Error.find("differ from the function's parameters"),
+              std::string::npos)
+        << Replayed.Error;
+    EXPECT_EQ(Replayed.EventsReplayed, 0u);
+    EXPECT_TRUE(Replayed.Reports.empty());
+  }
+}
+
 TEST(TraceFileFormat, MissingFileFails) {
   trace::Trace Out;
   std::string Err;

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 using namespace jinn;
 using namespace jinn::jvm;
@@ -265,6 +267,46 @@ TEST_F(VmTest, MonitorsNestAndRequireOwner) {
   EXPECT_EQ(V.monitorExit(Main, Lock), MonitorResult::Ok);
   EXPECT_EQ(V.heldMonitorCount(), 0u);
   EXPECT_EQ(V.monitorExit(Main, Lock), MonitorResult::IllegalState);
+}
+
+// Contended enters are counted, not noted one by one: three threads
+// storming two monitors (one of them held by the main thread throughout,
+// so every enter on it is contended) keep at most MaxContentionNotes notes,
+// and the counter equals the WouldBlock results they saw.
+TEST_F(VmTest, ContendedEntersAreCountedWithBoundedNotes) {
+  ObjectId Shared = V.newObject(V.objectClass());
+  ObjectId Held = V.newObject(V.objectClass());
+  ASSERT_EQ(V.monitorEnter(Main, Held), MonitorResult::Ok);
+  constexpr int Pairs = 100000;
+  std::atomic<uint64_t> Blocked{0};
+  std::vector<std::thread> Workers;
+  for (int T = 0; T < 3; ++T) {
+    JThread &Worker = V.attachThread("contender-" + std::to_string(T));
+    Workers.emplace_back([&, &Worker = Worker] {
+      uint64_t Mine = 0;
+      for (int I = 0; I < Pairs; ++I) {
+        for (ObjectId Obj : {Shared, Held}) {
+          MonitorResult R = V.monitorEnter(Worker, Obj);
+          if (R == MonitorResult::Ok)
+            EXPECT_EQ(V.monitorExit(Worker, Obj), MonitorResult::Ok);
+          else if (R == MonitorResult::WouldBlock)
+            ++Mine;
+        }
+      }
+      Blocked += Mine;
+    });
+  }
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_GE(Blocked.load(), 3u * Pairs);
+  EXPECT_EQ(V.diags().counter("jvm.monitor_contended_enters"),
+            Blocked.load());
+  size_t Notes = 0;
+  for (const Incident &I : V.diags().incidents())
+    Notes += I.Message.rfind("monitor contention", 0) == 0;
+  EXPECT_GT(Notes, 0u);
+  EXPECT_LE(Notes, Vm::MaxContentionNotes);
+  EXPECT_EQ(V.monitorExit(Main, Held), MonitorResult::Ok);
 }
 
 TEST_F(VmTest, PinsBlockMotionAndUnpinRestoresIt) {
