@@ -37,9 +37,10 @@
 /// ns/crossing per (op, treatment) and the intra-run ratios of Jinn and of
 /// recording over interpose-only: ratio/* over the four JNI call classes,
 /// and ratio/native/* over the two native-method calls from paired
-/// samples. ratio/interpose_vs_bare isolates the interposition layer:
-/// interpose-only over bare on the four JNI call classes, paired. Interpose-only has no agent, so its native calls run
-/// unwrapped.
+/// samples. ratio/interpose_vs_bare isolates the interposition layer and
+/// ratio/jinn_vs_bare prices the whole checker: interpose-only and Jinn
+/// over bare on the four JNI call classes, paired. Interpose-only has no
+/// agent, so its native calls run unwrapped.
 ///
 /// The per-machine mode then builds one Jinn world per machine of the
 /// registry (JinnEnabledMachines = {that machine}) and a floor world with
@@ -455,23 +456,28 @@ int main(int Argc, char **Argv) {
     Floor.shutdown();
   }
 
-  // The interposition layer alone (wrapper, argument capture, one no-op
-  // slot each way): interpose-only over bare, geomean over the headline
+  // Interpose-only over bare is the interposition layer alone (wrapper,
+  // argument capture, one no-op slot each way); Jinn over bare is the
+  // whole checker, so unlike jinn_vs_interpose it falls when either the
+  // shared wrapper or the machines get cheaper. Geomean over the headline
   // JNI classes, each op paired as above.
   {
     ScenarioWorld BareWorld(tierConfig(Tiers[Bare]));
-    ScenarioWorld Interposed(tierConfig(Tiers[Interpose]));
-    double Acc = 0;
-    size_t N = 0;
-    for (const OpClass &Op : Ops)
-      if (Op.Headline) {
-        Acc += std::log(pairedRatio(Interposed, BareWorld, Op, MachineIters));
-        ++N;
-      }
-    double Ratio = std::exp(Acc / static_cast<double>(N));
-    Json.add("ratio/interpose_vs_bare", Ratio, "x");
-    std::printf("JNI calls: interpose/bare = %.3fx\n", Ratio);
-    Interposed.shutdown();
+    for (size_t T : {Interpose, Jinn}) {
+      ScenarioWorld World(tierConfig(Tiers[T]));
+      double Acc = 0;
+      size_t N = 0;
+      for (const OpClass &Op : Ops)
+        if (Op.Headline) {
+          Acc += std::log(pairedRatio(World, BareWorld, Op, MachineIters));
+          ++N;
+        }
+      double Ratio = std::exp(Acc / static_cast<double>(N));
+      Json.add(std::string("ratio/") + Tiers[T].Name + "_vs_bare", Ratio,
+               "x");
+      std::printf("JNI calls: %s/bare = %.3fx\n", Tiers[T].Name, Ratio);
+      World.shutdown();
+    }
     BareWorld.shutdown();
   }
 

@@ -23,7 +23,6 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
@@ -36,12 +35,10 @@ using namespace jinn::workloads;
 
 namespace {
 
-unsigned ShardCount = agent::DefaultShardCount;
-
 struct Measurement {
   double Throughput = 0;
-  /// Per-machine "jinn.lock_acquires.<name>" counters (contention proxy),
-  /// published by the agent at VM death.
+  /// "jinn.lock_acquires.<lock>" counters (contention proxy), published
+  /// by the agent at VM death.
   std::map<std::string, uint64_t> LockAcquires;
 };
 
@@ -50,7 +47,6 @@ Measurement throughputOnce(const WorkloadInfo &Info, CheckerKind Checker,
                            uint64_t Scale, unsigned NumThreads) {
   WorldConfig Config;
   Config.Checker = Checker;
-  Config.JinnShardCount = ShardCount;
   ScenarioWorld World(Config);
   prepareWorkloadWorld(World);
   // Warm-up outside the timed region (ID caches, allocator, attach path).
@@ -131,19 +127,19 @@ void printScalingTable(uint64_t Scale,
       Json.add(Key, Tput, "transitions/s");
       Json.add(Key + " efficiency", Efficiency, "speedup/thread");
       if (Checker == CheckerKind::Jinn)
-        for (const auto &[Machine, Count] : M.LockAcquires)
-          Json.add(Key + " lock_acquires/" + Machine,
+        for (const auto &[Lock, Count] : M.LockAcquires)
+          Json.add(Key + " lock_acquires/" + Lock,
                    static_cast<double>(Count), "acquires");
     }
     std::printf("\n");
   }
   bench::printRule();
-  std::printf("(workload \"%s\" scaled by 1/%llu on %u hardware thread(s), "
-              "%u shadow-state shard(s); x/s = speedup relative to the "
-              "same checker at the first thread count; speedup is bounded "
-              "by the hardware thread count)\n",
+  std::printf("(workload \"%s\" scaled by 1/%llu on %u hardware thread(s); "
+              "x/s = speedup relative to the same checker at the first "
+              "thread count; speedup is bounded by the hardware thread "
+              "count)\n",
               Info.Name, static_cast<unsigned long long>(Scale),
-              std::thread::hardware_concurrency(), ShardCount);
+              std::thread::hardware_concurrency());
 }
 
 void BM_ConcurrentWorkUnit(benchmark::State &State, CheckerKind Checker) {
@@ -180,9 +176,8 @@ int main(int Argc, char **Argv) {
   if (const char *Env = std::getenv("JINN_BENCH_SCALE"))
     Scale = std::strtoull(Env, nullptr, 10);
 
-  // Thread counts come from bare-integer argv entries, and the shadow
-  // shard count from a `shards=N` entry (both consumed before
-  // google-benchmark parses the rest), e.g. `bench_mt_scaling 1 3 6 shards=4`.
+  // Thread counts come from bare-integer argv entries (consumed before
+  // google-benchmark parses the rest), e.g. `bench_mt_scaling 1 3 6`.
   std::vector<unsigned> ThreadCounts;
   int Out = 1;
   for (int In = 1; In < Argc; ++In) {
@@ -193,13 +188,6 @@ int main(int Argc, char **Argv) {
         ThreadCounts.push_back(NumThreads);
       continue;
     }
-    if (std::strncmp(Argv[In], "shards=", 7) == 0) {
-      unsigned Shards =
-          static_cast<unsigned>(std::strtoul(Argv[In] + 7, nullptr, 10));
-      if (Shards)
-        ShardCount = Shards;
-      continue;
-    }
     Argv[Out++] = Argv[In];
   }
   Argc = Out;
@@ -208,7 +196,6 @@ int main(int Argc, char **Argv) {
 
   bench::JsonResults Json("mt_scaling");
   Json.add("scale_divisor", static_cast<double>(Scale ? Scale : 2048), "");
-  Json.add("shard_count", static_cast<double>(ShardCount), "");
   // Recorded so the efficiency gate (tools/bench_gate.py) can tell a
   // substrate regression from a machine that simply lacks the cores: the
   // 8-thread floor is enforced only when 8 hardware threads exist.

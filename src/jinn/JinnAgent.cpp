@@ -92,10 +92,8 @@ void JinnAgent::onLoad(JavaVM *JavaVm, jvmti::JvmtiEnv &Jvmti) {
     Vm.defineClass(Def);
   }
 
-  Reporter = std::make_unique<JinnReporter>(Vm, Options.ReportBufferSize);
-  MachineTuning Tuning;
-  Tuning.ShardCount = Options.ShardCount;
-  Machines = std::make_unique<MachineSet>(Tuning);
+  Reporter = std::make_unique<JinnReporter>(Vm);
+  Machines = std::make_unique<MachineSet>();
   Active.clear();
   for (spec::MachineBase *Machine : Machines->all()) {
     bool Enabled = Options.EnabledMachines.empty();
@@ -164,8 +162,8 @@ void JinnAgent::onLoad(JavaVM *JavaVm, jvmti::JvmtiEnv &Jvmti) {
       for (spec::MachineBase *Machine : Active)
         Machine->onThreadStart(InfoFor(Thread));
   };
-  Callbacks.ThreadEnd = [this](jvm::JThread &Thread) {
-    if (Recorder) {
+  if (Recorder)
+    Callbacks.ThreadEnd = [this](jvm::JThread &Thread) {
       if (sampledThread(Thread.id(), Thread.name()))
         Recorder->recordThreadDetach(Thread);
       // ThreadEnd runs on the detaching thread: seal its partial ring into
@@ -173,11 +171,7 @@ void JinnAgent::onLoad(JavaVM *JavaVm, jvmti::JvmtiEnv &Jvmti) {
       // request threads leave no per-thread state behind. A no-op for
       // unsampled threads, which never allocate a buffer.
       Recorder->retireLocalBuffer();
-    }
-    // Merge and retire this thread's report buffer so none outlives its
-    // thread unmerged (and the buffer itself is reclaimed).
-    Reporter->retireLocal();
-  };
+    };
   Callbacks.GcFinish = [this] {
     if (Recorder)
       Recorder->recordGcEpoch();
@@ -188,7 +182,7 @@ void JinnAgent::onLoad(JavaVM *JavaVm, jvmti::JvmtiEnv &Jvmti) {
     if (Checking)
       for (spec::MachineBase *Machine : Active)
         Machine->onVmDeath(*Reporter, Vm);
-    // Publish the contention proxy: lock acquisitions per machine.
+    // Publish the contention proxy: acquisitions of each shadow lock.
     for (const auto &[Name, Count] : Machines->lockAcquireCounts())
       Vm.diags().setCounter(std::string("jinn.lock_acquires.") + Name,
                             Count);

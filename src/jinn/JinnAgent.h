@@ -60,13 +60,6 @@ struct JinnOptions {
   TraceMode Mode = TraceMode::InlineCheck;
   /// Recorder tuning; only consulted when Mode records.
   trace::TraceRecorderOptions Recorder;
-  /// Lock stripes of PinnedResource's outstanding-pin table, the one
-  /// striped shadow table; rounded to a power of two in [1, 256].
-  unsigned ShardCount = DefaultShardCount;
-  /// Per-thread report buffer capacity: reports are merged under the
-  /// global reporter lock only when a buffer fills, a thread detaches, or
-  /// a snapshot is taken.
-  size_t ReportBufferSize = 64;
   /// Deterministic sampled checking (production monitoring mode): 1 checks
   /// every crossing; N > 1 records and checks roughly 1-in-N crossings by
   /// giving each *thread* (request) a seeded SplitMix64 stream keyed on

@@ -18,18 +18,6 @@ std::vector<jinn::spec::MachineBase *> MachineSet::all() {
 
 std::vector<std::pair<const char *, uint64_t>>
 MachineSet::lockAcquireCounts() const {
-  return {{"env-state", EnvState.lockAcquires()},
-          {"exception-state", ExceptionState.lockAcquires()},
-          {"critical-state", CriticalState.lockAcquires()},
-          {"fixed-typing", FixedTyping.lockAcquires()},
-          {"entity-typing", EntityTyping.lockAcquires()},
-          {"access-control", AccessControl.lockAcquires()},
-          {"nullness", Nullness.lockAcquires()},
-          {"pinned-resource", PinnedResource.lockAcquires()},
-          {"monitor", Monitor.lockAcquires()},
-          {"global-ref", GlobalRef.lockAcquires()},
-          {"local-ref", LocalRef.lockAcquires()},
-          {"local-frame-nesting", LocalFrameNesting.lockAcquires()},
-          {"monitor-balance", MonitorBalance.lockAcquires()},
-          {"critical-nesting", CriticalNesting.lockAcquires()}};
+  return {{"thread-shadows", Threads.lockAcquires()},
+          {"pinned-resource", PinnedResource.Outstanding.lockAcquires()}};
 }

@@ -30,9 +30,8 @@
 /// words indexed by the handle's global slot; the one table keyed by
 /// entity identity that any thread may touch (outstanding pins) is
 /// lock-striped so concurrent crossings contend only when they hash to the
-/// same shard.
-/// Every machine exposes lockAcquires() as a contention proxy for the
-/// scaling bench.
+/// same shard. MachineSet::lockAcquireCounts() publishes how often each
+/// of the two locks (registry, pin stripes) was taken.
 ///
 /// Checks never call JNI functions; they inspect the VM through the
 /// policy-free JVMTI peek interface. (The paper's Jinn calls functions like
@@ -53,14 +52,6 @@
 
 namespace jinn::agent {
 
-/// Concurrency-layout knobs shared by the machines (JinnOptions carries
-/// the user-facing copies and MachineSet forwards them here).
-struct MachineTuning {
-  /// Lock stripes of PinnedResource's outstanding-pin table (rounded to a
-  /// power of two); no other machine keeps a striped table.
-  unsigned ShardCount = DefaultShardCount;
-};
-
 //===----------------------------------------------------------------------===
 // JVM state constraints (paper Figure 6)
 //===----------------------------------------------------------------------===
@@ -72,7 +63,6 @@ class JniEnvStateMachine : public spec::MachineBase {
 public:
   explicit JniEnvStateMachine(ThreadShadows &Threads);
   void onThreadStart(const spec::ThreadStartInfo &Info) override;
-  uint64_t lockAcquires() const { return 0; } ///< see LocalRefMachine
 
 private:
   ThreadShadows &Threads; ///< ThreadShadow::ExpectedEnv
@@ -83,7 +73,6 @@ private:
 class ExceptionStateMachine : public spec::MachineBase {
 public:
   ExceptionStateMachine();
-  uint64_t lockAcquires() const { return 0; } ///< stateless
 };
 
 /// Critical-section state: between Get*Critical and Release*Critical only
@@ -103,8 +92,6 @@ public:
     return Threads.at(Ctx).CriticalDepth.get() > 0;
   }
 
-  uint64_t lockAcquires() const { return 0; } ///< see LocalRefMachine
-
 private:
   ThreadShadows &Threads; ///< CriticalDepth, Held[].Criticals
 };
@@ -120,7 +107,6 @@ private:
 class FixedTypingMachine : public spec::MachineBase {
 public:
   explicit FixedTypingMachine(const CriticalStateMachine &Critical);
-  uint64_t lockAcquires() const { return 0; } ///< stateless
 
 private:
   const CriticalStateMachine &Critical;
@@ -133,7 +119,6 @@ private:
 class EntityTypingMachine : public spec::MachineBase {
 public:
   EntityTypingMachine();
-  uint64_t lockAcquires() const { return 0; } ///< stateless
 };
 
 /// Access control: no assignment to final fields through the 18 Set
@@ -142,14 +127,12 @@ public:
 class AccessControlMachine : public spec::MachineBase {
 public:
   AccessControlMachine();
-  uint64_t lockAcquires() const { return 0; } ///< stateless
 };
 
 /// Nullness: the experimentally-determined non-null parameters (pitfall 2).
 class NullnessMachine : public spec::MachineBase {
 public:
   NullnessMachine();
-  uint64_t lockAcquires() const { return 0; } ///< stateless
 };
 
 //===----------------------------------------------------------------------===
@@ -162,11 +145,11 @@ public:
 /// entry tallies acquisitions per pin family.
 class PinnedResourceMachine : public spec::MachineBase {
 public:
-  explicit PinnedResourceMachine(const MachineTuning &Tuning = {});
+  PinnedResourceMachine();
   void onVmDeath(spec::Reporter &Rep, jvm::Vm &Vm) override;
-  uint64_t lockAcquires() const { return Outstanding.lockAcquires(); }
 
 private:
+  friend struct MachineSet; // publishes the stripes' lock count
   /// Outstanding acquisitions per pin family, one slot per resource.
   struct PinCounts {
     int32_t ByFamily[6] = {0, 0, 0, 0, 0, 0}; ///< indexed by PinFamily
@@ -188,7 +171,6 @@ class MonitorMachine : public spec::MachineBase {
 public:
   explicit MonitorMachine(ThreadShadows &Threads);
   void onVmDeath(spec::Reporter &Rep, jvm::Vm &Vm) override;
-  uint64_t lockAcquires() const { return 0; } ///< see LocalRefMachine
 
 private:
   ThreadShadows &Threads; ///< Held[].Monitors
@@ -201,7 +183,6 @@ class GlobalRefMachine : public spec::MachineBase {
 public:
   GlobalRefMachine();
   void onVmDeath(spec::Reporter &Rep, jvm::Vm &Vm) override;
-  uint64_t lockAcquires() const { return 0; } ///< lock-free encoding
 
 private:
   GlobalSlotTable Live; ///< live global/weak handle word per global slot
@@ -222,10 +203,6 @@ private:
 /// reference is a detected violation (the wrong-thread check in useCheck),
 /// not a supported access pattern. The observation queries below may only
 /// be called once the owning thread has quiesced.
-///
-/// lockAcquires() reports the ThreadShadows registry, shared by the seven
-/// machines with per-thread encodings: it locks only on a block's first
-/// touch per OS thread and for cross-thread observation.
 class LocalRefMachine : public spec::MachineBase {
 public:
   explicit LocalRefMachine(ThreadShadows &Threads);
@@ -239,8 +216,6 @@ public:
   /// Observation hook for experiments (Figure 10's time series): called
   /// after every acquire/release with the new live count.
   std::function<void(uint32_t ThreadId, size_t Live)> OnCountChange;
-
-  uint64_t lockAcquires() const { return Threads.lockAcquires(); }
 
 private:
   ThreadShadows &Threads; ///< ThreadShadow::Locals
@@ -284,7 +259,6 @@ public:
   explicit LocalFrameNestingMachine(ThreadShadows &Threads);
   /// Shadow nesting depth for \p ThreadId, from any thread.
   int depthOf(uint32_t ThreadId) const;
-  uint64_t lockAcquires() const { return 0; } ///< see LocalRefMachine
 
 private:
   ThreadShadows &Threads; ///< ThreadShadow::LocalFrameDepth
@@ -298,7 +272,6 @@ public:
   explicit MonitorBalanceMachine(ThreadShadows &Threads);
   /// Outstanding JNI monitor entries for \p ThreadId, from any thread.
   int depthOf(uint32_t ThreadId) const;
-  uint64_t lockAcquires() const { return 0; } ///< see LocalRefMachine
 
 private:
   ThreadShadows &Threads; ///< ThreadShadow::MonitorDepth
@@ -315,7 +288,6 @@ public:
   explicit CriticalNestingMachine(ThreadShadows &Threads);
   /// Shadow critical depth for \p ThreadId, from any thread.
   int depthOf(uint32_t ThreadId) const;
-  uint64_t lockAcquires() const { return 0; } ///< see LocalRefMachine
 
 private:
   ThreadShadows &Threads; ///< ThreadShadow::CriticalNestingDepth
@@ -324,10 +296,6 @@ private:
 /// Convenience: constructs all fourteen machines — the paper's eleven in
 /// paper order, then the three pushdown machines.
 struct MachineSet {
-  MachineSet() : MachineSet(MachineTuning{}) {}
-  explicit MachineSet(const MachineTuning &Tuning)
-      : PinnedResource(Tuning) {}
-
   /// One shadow block per thread, shared by the per-thread machines.
   ThreadShadows Threads;
 
@@ -349,8 +317,11 @@ struct MachineSet {
   /// All machines: paper order, then the pushdown machines.
   std::vector<spec::MachineBase *> all();
 
-  /// (machine name, lock acquisitions) per machine — the contention proxy
-  /// surfaced through the Diagnostics counters and bench_mt_scaling.
+  /// (lock, acquisitions) for the two shadow locks — "thread-shadows"
+  /// (the registry, taken on a block's first touch per OS thread and for
+  /// cross-thread observation) and "pinned-resource" (the pin stripes) —
+  /// the contention proxy surfaced through the Diagnostics counters and
+  /// bench_mt_scaling. No other machine takes a lock.
   std::vector<std::pair<const char *, uint64_t>> lockAcquireCounts() const;
 };
 

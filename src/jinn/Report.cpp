@@ -8,202 +8,42 @@
 
 #include "support/Format.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
-
 using namespace jinn;
 using namespace jinn::agent;
 
-namespace {
-
-uint64_t monotonicNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+JinnReport jinn::agent::violationReport(spec::TransitionContext &Ctx,
+                                        const spec::StateMachineSpec &Machine,
+                                        const std::string &Message) {
+  return {Machine.Name, Ctx.siteName(),
+          formatString("%s in %s.", Message.c_str(), Ctx.siteName().c_str()),
+          false};
 }
 
-/// One-entry thread-local cache from reporter instance to its buffer for
-/// this OS thread (the TraceRecorder::localBuffer idiom). Instance ids are
-/// never reused, so a stale entry can never alias a live reporter.
-struct BufferCacheEntry {
-  uint64_t Instance = 0;
-  void *Buffer = nullptr;
-};
-thread_local BufferCacheEntry LocalReportCache;
-
-std::atomic<uint64_t> NextReporterInstanceId{1};
-
-} // namespace
-
-/// Appends happen under the buffer's own (uncontended) mutex, never under
-/// the reporter-wide Mu; drains take Mu first, then BufMu, so the lock
-/// order is always Mu -> BufMu.
-struct JinnReporter::ThreadBuffer {
-  std::mutex BufMu;
-  std::thread::id Owner;
-  std::vector<StampedReport> Items;
-  uint64_t LastTimeNs = 0;
-  uint64_t NextSeq = 0;
-};
-
-JinnReporter::JinnReporter(jvm::Vm &Vm, size_t BufferCapacity)
-    : Vm(Vm), BufferCapacity(BufferCapacity ? BufferCapacity : 1),
-      InstanceId(
-          NextReporterInstanceId.fetch_add(1, std::memory_order_relaxed)) {}
-
-JinnReporter::~JinnReporter() = default;
-
-JinnReporter::ThreadBuffer &JinnReporter::localBuffer() {
-  BufferCacheEntry &Cache = LocalReportCache;
-  if (Cache.Instance == InstanceId)
-    return *static_cast<ThreadBuffer *>(Cache.Buffer);
-  std::lock_guard<std::mutex> Lock(Mu);
-  // The cache is one entry per OS thread, so interleaving two reporters on
-  // one thread misses here — find this thread's existing buffer by owner
-  // before creating a fresh one.
-  ThreadBuffer *Buffer = nullptr;
-  for (const auto &Candidate : Buffers)
-    if (Candidate->Owner == std::this_thread::get_id()) {
-      Buffer = Candidate.get();
-      break;
-    }
-  if (!Buffer) {
-    Buffers.push_back(std::make_unique<ThreadBuffer>());
-    Buffer = Buffers.back().get();
-    Buffer->Owner = std::this_thread::get_id();
-  }
-  Cache = {InstanceId, Buffer};
-  return *Buffer;
-}
-
-void JinnReporter::append(StampedReport Stamped) {
-  ThreadBuffer &Buffer = localBuffer();
-  bool Full;
-  {
-    std::lock_guard<std::mutex> Lock(Buffer.BufMu);
-    // Strictly monotonic per OS thread: a single-OS-thread run (every
-    // deterministic scenario, offline replay) therefore merges to exact
-    // program order under the (TimeNs, ThreadId, Seq) sort.
-    uint64_t Now = monotonicNowNs();
-    if (Now <= Buffer.LastTimeNs)
-      Now = Buffer.LastTimeNs + 1;
-    Buffer.LastTimeNs = Now;
-    Stamped.TimeNs = Now;
-    Stamped.Seq = Buffer.NextSeq++;
-    Buffer.Items.push_back(std::move(Stamped));
-    Full = Buffer.Items.size() >= BufferCapacity;
-  }
-  if (Full) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    std::lock_guard<std::mutex> BufLock(Buffer.BufMu);
-    for (StampedReport &Item : Buffer.Items)
-      Drained.push_back(std::move(Item));
-    Buffer.Items.clear();
-  }
-}
-
-void JinnReporter::drainAllLocked() const {
-  for (const auto &Buffer : Buffers) {
-    std::lock_guard<std::mutex> BufLock(Buffer->BufMu);
-    for (StampedReport &Item : Buffer->Items)
-      Drained.push_back(std::move(Item));
-    Buffer->Items.clear();
-  }
-  std::stable_sort(Drained.begin(), Drained.end(),
-                   [](const StampedReport &A, const StampedReport &B) {
-                     if (A.TimeNs != B.TimeNs)
-                       return A.TimeNs < B.TimeNs;
-                     if (A.ThreadId != B.ThreadId)
-                       return A.ThreadId < B.ThreadId;
-                     return A.Seq < B.Seq;
-                   });
-  Reports.clear();
-  Reports.reserve(Drained.size());
-  for (const StampedReport &Item : Drained)
-    Reports.push_back(Item.Report);
+JinnReport jinn::agent::endOfRunReport(const spec::StateMachineSpec &Machine,
+                                       const std::string &Message) {
+  return {Machine.Name, "<program termination>", Message, true};
 }
 
 const std::vector<JinnReport> &JinnReporter::reports() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  drainAllLocked();
   return Reports;
 }
 
 void JinnReporter::clearReports() {
   std::lock_guard<std::mutex> Lock(Mu);
-  for (const auto &Buffer : Buffers) {
-    std::lock_guard<std::mutex> BufLock(Buffer->BufMu);
-    Buffer->Items.clear();
-  }
-  Drained.clear();
   Reports.clear();
-}
-
-void JinnReporter::flushLocal() {
-  BufferCacheEntry &Cache = LocalReportCache;
-  if (Cache.Instance != InstanceId)
-    return; // this OS thread never buffered a report for this reporter
-  auto *Buffer = static_cast<ThreadBuffer *>(Cache.Buffer);
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::lock_guard<std::mutex> BufLock(Buffer->BufMu);
-  for (StampedReport &Item : Buffer->Items)
-    Drained.push_back(std::move(Item));
-  Buffer->Items.clear();
-}
-
-void JinnReporter::retireLocal() {
-  std::unique_ptr<ThreadBuffer> Owned;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    // Find by owner, not via the cache: the cache may belong to another
-    // reporter instance while this thread still owns a buffer here.
-    for (auto It = Buffers.begin(); It != Buffers.end(); ++It)
-      if ((*It)->Owner == std::this_thread::get_id()) {
-        Owned = std::move(*It);
-        Buffers.erase(It);
-        break;
-      }
-    if (!Owned)
-      return;
-    std::lock_guard<std::mutex> BufLock(Owned->BufMu);
-    for (StampedReport &Item : Owned->Items)
-      Drained.push_back(std::move(Item));
-    Owned->Items.clear();
-  }
-  // Only the owner thread runs retireLocal (the agent's ThreadEnd callback
-  // fires on the detaching thread), so clearing its own cache is safe.
-  BufferCacheEntry &Cache = LocalReportCache;
-  if (Cache.Instance == InstanceId)
-    Cache = {};
-}
-
-size_t JinnReporter::liveThreadBuffers() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Buffers.size();
 }
 
 size_t JinnReporter::reportCount() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  size_t N = Drained.size();
-  for (const auto &Buffer : Buffers) {
-    std::lock_guard<std::mutex> BufLock(Buffer->BufMu);
-    N += Buffer->Items.size();
-  }
-  return N;
+  return Reports.size();
 }
 
 std::map<std::string, uint64_t> JinnReporter::reportCountsByMachine() const {
   std::map<std::string, uint64_t> Counts;
   std::lock_guard<std::mutex> Lock(Mu);
-  for (const StampedReport &Item : Drained)
-    ++Counts[Item.Report.Machine];
-  for (const auto &Buffer : Buffers) {
-    std::lock_guard<std::mutex> BufLock(Buffer->BufMu);
-    for (const StampedReport &Item : Buffer->Items)
-      ++Counts[Item.Report.Machine];
-  }
+  for (const JinnReport &Report : Reports)
+    ++Counts[Report.Machine];
   return Counts;
 }
 
@@ -211,27 +51,25 @@ void JinnReporter::violation(spec::TransitionContext &Ctx,
                              const spec::StateMachineSpec &Machine,
                              const std::string &Message) {
   jvm::JThread &Thread = Ctx.thread();
-  std::string Full =
-      formatString("%s in %s.", Message.c_str(), Ctx.siteName().c_str());
-
-  JinnReport Report{Machine.Name, Ctx.siteName(), Full, false};
-  StampedReport Stamped;
-  Stamped.Report = Report;
-  Stamped.ThreadId = Ctx.threadId();
-  append(std::move(Stamped));
+  JinnReport Report = violationReport(Ctx, Machine, Message);
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Reports.push_back(Report);
+  }
   Vm.diags().report(IncidentKind::Note, "jinn",
                     formatString("[%s] %s", Machine.Name.c_str(),
-                                 Full.c_str()));
+                                 Report.Message.c_str()));
   if (OnViolation)
     OnViolation(Report);
 
   // Wrap any pending exception as the cause (Figure 9c's chain), add the
-  // synthetic assertFail frame, throw, and suppress the faulting call.
+  // synthetic assertFail frame, throw, and suppress the faulting call. The
+  // throwable is allocated after Mu is released (DESIGN.md §7).
   jvm::ObjectId Cause = Thread.Pending;
   Thread.Pending = jvm::ObjectId();
   Thread.Stack.push_back({false, "jinn.JNIAssertionFailure.assertFail"});
   jvm::ObjectId Failure =
-      Vm.makeThrowable(Thread, JinnExceptionClass, Full, Cause);
+      Vm.makeThrowable(Thread, JinnExceptionClass, Report.Message, Cause);
   Thread.Stack.pop_back();
   Thread.Pending = Failure;
   Ctx.abortCall();
@@ -239,9 +77,10 @@ void JinnReporter::violation(spec::TransitionContext &Ctx,
 
 void JinnReporter::endOfRun(const spec::StateMachineSpec &Machine,
                             const std::string &Message) {
-  StampedReport Stamped;
-  Stamped.Report = {Machine.Name, "<program termination>", Message, true};
-  append(std::move(Stamped));
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Reports.push_back(endOfRunReport(Machine, Message));
+  }
   Vm.diags().report(IncidentKind::LeakReport, "jinn",
                     formatString("[%s] %s", Machine.Name.c_str(),
                                  Message.c_str()));
@@ -249,7 +88,6 @@ void JinnReporter::endOfRun(const spec::StateMachineSpec &Machine,
 
 size_t JinnReporter::countFor(std::string_view MachineName) const {
   std::lock_guard<std::mutex> Lock(Mu);
-  drainAllLocked();
   size_t N = 0;
   for (const JinnReport &Report : Reports)
     if (Report.Machine == MachineName)

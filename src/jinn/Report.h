@@ -11,14 +11,11 @@
 /// machine's case), it becomes the cause of the new failure, producing the
 /// "Caused by:" chain of Figure 9c. The faulting call is suppressed.
 ///
-/// Report *recording* is buffered per thread so the reporter never takes a
-/// global lock on the violation path: each OS thread appends to its own
-/// buffer and flushes under the global lock only at buffer-full, thread
-/// detach, or snapshot. The merged list is ordered by the deterministic
-/// (TimeNs, ThreadId, Seq) key the trace subsystem already uses — per-OS-
-/// thread stamps are strictly monotonic, so any single-OS-thread run (all
-/// deterministic scenarios, offline replay) merges to exact program order
-/// and the list stays byte-identical to the unbuffered reporter's output.
+/// Reports are cold (each one throws), so recording is one list under one
+/// mutex, appended in arrival order: on one OS thread (every deterministic
+/// scenario, offline replay) that is program order. Every report also
+/// takes the VM-wide DiagnosticSink lock, so a per-thread buffer would
+/// keep no lock off the violation path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,8 +24,8 @@
 
 #include "spec/StateMachine.h"
 
+#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -46,11 +43,22 @@ struct JinnReport {
   bool EndOfRun = false; ///< leak report at VM death
 };
 
+/// The record of a violation at \p Ctx's site: the thrown message is
+/// "<Message> in <site>.". JinnReporter and the offline replay's
+/// CollectingReporter both build their records here, so the inline and
+/// replayed lists cannot drift apart on text.
+JinnReport violationReport(spec::TransitionContext &Ctx,
+                           const spec::StateMachineSpec &Machine,
+                           const std::string &Message);
+
+/// The record of a leak reported at program termination.
+JinnReport endOfRunReport(const spec::StateMachineSpec &Machine,
+                          const std::string &Message);
+
 /// Reporter that throws jinn.JNIAssertionFailure.
 class JinnReporter : public spec::Reporter {
 public:
-  explicit JinnReporter(jvm::Vm &Vm, size_t BufferCapacity = 64);
-  ~JinnReporter() override;
+  explicit JinnReporter(jvm::Vm &Vm) : Vm(Vm) {}
 
   void violation(spec::TransitionContext &Ctx,
                  const spec::StateMachineSpec &Machine,
@@ -59,29 +67,13 @@ public:
   void endOfRun(const spec::StateMachineSpec &Machine,
                 const std::string &Message) override;
 
-  /// Direct access to the merged report list. Callers must quiesce mutator
-  /// threads first (harness/termination use); concurrent reporting would
-  /// invalidate the reference. Drains every per-thread buffer and merges
-  /// by (TimeNs, ThreadId, Seq).
+  /// Direct access to the report list, in arrival order. Callers must
+  /// quiesce mutator threads first (harness/termination use); concurrent
+  /// reporting would invalidate the reference.
   const std::vector<JinnReport> &reports() const;
   void clearReports();
 
-  /// Flushes the calling OS thread's buffer into the merged list. Invoked
-  /// from the agent's ThreadEnd callback so reports cannot outlive their
-  /// thread unmerged.
-  void flushLocal();
-
-  /// Flushes and *retires* the calling OS thread's buffer: its contents
-  /// merge into the drained list and the buffer itself is destroyed, so a
-  /// server that churns through thousands of short-lived request threads
-  /// does not accumulate one buffer per request. The next report from this
-  /// OS thread (a later request reusing the worker) allocates afresh.
-  void retireLocal();
-
-  /// Number of per-thread buffers currently alive (monitoring/tests).
-  size_t liveThreadBuffers() const;
-
-  /// Thread-safe snapshot of the merged report count (unlike reports(),
+  /// Thread-safe snapshot of the report count (unlike reports(),
   /// callable while mutator threads are still reporting).
   size_t reportCount() const;
 
@@ -97,28 +89,9 @@ public:
   size_t countFor(std::string_view MachineName) const;
 
 private:
-  /// A report plus its deterministic merge key.
-  struct StampedReport {
-    JinnReport Report;
-    uint64_t TimeNs = 0;  ///< strictly monotonic per OS thread
-    uint32_t ThreadId = 0; ///< logical (VM) thread of the transition
-    uint64_t Seq = 0;      ///< per-buffer sequence, final tiebreak
-  };
-  /// One OS thread's append buffer. Only its owner thread appends; the
-  /// reporter drains it under Mu at flush points.
-  struct ThreadBuffer;
-
-  ThreadBuffer &localBuffer();
-  void append(StampedReport Stamped);
-  void drainAllLocked() const;
-
   jvm::Vm &Vm;
-  const size_t BufferCapacity;
-  const uint64_t InstanceId; ///< keys the thread-local buffer cache
-  mutable std::mutex Mu;     ///< guards Buffers, Drained, Reports
-  mutable std::vector<std::unique_ptr<ThreadBuffer>> Buffers;
-  mutable std::vector<StampedReport> Drained;
-  mutable std::vector<JinnReport> Reports; ///< merged view of Drained
+  mutable std::mutex Mu; ///< guards Reports
+  std::vector<JinnReport> Reports;
 };
 
 } // namespace jinn::agent

@@ -24,8 +24,8 @@
 ///
 /// Every lock acquisition on a striped shard is counted (relaxed,
 /// per-shard to avoid the counter itself becoming a contended line) so
-/// bench_mt_scaling can report a contention proxy per machine through the
-/// Diagnostics counters.
+/// bench_mt_scaling can report a contention proxy through the Diagnostics
+/// counters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,15 +35,12 @@
 #include "jvm/Handle.h"
 #include "support/OpenMap.h"
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 
 namespace jinn::agent {
-
-/// Default shard count of the striped pin table (JinnOptions::ShardCount).
-inline constexpr unsigned DefaultShardCount = 16;
 
 /// splitmix64 finalizer: spreads handle words (whose low bits carry the
 /// RefKind/thread fields) uniformly across shards.
@@ -54,22 +51,15 @@ inline uint64_t mixBits(uint64_t X) {
   return X ^ (X >> 31);
 }
 
-/// Lock-striped table: N shards, each an independently locked OpenMap.
+/// Lock-striped table: 16 shards, each an independently locked OpenMap.
 /// Handles hash to a shard with mixBits, so concurrent threads touching
-/// different entities contend only 1/N of the time. Every access takes
+/// different entities contend only 1/16 of the time. Every access takes
 /// the shard's plain mutex: both pin transitions mutate, and only the
 /// end-of-run sweeps merely read, so a reader-writer lock would buy no
 /// concurrency and cost more per acquisition.
 template <typename ValueT> class StripedTable {
 public:
-  explicit StripedTable(unsigned ShardCount = DefaultShardCount) {
-    unsigned N = 1;
-    while (N < ShardCount && N < 256)
-      N <<= 1; // clamp to a power of two in [1, 256]
-    Count = N;
-    Mask = N - 1;
-    Shards = std::make_unique<Shard[]>(N);
-  }
+  static constexpr unsigned NumShards = 16;
 
   struct Shard {
     mutable std::mutex Mu;
@@ -82,9 +72,11 @@ public:
     char Pad[64];
   };
 
-  Shard &shardFor(uint64_t Key) { return Shards[mixBits(Key) & Mask]; }
+  Shard &shardFor(uint64_t Key) {
+    return Shards[mixBits(Key) & (NumShards - 1)];
+  }
   const Shard &shardFor(uint64_t Key) const {
-    return Shards[mixBits(Key) & Mask];
+    return Shards[mixBits(Key) & (NumShards - 1)];
   }
 
   /// RAII shard guard that bumps the acquire counter.
@@ -93,38 +85,34 @@ public:
     return std::unique_lock<std::mutex>(S.Mu);
   }
 
-  unsigned shardCount() const { return Count; }
-
   /// Total entries across shards (locks each shard in turn).
   size_t size() const {
     size_t N = 0;
-    for (unsigned I = 0; I < Count; ++I) {
-      auto Lock = lock(Shards[I]);
-      N += Shards[I].Map.size();
+    for (const Shard &S : Shards) {
+      auto Lock = lock(S);
+      N += S.Map.size();
     }
     return N;
   }
 
   /// Visits every entry, one shard lock at a time.
   template <typename Fn> void forEach(Fn &&Visit) const {
-    for (unsigned I = 0; I < Count; ++I) {
-      auto Lock = lock(Shards[I]);
-      Shards[I].Map.forEach(Visit);
+    for (const Shard &S : Shards) {
+      auto Lock = lock(S);
+      S.Map.forEach(Visit);
     }
   }
 
   /// Total lock acquisitions so far (the contention proxy).
   uint64_t lockAcquires() const {
     uint64_t N = 0;
-    for (unsigned I = 0; I < Count; ++I)
-      N += Shards[I].Acquires.load(std::memory_order_relaxed);
+    for (const Shard &S : Shards)
+      N += S.Acquires.load(std::memory_order_relaxed);
     return N;
   }
 
 private:
-  std::unique_ptr<Shard[]> Shards;
-  unsigned Count = 1;
-  uint64_t Mask = 0;
+  std::array<Shard, NumShards> Shards;
 };
 
 /// The global-reference machine's live set, laid out like the VM's global

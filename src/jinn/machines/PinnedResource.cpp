@@ -27,8 +27,7 @@ using jinn::jni::ArgClass;
 using jinn::jni::FnTraits;
 using jinn::jni::ResourceRole;
 
-PinnedResourceMachine::PinnedResourceMachine(const MachineTuning &Tuning)
-    : Outstanding(Tuning.ShardCount) {
+PinnedResourceMachine::PinnedResourceMachine() {
   Spec.Name = "Pinned or copied string or array";
   Spec.ObservedEntity = "A Java string or array that is pinned or copied";
   Spec.Errors = "Leak and double-free";

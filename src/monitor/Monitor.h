@@ -58,7 +58,7 @@ struct MonitorSnapshot {
   uint64_t Events = 0;          ///< trace events aggregated so far
   uint64_t Crossings = 0;       ///< boundary crossings (JNI calls + native entries)
   double CrossingsPerSec = 0.0; ///< Crossings over uptime
-  uint64_t Reports = 0;         ///< reporter's merged violation count
+  uint64_t Reports = 0;         ///< reporter's violation count
   uint64_t DroppedEvents = 0;   ///< recorder-side drops observed in segments
   uint64_t P50CrossingNs = 0;   ///< median crossing latency (log-bucket approx)
   uint64_t P99CrossingNs = 0;

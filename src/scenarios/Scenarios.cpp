@@ -93,9 +93,6 @@ ScenarioWorld::ScenarioWorld(WorldConfig Config)
         jvm::VmOptions Options;
         Options.Flavor = Config.Flavor;
         Options.EchoDiagnostics = Config.EchoDiagnostics;
-        Options.IncrementalMark = Config.IncrementalMark;
-        Options.GcMarkStepBudget = Config.GcMarkStepBudget;
-        Options.TlabSlots = Config.TlabSlots;
         return Options;
       }()),
       Rt(Vm), Host(Rt) {
@@ -114,8 +111,6 @@ ScenarioWorld::ScenarioWorld(WorldConfig Config)
     Options.Mode = Config.JinnMode;
     Options.Recorder = Config.JinnRecorder;
     Options.EnabledMachines = Config.JinnEnabledMachines;
-    Options.ShardCount = Config.JinnShardCount;
-    Options.ReportBufferSize = Config.JinnReportBuffer;
     Options.SampleRate = Config.JinnSampleRate;
     Options.SampleSeed = Config.JinnSampleSeed;
     Jinn = static_cast<agent::JinnAgent *>(

@@ -92,24 +92,11 @@ struct WorldConfig {
   trace::TraceRecorderOptions JinnRecorder;
   /// Machine-name filter forwarded to JinnOptions::EnabledMachines.
   std::vector<std::string> JinnEnabledMachines;
-  /// Lock stripes per global shadow table, forwarded to
-  /// JinnOptions::ShardCount.
-  unsigned JinnShardCount = agent::DefaultShardCount;
-  /// Per-thread report buffer capacity, forwarded to
-  /// JinnOptions::ReportBufferSize.
-  size_t JinnReportBuffer = 64;
   /// Deterministic sampled checking (production monitoring), forwarded to
   /// JinnOptions::SampleRate: check 1-in-N threads; 1 checks everything.
   uint32_t JinnSampleRate = 1;
   /// Root sampling seed, forwarded to JinnOptions::SampleSeed.
   uint64_t JinnSampleSeed = 0x6a696e6e5eedULL;
-  /// GC pause shape, forwarded to VmOptions::IncrementalMark: spread the
-  /// mark over budgeted stop-the-world increments instead of one pause.
-  bool IncrementalMark = true;
-  /// Objects traced per mark increment (VmOptions::GcMarkStepBudget).
-  uint32_t GcMarkStepBudget = 2048;
-  /// Slots reserved per TLAB refill (VmOptions::TlabSlots).
-  uint32_t TlabSlots = 64;
 };
 
 /// A fresh VM + JNI runtime + (optionally) a checker agent, plus helpers

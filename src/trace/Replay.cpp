@@ -24,18 +24,16 @@ std::map<std::string, uint64_t> ReplayResult::violationsPerMachine() const {
 void CollectingReporter::violation(spec::TransitionContext &Ctx,
                                    const spec::StateMachineSpec &Machine,
                                    const std::string &Message) {
-  // Mirrors JinnReporter::violation exactly, minus the VM mutation (the
-  // throwable and its effects are already baked into the trace snapshots):
-  // same message text, same report record, same faulting-call suppression.
-  std::string Full =
-      formatString("%s in %s.", Message.c_str(), Ctx.siteName().c_str());
-  Reports.push_back({Machine.Name, Ctx.siteName(), Full, false});
+  // JinnReporter::violation minus the VM mutation (the throwable and its
+  // effects are already baked into the trace snapshots): the same record,
+  // the same faulting-call suppression.
+  Reports.push_back(agent::violationReport(Ctx, Machine, Message));
   Ctx.abortCall();
 }
 
 void CollectingReporter::endOfRun(const spec::StateMachineSpec &Machine,
                                   const std::string &Message) {
-  Reports.push_back({Machine.Name, "<program termination>", Message, true});
+  Reports.push_back(agent::endOfRunReport(Machine, Message));
 }
 
 namespace {

@@ -8,11 +8,11 @@
 /// The production-monitoring contract under attach/detach churn: the
 /// multi-tenant server soak runs thousands of short-lived request threads
 /// while a monitor drains the streaming recorder into a bounded sink.
-/// Asserts (1) deterministic sampled report merge — the same seed and
-/// request schedule produce the same report list twice; (2) sampled-report
+/// Asserts (1) deterministic sampled reports — the same seed and request
+/// schedule produce the same report list twice; (2) sampled-report
 /// replay: every inline report of a sampled run is reproduced by replaying
-/// the sink's retained trace; (3) bounded memory — per-thread recorder and
-/// reporter buffers retire at detach, queue overflow surfaces in the
+/// the sink's retained trace; (3) bounded memory — per-thread recorder
+/// buffers retire at detach, queue overflow surfaces in the
 /// jinn.trace.dropped_events diagnostics counter, and RSS stays under the
 /// soak ceiling; (4) the sink implementations retain, rotate, and prune as
 /// configured. Meant to run clean under -fsanitize=thread (JINN_TSAN).
@@ -166,8 +166,8 @@ TEST(MonitorSoak, SampledReportsReplayFromRetainedTrace) {
   std::vector<agent::JinnReport> Offline = violations(Replayed.Reports);
 
   // Replay reproduces the inline reports exactly — same multiset in both
-  // directions (order may differ: inline merges per-thread buffers,
-  // replay walks the global time order).
+  // directions (order may differ: inline keeps arrival order across
+  // threads, replay walks the global time order).
   EXPECT_GT(Inline.size(), 0u);
   EXPECT_EQ(Inline.size(), Offline.size());
   EXPECT_TRUE(includedIn(Inline, Offline))
@@ -181,10 +181,10 @@ TEST(MonitorSoak, SampledReportsReplayFromRetainedTrace) {
   EXPECT_GE(Snap.Reports, Inline.size());
 }
 
-// Attach/detach churn must not accumulate per-thread state: recorder and
-// reporter buffers retire at DetachCurrentThread and their storage is
-// recycled, so after thousands of request threads only the still-attached
-// threads (main) hold buffers.
+// Attach/detach churn must not accumulate per-thread state: recorder
+// buffers retire at DetachCurrentThread and their storage is recycled, so
+// after thousands of request threads only the still-attached threads
+// (main) hold buffers.
 TEST(MonitorSoak, DetachRetiresPerThreadBuffers) {
   ScenarioWorld World(sampledConfig(16));
   monitor::RingSink Sink;
@@ -197,9 +197,8 @@ TEST(MonitorSoak, DetachRetiresPerThreadBuffers) {
   Monitor.finish();
 
   // Request threads are detached; only main (and no retired ghosts) may
-  // still own a recorder or reporter buffer.
+  // still own a recorder buffer.
   EXPECT_LE(World.Jinn->recorder()->liveThreadBuffers(), 1u);
-  EXPECT_LE(World.Jinn->reporter().liveThreadBuffers(), 1u);
   World.shutdown();
 }
 
