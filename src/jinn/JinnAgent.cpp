@@ -9,8 +9,6 @@
 #include "jvm/JThread.h"
 #include "support/Rng.h"
 
-#include <algorithm>
-
 using namespace jinn;
 using namespace jinn::agent;
 
@@ -44,14 +42,11 @@ bool JinnAgent::sampledThread(uint32_t Id, const std::string &Name) const {
 std::string
 jinn::agent::checkMachineNames(const std::vector<std::string> &Names) {
   MachineSet Set;
-  std::vector<spec::MachineBase *> All = Set.all();
   for (const std::string &Name : Names) {
-    if (std::any_of(All.begin(), All.end(), [&](spec::MachineBase *M) {
-          return M->spec().Name == Name;
-        }))
+    if (!Set.select({Name}).empty())
       continue;
     std::string Msg = "unknown machine '" + Name + "'; valid names:";
-    for (spec::MachineBase *M : All)
+    for (spec::MachineBase *M : Set.all())
       Msg += "\n  " + M->spec().Name;
     return Msg;
   }
@@ -94,27 +89,27 @@ void JinnAgent::onLoad(JavaVM *JavaVm, jvmti::JvmtiEnv &Jvmti) {
 
   Reporter = std::make_unique<JinnReporter>(Vm);
   Machines = std::make_unique<MachineSet>();
-  Active.clear();
-  for (spec::MachineBase *Machine : Machines->all()) {
-    bool Enabled = Options.EnabledMachines.empty();
-    for (const std::string &Name : Options.EnabledMachines)
-      Enabled |= Machine->spec().Name == Name;
-    if (Enabled)
-      Active.push_back(Machine);
-  }
+  Active = Machines->select(Options.EnabledMachines);
   Synth = std::make_unique<synth::Synthesizer>(Active, *Reporter);
 
   // Sampled mode, set first so no slot installed below ever runs on an
-  // unsampled thread: the JNI and native-method wrappers consult this
-  // per-thread predicate before running ANY boundary slot — recorder and
-  // machines alike. An unsampled thread costs one cached predicate lookup
-  // per crossing and nothing else; a sampled thread is fully recorded and
+  // unsampled thread: the JNI and native-method wrappers read the thread's
+  // JThread::Sampled flag before running ANY boundary slot — recorder and
+  // machines alike. Each thread's flag is decided once, when it starts
+  // (the ThreadStart callback below), or here for the threads attached
+  // before the agent loaded. An unsampled thread costs one flag load per
+  // crossing and nothing else; a sampled thread is fully recorded and
   // fully checked, so each of its inline reports is byte-replayable from
   // the retained trace.
+  auto Decide = [this](jvm::JThread &Thread) {
+    bool Sampled = sampledThread(Thread.id(), Thread.name());
+    Thread.Sampled.store(Sampled, std::memory_order_relaxed);
+    return Sampled;
+  };
+  for (const auto &Thread : Vm.threads())
+    Decide(*Thread);
   if (Options.SampleRate > 1)
-    Jvmti.dispatcher().setSampler([this](jvm::JThread &Thread) {
-      return sampledThread(Thread.id(), Thread.name());
-    });
+    Jvmti.dispatcher().setSampling(true);
 
   // Each installer below publishes once. The recorder's slots precede the
   // machine slots in every phase of both directions (all-function JNI
@@ -150,12 +145,13 @@ void JinnAgent::onLoad(JavaVM *JavaVm, jvmti::JvmtiEnv &Jvmti) {
       Recorder->recordNativeBind(Method);
     jvmti::wrapNativeMethod(Method, Bound);
   };
-  Callbacks.ThreadStart = [this, Checking, InfoFor](jvm::JThread &Thread) {
+  Callbacks.ThreadStart = [this, Checking, InfoFor,
+                           Decide](jvm::JThread &Thread) {
     // Unsampled threads never reach a boundary hook, so skip their trace
     // lifecycle events and shadow setup too — under heavy attach/detach
     // churn that is most of the per-thread cost an agent would otherwise
     // pay, and it keeps the trace the exact event set of sampled threads.
-    const bool Sampled = sampledThread(Thread.id(), Thread.name());
+    const bool Sampled = Decide(Thread);
     if (Recorder && Sampled)
       Recorder->recordThreadAttach(Thread);
     if (Checking && Sampled)
@@ -164,7 +160,7 @@ void JinnAgent::onLoad(JavaVM *JavaVm, jvmti::JvmtiEnv &Jvmti) {
   };
   if (Recorder)
     Callbacks.ThreadEnd = [this](jvm::JThread &Thread) {
-      if (sampledThread(Thread.id(), Thread.name()))
+      if (Thread.Sampled.load(std::memory_order_relaxed))
         Recorder->recordThreadDetach(Thread);
       // ThreadEnd runs on the detaching thread: seal its partial ring into
       // the recorder-level queue and recycle the buffer, so short-lived
@@ -182,16 +178,16 @@ void JinnAgent::onLoad(JavaVM *JavaVm, jvmti::JvmtiEnv &Jvmti) {
     if (Checking)
       for (spec::MachineBase *Machine : Active)
         Machine->onVmDeath(*Reporter, Vm);
-    // Publish the contention proxy: acquisitions of each shadow lock.
-    for (const auto &[Name, Count] : Machines->lockAcquireCounts())
-      Vm.diags().setCounter(std::string("jinn.lock_acquires.") + Name,
-                            Count);
+    // Publish the contention proxy: acquisitions of the pin stripes.
+    Vm.diags().setCounter("jinn.lock_acquires.pinned-resource",
+                          Machines->lockAcquires());
   };
   Jvmti.setEventCallbacks(std::move(Callbacks));
 
-  // Threads attached before the agent loaded (at least "main").
+  // Threads attached before the agent loaded (at least "main"), with the
+  // sampling decision taken above.
   for (const auto &Thread : Vm.threads()) {
-    const bool Sampled = sampledThread(Thread->id(), Thread->name());
+    const bool Sampled = Thread->Sampled.load(std::memory_order_relaxed);
     if (Recorder && Sampled)
       Recorder->recordThreadAttach(*Thread);
     if (Checking && Sampled)

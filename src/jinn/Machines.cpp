@@ -6,6 +6,8 @@
 
 #include "jinn/Machines.h"
 
+#include <algorithm>
+
 using namespace jinn::agent;
 
 std::vector<jinn::spec::MachineBase *> MachineSet::all() {
@@ -16,8 +18,12 @@ std::vector<jinn::spec::MachineBase *> MachineSet::all() {
           &MonitorBalance,   &CriticalNesting};
 }
 
-std::vector<std::pair<const char *, uint64_t>>
-MachineSet::lockAcquireCounts() const {
-  return {{"thread-shadows", Threads.lockAcquires()},
-          {"pinned-resource", PinnedResource.Outstanding.lockAcquires()}};
+std::vector<jinn::spec::MachineBase *>
+MachineSet::select(const std::vector<std::string> &Names) {
+  std::vector<spec::MachineBase *> Selected;
+  for (spec::MachineBase *Machine : all())
+    if (Names.empty() || std::find(Names.begin(), Names.end(),
+                                   Machine->spec().Name) != Names.end())
+      Selected.push_back(Machine);
+  return Selected;
 }

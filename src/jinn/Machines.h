@@ -25,13 +25,13 @@
 /// Shadow-state layout (DESIGN.md §10): the per-thread encodings (expected
 /// JNIEnv, critical depth and held resources, the three pushdown depths,
 /// JNI monitor entries, local references) live in one ThreadShadow block
-/// per thread, which a crossing finds once and then reads and writes with
-/// no lock; the global-reference live set is a GlobalSlotTable of atomic
-/// words indexed by the handle's global slot; the one table keyed by
-/// entity identity that any thread may touch (outstanding pins) is
-/// lock-striped so concurrent crossings contend only when they hash to the
-/// same shard. MachineSet::lockAcquireCounts() publishes how often each
-/// of the two locks (registry, pin stripes) was taken.
+/// per thread, which a crossing finds by thread id and then reads and
+/// writes with no lock; the global-reference live set is a GlobalSlotTable
+/// of atomic words indexed by the handle's global slot; the one table
+/// keyed by entity identity that any thread may touch (outstanding pins)
+/// is lock-striped so concurrent crossings contend only when they hash to
+/// the same shard. MachineSet::lockAcquires() counts how often those stripes,
+/// the only shadow lock, were taken.
 ///
 /// Checks never call JNI functions; they inspect the VM through the
 /// policy-free JVMTI peek interface. (The paper's Jinn calls functions like
@@ -48,6 +48,7 @@
 #include "spec/StateMachine.h"
 
 #include <functional>
+#include <string>
 #include <vector>
 
 namespace jinn::agent {
@@ -317,12 +318,18 @@ struct MachineSet {
   /// All machines: paper order, then the pushdown machines.
   std::vector<spec::MachineBase *> all();
 
-  /// (lock, acquisitions) for the two shadow locks — "thread-shadows"
-  /// (the registry, taken on a block's first touch per OS thread and for
-  /// cross-thread observation) and "pinned-resource" (the pin stripes) —
-  /// the contention proxy surfaced through the Diagnostics counters and
-  /// bench_mt_scaling. No other machine takes a lock.
-  std::vector<std::pair<const char *, uint64_t>> lockAcquireCounts() const;
+  /// The machines whose spec names are in \p Names, in all() order; every
+  /// machine when \p Names is empty. The agent and replay both enable
+  /// machines through this filter.
+  std::vector<spec::MachineBase *>
+  select(const std::vector<std::string> &Names);
+
+  /// Acquisitions of the pin stripes, the only shadow lock — the
+  /// contention proxy surfaced through the Diagnostics counters and
+  /// bench_mt_scaling.
+  uint64_t lockAcquires() const {
+    return PinnedResource.Outstanding.lockAcquires();
+  }
 };
 
 } // namespace jinn::agent

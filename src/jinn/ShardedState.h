@@ -17,6 +17,11 @@
 ///                    except on the amortized slab doubling, so shard
 ///                    critical sections stay allocation-free and short.
 ///
+///   ChunkDirectory   a lock-free array of atomics indexed by a dense id,
+///                    in lazily installed chunks that never move: the
+///                    layout of the global-reference live set below and of
+///                    the per-thread block table (ThreadShadow.h).
+///
 ///   GlobalSlotTable  the global-reference live set as one atomic word
 ///                    per VM global slot: a use is one load and compare,
 ///                    an acquire one store, a release one compare-exchange.
@@ -37,6 +42,7 @@
 
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <mutex>
 
@@ -115,6 +121,74 @@ private:
   std::array<Shard, NumShards> Shards;
 };
 
+/// A fixed directory of \p NumChunks chunks of 2^\p ChunkBits atomic
+/// elements, indexed by a dense id below Capacity. Elements start
+/// zero. A chunk is allocated on the first at() into it and installed by
+/// compare-exchange — the thread that loses an install race frees its copy
+/// and takes the winner's — and never moves, so a reader never observes a
+/// relocated element and no path takes a lock.
+template <typename T, uint32_t ChunkBits, uint32_t NumChunks>
+class ChunkDirectory {
+public:
+  static constexpr uint32_t Capacity = NumChunks << ChunkBits;
+
+  ChunkDirectory() {
+    for (auto &C : Chunks)
+      C.store(nullptr, std::memory_order_relaxed);
+  }
+  ~ChunkDirectory() {
+    for (auto &C : Chunks)
+      delete[] C.load(std::memory_order_relaxed);
+  }
+  ChunkDirectory(const ChunkDirectory &) = delete;
+  ChunkDirectory &operator=(const ChunkDirectory &) = delete;
+
+  /// The element at \p Index, or nullptr while its chunk is not installed.
+  /// Wait-free.
+  std::atomic<T> *find(uint32_t Index) const {
+    assert(Index < Capacity && "index past the directory");
+    std::atomic<T> *Chunk =
+        Chunks[Index >> ChunkBits].load(std::memory_order_acquire);
+    return Chunk ? &Chunk[Index & ChunkMask] : nullptr;
+  }
+
+  /// The element at \p Index, installing its chunk on first use.
+  std::atomic<T> &at(uint32_t Index) {
+    assert(Index < Capacity && "index past the directory");
+    std::atomic<T> *Chunk =
+        Chunks[Index >> ChunkBits].load(std::memory_order_acquire);
+    if (!Chunk)
+      Chunk = install(Index >> ChunkBits);
+    return Chunk[Index & ChunkMask];
+  }
+
+  /// Visits every element of every installed chunk, in index order.
+  template <typename Fn> void forEach(Fn &&Visit) const {
+    for (const auto &C : Chunks)
+      if (std::atomic<T> *Chunk = C.load(std::memory_order_acquire))
+        for (uint32_t I = 0; I <= ChunkMask; ++I)
+          Visit(Chunk[I]);
+  }
+
+private:
+  static constexpr uint32_t ChunkMask = (1u << ChunkBits) - 1;
+
+  [[gnu::cold, gnu::noinline]] std::atomic<T> *install(uint32_t C) {
+    auto *Fresh = new std::atomic<T>[1u << ChunkBits];
+    for (uint32_t I = 0; I <= ChunkMask; ++I)
+      Fresh[I].store(T{}, std::memory_order_relaxed);
+    std::atomic<T> *Chunk = nullptr;
+    if (Chunks[C].compare_exchange_strong(Chunk, Fresh,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire))
+      return Fresh;
+    delete[] Fresh;
+    return Chunk;
+  }
+
+  std::atomic<std::atomic<T> *> Chunks[NumChunks];
+};
+
 /// The global-reference machine's live set, laid out like the VM's global
 /// table: one atomic word per 20-bit global slot of the handle encoding,
 /// holding the handle word the shadow considers live there (0: none). A
@@ -128,91 +202,51 @@ private:
 ///   - a release is one compare-exchange from the word to 0, which fails
 ///     for a word the slot does not hold.
 ///
-/// Chunks of 1024 slots are allocated on first store, installed by
-/// compare-exchange, and never move, so a reader never observes a
-/// relocated slot and no path takes a lock.
+/// The words sit in a ChunkDirectory of 1024-slot chunks.
 class GlobalSlotTable {
 public:
-  static constexpr uint32_t ChunkBits = 10;
-  static constexpr uint32_t NumChunks =
-      static_cast<uint32_t>((jvm::handle_detail::SlotMask + 1) >> ChunkBits);
-
-  GlobalSlotTable() {
-    for (auto &C : Chunks)
-      C.store(nullptr, std::memory_order_relaxed);
-  }
-  ~GlobalSlotTable() {
-    for (auto &C : Chunks)
-      delete[] C.load(std::memory_order_relaxed);
-  }
-  GlobalSlotTable(const GlobalSlotTable &) = delete;
-  GlobalSlotTable &operator=(const GlobalSlotTable &) = delete;
-
   /// The word live in \p Word's slot (0 when none): a use holds when it
   /// equals \p Word. Wait-free.
   uint64_t wordAt(uint64_t Word) const {
-    uint32_t Slot = slotOf(Word);
-    const std::atomic<uint64_t> *Chunk =
-        Chunks[Slot >> ChunkBits].load(std::memory_order_acquire);
-    return Chunk ? Chunk[Slot & ChunkMask].load(std::memory_order_acquire)
-                 : 0;
+    const std::atomic<uint64_t> *Slot = Words.find(slotOf(Word));
+    return Slot ? Slot->load(std::memory_order_acquire) : 0;
   }
 
   /// Makes \p Word the live word of its slot.
   void publish(uint64_t Word) {
-    uint32_t Slot = slotOf(Word);
-    chunk(Slot >> ChunkBits)[Slot & ChunkMask].store(
-        Word, std::memory_order_release);
+    Words.at(slotOf(Word)).store(Word, std::memory_order_release);
   }
 
   /// Clears \p Word's slot if it holds \p Word; false when it does not.
   bool retire(uint64_t Word) {
-    uint32_t Slot = slotOf(Word);
-    std::atomic<uint64_t> *Chunk =
-        Chunks[Slot >> ChunkBits].load(std::memory_order_acquire);
+    std::atomic<uint64_t> *Slot = Words.find(slotOf(Word));
     uint64_t Expected = Word;
-    return Chunk && Chunk[Slot & ChunkMask].compare_exchange_strong(
-                        Expected, 0, std::memory_order_acq_rel,
-                        std::memory_order_acquire);
+    return Slot && Slot->compare_exchange_strong(Expected, 0,
+                                                 std::memory_order_acq_rel,
+                                                 std::memory_order_acquire);
   }
 
   /// Slots holding a live word (the VM-death leak count).
   size_t liveCount() const {
     size_t N = 0;
-    for (const auto &C : Chunks)
-      if (const std::atomic<uint64_t> *Chunk =
-              C.load(std::memory_order_acquire))
-        for (uint32_t I = 0; I <= ChunkMask; ++I)
-          N += Chunk[I].load(std::memory_order_acquire) != 0;
+    Words.forEach([&N](const std::atomic<uint64_t> &Slot) {
+      N += Slot.load(std::memory_order_acquire) != 0;
+    });
     return N;
   }
 
 private:
-  static constexpr uint32_t ChunkMask = (1u << ChunkBits) - 1;
+  static constexpr uint32_t ChunkBits = 10;
 
   static uint32_t slotOf(uint64_t Word) {
     namespace D = jvm::handle_detail;
     return static_cast<uint32_t>((Word >> D::SlotShift) & D::SlotMask);
   }
 
-  /// Chunk \p C, installed by compare-exchange on first use: the thread
-  /// that loses an install race frees its copy and takes the winner's.
-  std::atomic<uint64_t> *chunk(uint32_t C) {
-    std::atomic<uint64_t> *Chunk = Chunks[C].load(std::memory_order_acquire);
-    if (Chunk)
-      return Chunk;
-    auto *Fresh = new std::atomic<uint64_t>[1u << ChunkBits];
-    for (uint32_t I = 0; I <= ChunkMask; ++I)
-      Fresh[I].store(0, std::memory_order_relaxed);
-    if (Chunks[C].compare_exchange_strong(Chunk, Fresh,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire))
-      return Fresh;
-    delete[] Fresh;
-    return Chunk;
-  }
-
-  std::atomic<std::atomic<uint64_t> *> Chunks[NumChunks];
+  ChunkDirectory<uint64_t, ChunkBits,
+                 static_cast<uint32_t>((jvm::handle_detail::SlotMask + 1) >>
+                                       ChunkBits)>
+      Words;
 };
 
 } // namespace jinn::agent

@@ -9,19 +9,19 @@
 /// machines whose encodings are per thread (DESIGN.md §10): the expected
 /// JNIEnv, the critical-section depth, the three pushdown depths, the
 /// critical resources and monitors held per object, and the
-/// local-reference shadow. A MachineSet owns one ThreadShadows registry; each crossing
-/// finds its thread's block once — a thread-local (instance, logical
-/// thread id) cache, then a memo on the CapturedCall — and every machine
-/// action of that crossing reads and writes the block with no lock and
-/// no atomic read-modify-write.
+/// local-reference shadow. A MachineSet owns one ThreadShadows table,
+/// indexed by VM thread id; every machine action finds its crossing's
+/// block with two loads and reads and writes it with no lock and no
+/// atomic read-modify-write.
 ///
 /// Only crossings of the block's thread write it. Depth fields are
 /// relaxed atomics, each write a load and a store, so the cross-thread
 /// observers (depthOf, the VM-death sweeps) read them race-free at any
 /// time. The maps and the local-reference shadow are plain memory: they
 /// may be observed from another thread only once the owner has quiesced.
-/// Replay runs every recorded thread on one OS thread and keys the blocks
-/// by the recorded (logical) id.
+/// Replay runs every recorded thread on one OS thread and indexes the
+/// table by the recorded id, which Trace::wellFormed keeps below
+/// jvm::MaxThreadIds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,13 +29,13 @@
 #define JINN_JINN_THREADSHADOW_H
 
 #include "jinn/LocalRefShadow.h"
+#include "jinn/ShardedState.h"
+#include "jvm/Handle.h"
 #include "spec/StateMachine.h"
 #include "support/OpenMap.h"
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
 
 namespace jinn::agent {
 
@@ -77,63 +77,62 @@ struct ThreadShadow {
   LocalRefShadow Locals;
 };
 
-/// The per-MachineSet registry of thread blocks. Its mutex is taken only
-/// to find or create a block on a thread-local cache miss and by the
-/// cross-thread observers; the count of those acquisitions is the
-/// contention proxy the local-reference machine publishes.
+/// The per-MachineSet table of thread blocks: one block pointer per VM
+/// thread id, in a ChunkDirectory, so a lookup takes no lock. A block is
+/// installed by compare-exchange on its thread's start or first touch,
+/// whichever comes first, and lives as long as the table.
 class ThreadShadows {
 public:
-  ThreadShadows();
+  ThreadShadows() = default;
+  ~ThreadShadows();
   ThreadShadows(const ThreadShadows &) = delete;
   ThreadShadows &operator=(const ThreadShadows &) = delete;
 
-  /// The block of the crossing's thread, looked up once per crossing and
-  /// memoized on its CapturedCall.
+  /// The block of the crossing's thread, created (base frame of the
+  /// default capacity) on first touch.
   ThreadShadow &at(spec::TransitionContext &Ctx) {
-    jvmti::CapturedCall &Call = Ctx.call();
-    if (void *Memo = Call.memo(this))
-      return *static_cast<ThreadShadow *>(Memo);
-    ThreadShadow &Block = of(Ctx.threadId());
-    Call.setMemo(this, &Block);
-    return Block;
+    return of(Ctx.threadId(), DefaultFrameCapacity);
   }
 
   /// The block of a starting thread, created with its frame capacity when
   /// no crossing made it first.
-  ThreadShadow &start(const spec::ThreadStartInfo &Info);
-
-  /// Cross-thread observation: the block of \p ThreadId, or nullptr.
-  const ThreadShadow *find(uint32_t ThreadId) const;
-
-  /// Visits every block under the registry lock (VM-death sweeps).
-  template <typename Fn> void forEach(Fn &&Visit) const {
-    std::lock_guard<std::mutex> Lock(lock());
-    for (const auto &[Id, Block] : Blocks)
-      Visit(Block);
+  ThreadShadow &start(const spec::ThreadStartInfo &Info) {
+    return of(Info.Id, Info.FrameCapacity);
   }
 
-  /// Registry lock acquisitions so far.
-  uint64_t lockAcquires() const {
-    return Acquires.load(std::memory_order_relaxed);
+  /// Cross-thread observation: the block of \p ThreadId, or nullptr.
+  const ThreadShadow *find(uint32_t ThreadId) const {
+    if (ThreadId >= jvm::MaxThreadIds)
+      return nullptr;
+    const std::atomic<ThreadShadow *> *Slot = Blocks.find(ThreadId);
+    return Slot ? Slot->load(std::memory_order_acquire) : nullptr;
+  }
+
+  /// Visits every block in thread-id order (VM-death sweeps).
+  template <typename Fn> void forEach(Fn &&Visit) const {
+    Blocks.forEach([&Visit](const std::atomic<ThreadShadow *> &Slot) {
+      if (const ThreadShadow *Block = Slot.load(std::memory_order_acquire))
+        Visit(*Block);
+    });
   }
 
 private:
-  /// The block of logical thread \p ThreadId through the thread-local
-  /// cache, created (base frame of the default capacity) on first touch.
-  ThreadShadow &of(uint32_t ThreadId);
-  /// Counts the acquisition, then hands out the mutex to lock.
-  std::mutex &lock() const {
-    Acquires.fetch_add(1, std::memory_order_relaxed);
-    return Mu;
-  }
-  ThreadShadow &findOrCreate(uint32_t ThreadId, uint32_t FrameCapacity);
+  /// LocalRefShadow's default base capacity, for blocks a crossing creates
+  /// before (or without) a thread start.
+  static constexpr uint32_t DefaultFrameCapacity = 16;
 
-  mutable std::mutex Mu; ///< guards the Blocks map structure
-  mutable std::atomic<uint64_t> Acquires{0};
-  /// Blocks live in the map's nodes, which never move, so the references
-  /// handed out stay valid for the registry's lifetime.
-  std::unordered_map<uint32_t, ThreadShadow> Blocks;
-  const uint64_t InstanceId; ///< keys the thread-local cache
+  ThreadShadow &of(uint32_t ThreadId, uint32_t FrameCapacity) {
+    std::atomic<ThreadShadow *> &Slot = Blocks.at(ThreadId);
+    if (ThreadShadow *Block = Slot.load(std::memory_order_acquire))
+      return *Block;
+    return install(Slot, FrameCapacity);
+  }
+  /// Installs a fresh block in \p Slot unless another thread won the race;
+  /// either way returns the installed block.
+  static ThreadShadow &install(std::atomic<ThreadShadow *> &Slot,
+                               uint32_t FrameCapacity);
+
+  ChunkDirectory<ThreadShadow *, 8, (jvm::MaxThreadIds >> 8)> Blocks;
 };
 
 } // namespace jinn::agent

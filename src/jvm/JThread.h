@@ -168,6 +168,13 @@ public:
   /// thread is suppressed.
   bool Poisoned = false;
 
+  /// Whether this thread's crossings are recorded and checked while the
+  /// interposed dispatch table samples: a sampling agent decides it once,
+  /// when the thread starts (or at agent load for an earlier thread), and
+  /// the interposed wrappers read it on every crossing. Relaxed: the flag
+  /// publishes nothing else.
+  std::atomic<bool> Sampled{true};
+
   /// Explicit frames (PushLocalFrame) reclaimed by the VM because native
   /// code returned without popping them — a leak indicator.
   uint32_t LeakedExplicitFrames = 0;

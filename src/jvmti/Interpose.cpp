@@ -121,19 +121,6 @@ DispatchSlot hookSlot(HookFn Hook, SlotBatch &Batch) {
   return Slot;
 }
 
-/// Per-OS-thread cache of the sampling decision, keyed by the dispatcher's
-/// sampler generation and the VM thread id. Thread ids are never reused,
-/// so a worker that detaches and reattaches as a new request thread misses
-/// the cache and re-evaluates the predicate for its new identity.
-struct SampleCacheEntry {
-  uint64_t Gen = 0;
-  uint32_t ThreadId = 0;
-  bool Sampled = true;
-};
-thread_local SampleCacheEntry LocalSampleCache;
-
-std::atomic<uint64_t> NextSamplerGen{1};
-
 } // namespace
 
 InterposeDispatcher::InterposeDispatcher() : Current(&emptyTable()) {}
@@ -181,7 +168,7 @@ void InterposeDispatcher::addPostAll(HookFn Hook) {
 
 void InterposeDispatcher::publishLocked() {
   auto Table = std::make_unique<DispatchTable>();
-  Table->Sampling = SamplerGen.load(std::memory_order_relaxed) != 0;
+  Table->Sampling = Sampling;
   std::vector<DispatchSlot> &Slots = Table->Slots;
   // Appends one run (All, then Own); returns its begin and count.
   auto Run = [&Slots](const std::vector<DispatchSlot> &All,
@@ -204,33 +191,10 @@ void InterposeDispatcher::publishLocked() {
   Tables.push_back(std::move(Table));
 }
 
-void InterposeDispatcher::setSampler(SamplePredicate Fn) {
+void InterposeDispatcher::setSampling(bool On) {
   std::lock_guard<std::mutex> Lock(InstallMu);
-  Sampler = std::move(Fn);
-  SamplerGen.store(Sampler
-                       ? NextSamplerGen.fetch_add(1, std::memory_order_relaxed)
-                       : 0,
-                   std::memory_order_release);
+  Sampling = On;
   publishLocked();
-}
-
-bool InterposeDispatcher::checksThread(jvm::JThread &Thread) const {
-  uint64_t Gen = SamplerGen.load(std::memory_order_acquire);
-  if (!Gen)
-    return true;
-  SampleCacheEntry &Cache = LocalSampleCache;
-  if (Cache.Gen == Gen && Cache.ThreadId == Thread.id())
-    return Cache.Sampled;
-  bool Sampled = true;
-  {
-    // Cold path (once per thread per sampler generation): the predicate is
-    // read under the install mutex so setSampler can swap it safely.
-    std::lock_guard<std::mutex> Lock(InstallMu);
-    if (Sampler)
-      Sampled = Sampler(Thread);
-  }
-  Cache = {Gen, Thread.id(), Sampled};
-  return Sampled;
 }
 
 size_t InterposeDispatcher::hookCount() const {
@@ -263,8 +227,7 @@ void InterposeDispatcher::clear() {
   NativeEntry.clear();
   NativeExit.clear();
   KeepAlive.clear();
-  Sampler = nullptr;
-  SamplerGen.store(0, std::memory_order_relaxed);
+  Sampling = false;
 }
 
 //===----------------------------------------------------------------------===
@@ -291,10 +254,11 @@ inline const DispatchTable *observingTable(JNIEnv *Env, FnId Id,
   if ((Rec->PreCount | Rec->PostCount) == 0)
     return nullptr;
   // Sampled mode gates the whole boundary per thread: an unsampled
-  // thread neither records nor checks, and pays only the cached
-  // predicate. A sampled thread's full event stream is in the trace, so
-  // its inline reports reproduce byte-for-byte offline.
-  if (Table->Sampling && !Dispatcher->checksThread(*Env->thread))
+  // thread neither records nor checks, and pays only the flag load. A
+  // sampled thread's full event stream is in the trace, so its inline
+  // reports reproduce byte-for-byte offline.
+  if (Table->Sampling &&
+      !Env->thread->Sampled.load(std::memory_order_relaxed))
     return nullptr;
   return Table;
 }

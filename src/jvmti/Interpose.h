@@ -237,21 +237,6 @@ public:
   bool aborted() const { return Aborted; }
 
   //===------------------------------------------------------------------===
-  // Per-crossing memo: one (owner, value) slot that lives for the whole
-  // pre+call+post crossing. Machines use it to hoist a thread-local
-  // lookup (ThreadShadows' instance-id -> thread-block cache)
-  // to once per crossing instead of once per action.
-  //===------------------------------------------------------------------===
-
-  void *memo(const void *Owner) const {
-    return MemoOwner == Owner ? MemoValue : nullptr;
-  }
-  void setMemo(const void *Owner, void *Value) {
-    MemoOwner = Owner;
-    MemoValue = Value;
-  }
-
-  //===------------------------------------------------------------------===
   // Capture plumbing (used by the generated wrappers)
   //===------------------------------------------------------------------===
 
@@ -361,8 +346,6 @@ private:
   double RetDouble = 0.0;
   const void *RetPtr = nullptr;
   bool Aborted = false;
-  const void *MemoOwner = nullptr;
-  void *MemoValue = nullptr;
 };
 
 /// Hook invoked before (pre) or after (post) a JNI function executes.
@@ -397,9 +380,9 @@ public:
     const jni::FnTraits *Traits = nullptr;
   };
 
-  /// Set when a sampling predicate is installed: the wrapper prologue then
-  /// asks InterposeDispatcher::checksThread once per crossing. Declared
-  /// next to Slots so a crossing touches one header cache line.
+  /// Set while the dispatcher samples: the wrapper prologue then reads the
+  /// crossing thread's JThread::Sampled flag. Declared next to Slots so a
+  /// crossing touches one header cache line.
   bool Sampling = false;
   std::vector<DispatchSlot> Slots;
   std::array<FnRec, jni::NumJniFunctions> Fns{};
@@ -489,28 +472,17 @@ public:
   // Deterministic sampled checking (production monitoring mode)
   //===------------------------------------------------------------------===
 
-  /// Per-thread sampling decision: called once per thread (result cached
-  /// in a thread-local keyed by thread id), it decides whether this
-  /// thread's crossings run boundary slots at all — the recorder and the
-  /// machine checks alike. An unsampled thread pays only this cached
-  /// lookup per crossing; a sampled thread is fully recorded and fully
-  /// checked, which is what keeps its reports byte-replayable from the
-  /// retained trace. The predicate must be pure and deterministic (the
-  /// Jinn agent derives it from a seeded SplitMix64 stream over the thread
-  /// identity).
-  using SamplePredicate = std::function<bool(jvm::JThread &)>;
-
-  /// Installs (or, with nullptr, removes) the sampling predicate and
-  /// republishes the table with its Sampling flag set accordingly.
-  void setSampler(SamplePredicate Fn);
-
-  /// Whether \p Thread's crossings are recorded and checked. Always true
-  /// without a sampler. Used by the JNI and native-method wrappers to gate
-  /// the whole boundary.
-  bool checksThread(jvm::JThread &Thread) const;
+  /// Switches whole-thread sampling on or off and republishes the table
+  /// with its Sampling flag set accordingly. While sampling, a thread's
+  /// crossings run boundary slots — the recorder and the machine checks
+  /// alike — only when its JThread::Sampled flag is set, which the agent
+  /// that samples decides once per thread. A sampled thread is fully
+  /// recorded and fully checked, which is what keeps its reports
+  /// byte-replayable from the retained trace.
+  void setSampling(bool On);
 
   /// Teardown-only (not safe against concurrent crossings, unlike the
-  /// installers): drops every slot, the sampler, and every table.
+  /// installers): drops every slot, sampling, and every table.
   void clear();
 
 private:
@@ -529,13 +501,7 @@ private:
   /// Every table published since the last clear(); the last is current.
   std::vector<std::unique_ptr<const DispatchTable>> Tables;
   std::atomic<const DispatchTable *> Current;
-  /// Sampling predicate plus its generation tag: the thread-local decision
-  /// cache is keyed by (generation, thread id), so replacing the sampler
-  /// or reattaching an OS thread under a new VM thread id invalidates the
-  /// cache without any cross-thread bookkeeping. The predicate itself is
-  /// only read under InstallMu, on a cache miss.
-  SamplePredicate Sampler;
-  std::atomic<uint64_t> SamplerGen{0};
+  bool Sampling = false; ///< compiled into every table; set by setSampling
 };
 
 /// The generated interposed function table (shared, immutable).

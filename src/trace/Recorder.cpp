@@ -82,7 +82,10 @@ bool Trace::wellFormed(std::string *Err) const {
     const TraceEvent &Ev = Events[I];
     const char *Bad = nullptr;
     bool Jni = Ev.Kind == EventKind::JniPre || Ev.Kind == EventKind::JniPost;
-    if (Jni && Ev.Fn >= jni::NumJniFunctions)
+    if (Ev.ThreadId >= jvm::MaxThreadIds ||
+        Ev.Snap.ThreadId >= jvm::MaxThreadIds)
+      Bad = "thread id out of range";
+    else if (Jni && Ev.Fn >= jni::NumJniFunctions)
       Bad = "JNI function id out of range";
     else if (Jni && !argsMatchTraits(Ev))
       Bad = "JNI arguments differ from the function's parameters in "
@@ -206,7 +209,6 @@ TraceRecorder::pushSealedChunk(std::vector<TraceEvent> Chunk) {
     if (Opts.StreamChunks && Opts.MaxQueuedChunks &&
         SealedQueue.size() >= Opts.MaxQueuedChunks) {
       Evicted = SealedQueue.front().size();
-      QueueDropped += Evicted;
       Recycled = std::move(SealedQueue.front());
       SealedQueue.pop_front();
     } else if (!FreeChunks.empty()) {

@@ -176,8 +176,6 @@ private:
   std::mutex QueueMu;
   std::deque<std::vector<TraceEvent>> SealedQueue;
   std::vector<std::vector<TraceEvent>> FreeChunks; ///< recycled storage
-  uint64_t QueueDropped = 0;   ///< events evicted from the queue
-  uint64_t RetiredDropped = 0; ///< drops carried over from retired buffers
   uint64_t DrainReportedDropped = 0; ///< drops already reported by drains
   /// Running total of every dropped event, mirrored into the
   /// "jinn.trace.dropped_events" diagnostics counter.

@@ -74,18 +74,13 @@ ReplayResult jinn::trace::replayTrace(const Trace &T, jvm::Vm &Vm,
 
   // A fresh machine set, filtered exactly as JinnAgent filters.
   agent::MachineSet Machines;
-  std::vector<spec::MachineBase *> Active;
-  for (spec::MachineBase *Machine : Machines.all()) {
-    bool Enabled = Opts.EnabledMachines.empty();
-    for (const std::string &Name : Opts.EnabledMachines)
-      Enabled |= Machine->spec().Name == Name;
-    if (Enabled)
-      Active.push_back(Machine);
-  }
+  std::vector<spec::MachineBase *> Active =
+      Machines.select(Opts.EnabledMachines);
 
   // Foreign traces can carry any bytes: refuse one whose fields would
-  // index the check program or the captured-argument array out of range,
-  // or whose native events name no method of this VM.
+  // index the check program, the captured-argument array or the
+  // thread-block table out of range, or whose native events name no
+  // method of this VM.
   if (!T.wellFormed(&Result.Error) ||
       !nativeMethodsResolve(T, Vm, Result.Error))
     return Result;

@@ -113,7 +113,9 @@ struct Trace {
   /// Repopulates ThreadNames from ThreadAttach events.
   void rebuildThreadNames();
 
-  /// Checks every field replay and lifting index by: JNI function ids of
+  /// Checks every field replay and lifting index by: the event's and the
+  /// snapshot's thread ids, which must be below jvm::MaxThreadIds (replay
+  /// indexes the thread-block table by them), JNI function ids of
   /// JniPre/JniPost events and their arguments, which must match the
   /// function's parameters in count and class, and the snapshot's peek
   /// and call-argument counts. A trace read from a file is foreign input; a

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Every boundary observer — the synthesized machine checks, the trace
-/// recorder, the sampler, hand-registered hooks — runs as a slot of one
+/// recorder, the sampling gate, hand-registered hooks — runs as a slot of one
 /// compiled per-function program that the dispatcher republishes on every
 /// change. This suite pins the contract down:
 ///
@@ -14,8 +14,9 @@
 ///     after load) never changes a report list, on every Table-1
 ///     microbenchmark and every checked-in fuzz reproducer, full and
 ///     ablated.
-///  2. Shape: recording, sampling, interpose-only and foreign hooks all
-///     run on the compiled table, with all-function slots first.
+///  2. Shape: recording, sampling (threads attached before and after the
+///     agent loads), interpose-only and foreign hooks all run on the
+///     compiled table, with all-function slots first.
 ///  3. Republish under fire: installs that land while worker threads
 ///     storm crossings drop no crossing and race nothing. Meant to run
 ///     clean under -fsanitize=thread (configure with -DJINN_TSAN=ON).
@@ -330,6 +331,95 @@ TEST(CompiledDispatch, SampledThreadGating) {
   EXPECT_EQ(World.Jinn->reporter().countFor("Local reference"), 2 * Sampled);
 }
 
+TEST(CompiledDispatch, PreAgentThreadsKeepTheirSamplingDecision) {
+  // 1-in-4 sampling over threads attached before the agent loads: each
+  // gets JinnAgent::sampledThread's decision from the agent's load-time
+  // loop, so its crossings are recorded and checked exactly when that
+  // decision is true. The threads run their crossings one at a time, so
+  // each thread's reports are told apart by count.
+  jvm::Vm Vm((jvm::VmOptions()));
+  jni::JniRuntime Rt(Vm);
+  JavaVM *Jvm = Rt.javaVm();
+  constexpr int NumThreads = 12;
+  std::vector<uint32_t> Ids(NumThreads);
+  std::vector<std::string> Names(NumThreads);
+  std::atomic<int> Attached{0}, Turn{-1}, Finished{0}, Failures{0};
+  std::vector<std::thread> Workers;
+  for (int T = 0; T < NumThreads; ++T) {
+    Names[T] = "pre-agent-" + std::to_string(T);
+    Workers.emplace_back([&, T] {
+      JNIEnv *Env = nullptr;
+      if (Jvm->functions->AttachCurrentThread(Jvm, &Env, Names[T].data()) !=
+          JNI_OK)
+        ++Failures;
+      else
+        Ids[T] = Env->thread->id();
+      ++Attached;
+      while (Turn.load() != T)
+        std::this_thread::yield();
+      if (Env) {
+        // One dangling use: reported exactly when sampled.
+        const JNINativeInterface_ *Fns = Env->functions;
+        jstring S = Fns->NewStringUTF(Env, "pre-agent");
+        Fns->DeleteLocalRef(Env, S);
+        Fns->GetStringUTFLength(Env, S);
+        Fns->ExceptionClear(Env);
+        Jvm->functions->DetachCurrentThread(Jvm);
+      }
+      ++Finished;
+    });
+  }
+  while (Attached.load() < NumThreads)
+    std::this_thread::yield();
+
+  agent::JinnOptions Options;
+  Options.SampleRate = 4;
+  jvmti::AgentHost Host(Rt);
+  auto &Jinn = static_cast<agent::JinnAgent &>(
+      Host.load(std::make_unique<agent::JinnAgent>(std::move(Options))));
+  EXPECT_TRUE(jvmti::dispatcherFor(Rt).table()->Sampling);
+
+  std::vector<bool> IsSampled(NumThreads);
+  for (int T = 0; T < NumThreads; ++T) {
+    size_t Before = Jinn.reporter().countFor("Local reference");
+    Turn.store(T);
+    while (Finished.load() <= T)
+      std::this_thread::yield();
+    IsSampled[T] = Jinn.sampledThread(Ids[T], Names[T]);
+    EXPECT_EQ(Jinn.reporter().countFor("Local reference") - Before,
+              IsSampled[T] ? 1u : 0u)
+        << Names[T];
+  }
+  for (std::thread &Worker : Workers)
+    Worker.join();
+  ASSERT_EQ(Failures.load(), 0);
+  Vm.shutdown();
+
+  trace::Trace Recorded = Jinn.recorder()->collect();
+  for (int T = 0; T < NumThreads; ++T) {
+    auto Count = [&](trace::EventKind Kind) {
+      return static_cast<size_t>(std::count_if(
+          Recorded.Events.begin(), Recorded.Events.end(),
+          [&](const trace::TraceEvent &Ev) {
+            return Ev.ThreadId == Ids[T] && Ev.Kind == Kind;
+          }));
+    };
+    EXPECT_EQ(Count(trace::EventKind::ThreadAttach), IsSampled[T])
+        << Names[T];
+    EXPECT_EQ(Count(trace::EventKind::ThreadDetach), IsSampled[T])
+        << Names[T];
+    if (IsSampled[T]) {
+      EXPECT_GT(Count(trace::EventKind::JniPre), 0u) << Names[T];
+    } else {
+      EXPECT_EQ(Count(trace::EventKind::JniPre), 0u) << Names[T];
+    }
+  }
+  size_t Sampled = std::count(IsSampled.begin(), IsSampled.end(), true);
+  ASSERT_GT(Sampled, 0u) << "the seed sampled no thread; pick another";
+  ASSERT_LT(Sampled, static_cast<size_t>(NumThreads))
+      << "the seed sampled every thread; pick another";
+}
+
 TEST(CompiledDispatch, AgentCompilesAlongsideForeignHooks) {
   // A hook installed before the agent loads (a debugger, another agent)
   // stays in the program: it runs first, on every crossing, and the
@@ -381,9 +471,9 @@ TEST(CompiledDispatch, EveryInstallRepublishesAndKeepsTheOldTable) {
   EXPECT_EQ(D.hookCount(), 1u + jni::NumJniFunctions);
   EXPECT_EQ(D.demotionCount(), 0u);
 
-  D.setSampler([](jvm::JThread &) { return true; });
+  D.setSampling(true);
   EXPECT_TRUE(D.table()->Sampling);
-  D.setSampler(nullptr);
+  D.setSampling(false);
   EXPECT_FALSE(D.table()->Sampling);
 
   D.clear();

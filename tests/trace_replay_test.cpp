@@ -408,6 +408,64 @@ TEST(TraceFileFormat, ReplayRejectsShortOrMisclassifiedArguments) {
   }
 }
 
+TEST(TraceFileFormat, ReplayRejectsOutOfRangeThreadIds) {
+  // Replay indexes the thread-block table by recorded thread ids, so an id
+  // at or past jvm::MaxThreadIds, on the event or in its snapshot, must be
+  // refused before any event runs.
+  ScenarioWorld World(recordingConfig(agent::TraceMode::RecordAndReplay));
+  runMicrobenchmark(MicroId::LocalDangling, World);
+  World.shutdown();
+  trace::Trace Recorded = World.Jinn->recorder()->collect();
+  ASSERT_TRUE(Recorded.wellFormed());
+  auto IndexOf = [&Recorded](trace::EventKind Kind) {
+    auto It = std::find_if(
+        Recorded.Events.begin(), Recorded.Events.end(),
+        [Kind](const trace::TraceEvent &Ev) { return Ev.Kind == Kind; });
+    return static_cast<size_t>(It - Recorded.Events.begin());
+  };
+  const size_t Attach = IndexOf(trace::EventKind::ThreadAttach);
+  const size_t Pre = IndexOf(trace::EventKind::JniPre);
+  ASSERT_LT(Attach, Recorded.Events.size());
+  ASSERT_LT(Pre, Recorded.Events.size());
+
+  struct Case {
+    const char *Tag;
+    size_t Index;
+    const char *Kind;
+    void (*Apply)(trace::TraceEvent &);
+  };
+  const Case Crafted[] = {
+      {"attach", Attach, "thread-attach",
+       [](trace::TraceEvent &Ev) { Ev.ThreadId = jvm::MaxThreadIds; }},
+      {"event", Pre, "jni-pre",
+       [](trace::TraceEvent &Ev) { Ev.ThreadId = jvm::MaxThreadIds + 7; }},
+      {"snapshot", Pre, "jni-pre",
+       [](trace::TraceEvent &Ev) { Ev.Snap.ThreadId = 0xffffffffu; }},
+  };
+  for (const Case &C : Crafted) {
+    SCOPED_TRACE(C.Tag);
+    trace::Trace Bad = Recorded;
+    C.Apply(Bad.Events[C.Index]);
+    std::string Err;
+    EXPECT_FALSE(Bad.wellFormed(&Err));
+    EXPECT_EQ(Err, "malformed trace event " + std::to_string(C.Index) +
+                       " (" + C.Kind + "): thread id out of range");
+
+    std::string Path = tracePath(C.Tag);
+    ASSERT_TRUE(trace::writeTraceFile(Bad, Path, &Err)) << Err;
+    trace::Trace FromDisk;
+    ASSERT_TRUE(trace::readTraceFile(FromDisk, Path, &Err)) << Err;
+    std::remove(Path.c_str());
+    EXPECT_FALSE(FromDisk.wellFormed());
+    trace::ReplayResult Replayed = trace::replayTrace(FromDisk, World.Vm);
+    EXPECT_NE(Replayed.Error.find("thread id out of range"),
+              std::string::npos)
+        << Replayed.Error;
+    EXPECT_EQ(Replayed.EventsReplayed, 0u);
+    EXPECT_TRUE(Replayed.Reports.empty());
+  }
+}
+
 TEST(TraceFileFormat, MissingFileFails) {
   trace::Trace Out;
   std::string Err;
