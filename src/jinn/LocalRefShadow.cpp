@@ -26,16 +26,16 @@ void LocalRefShadow::pushFrame(uint32_t Capacity, bool Explicit) {
 void LocalRefShadow::popFrame() {
   Frame &F = top();
   // Newest first: the entry of a word the frame holds is its last one, so
-  // it is met (and moves the word's table value below this depth) before
-  // any stale entry naming the same word.
+  // it is met (and moves the word's holder below this depth) before any
+  // stale entry naming the same word.
   for (auto It = F.Owned.rbegin(); It != F.Owned.rend(); ++It) {
-    uint32_t *Holder = Table.find(It->Word);
-    if (!Holder || (*Holder & DepthMask) != Depth)
-      continue; // deleted, or held here by a later entry
+    SlotEntry *Entry = entryOf(It->Word);
+    if (!Entry || (Entry->Holder & DepthMask) != Depth)
+      continue; // deleted, dropped, or held here by a later entry
     if (It->Hidden)
-      *Holder = It->Hidden;
+      Entry->Holder = It->Hidden;
     else
-      Table.eraseFound(Holder);
+      *Entry = SlotEntry();
   }
   F.Owned.clear();
   --Depth;
@@ -66,21 +66,25 @@ size_t LocalRefShadow::exitNative() {
   return ExplicitLeaks;
 }
 
-bool LocalRefShadow::release(uint64_t Word) {
-  uint32_t *Holder = Table.find(Word);
-  if (!Holder)
-    return false;
-  Frame &F = Frames[(*Holder & DepthMask) - 1];
-  --F.Live;
+const LocalRefShadow::OwnedWord &
+LocalRefShadow::newestOwned(const Frame &F, uint64_t Word) {
   size_t Last = F.Owned.size();
-  if (*Holder & HidesBit) {
-    // Rare: a lower frame holds the word too. Its entry here says which.
-    while (F.Owned[--Last].Word != Word) {
-    }
-    *Holder = F.Owned[Last].Hidden;
-  } else {
-    Table.eraseFound(Holder);
+  while (F.Owned[--Last].Word != Word) {
   }
+  return F.Owned[Last];
+}
+
+bool LocalRefShadow::release(uint64_t Word) {
+  SlotEntry *Entry = entryOf(Word);
+  if (!Entry)
+    return false;
+  Frame &F = Frames[(Entry->Holder & DepthMask) - 1];
+  --F.Live;
+  // Rare: a lower frame holds the word too. Its entry here says which.
+  if (Entry->Holder & HidesBit)
+    Entry->Holder = newestOwned(F, Word).Hidden;
+  else
+    *Entry = SlotEntry();
   // The common create/delete pattern releases the newest entry: drop it
   // now rather than leave it for compaction.
   if (!F.Owned.empty() && F.Owned.back().Word == Word)
@@ -88,22 +92,40 @@ bool LocalRefShadow::release(uint64_t Word) {
   return true;
 }
 
+void LocalRefShadow::dropEntry(SlotEntry &Entry) {
+  // Walk the holders from the topmost down; each frame's owned entry for
+  // the word names the holder below it. The entries themselves go stale.
+  for (uint32_t Holder = Entry.Holder; Holder;) {
+    Frame &F = Frames[(Holder & DepthMask) - 1];
+    --F.Live;
+    Holder = Holder & HidesBit ? newestOwned(F, Entry.Word).Hidden : 0;
+  }
+  Entry = SlotEntry();
+}
+
+void LocalRefShadow::grow(uint32_t Slot) {
+  size_t Size = Slots.empty() ? 16 : Slots.size();
+  while (Size <= Slot)
+    Size *= 2;
+  Slots.resize(Size);
+}
+
 void LocalRefShadow::compactTop() {
   Frame &F = top();
-  // Keep, newest first, each entry whose word the table still maps to
-  // this frame and was not kept already; KeptBit marks the kept words.
+  // Keep, newest first, each entry whose word the slot entries still map
+  // to this frame and was not kept already; KeptBit marks the kept words.
   size_t Out = F.Owned.size();
   for (size_t I = Out; I-- > 0;) {
-    OwnedWord Entry = F.Owned[I];
-    uint32_t *Holder = Table.find(Entry.Word);
-    if (!Holder || (*Holder & (DepthMask | KeptBit)) != Depth)
+    OwnedWord Owned = F.Owned[I];
+    SlotEntry *Entry = entryOf(Owned.Word);
+    if (!Entry || (Entry->Holder & (DepthMask | KeptBit)) != Depth)
       continue;
-    *Holder |= KeptBit;
-    F.Owned[--Out] = Entry;
+    Entry->Holder |= KeptBit;
+    F.Owned[--Out] = Owned;
   }
   F.Owned.erase(F.Owned.begin(), F.Owned.begin() + Out);
-  for (const OwnedWord &Entry : F.Owned)
-    *Table.find(Entry.Word) &= ~KeptBit;
+  for (const OwnedWord &Owned : F.Owned)
+    entryOf(Owned.Word)->Holder &= ~KeptBit;
   assert(F.Owned.size() == F.Live && "compaction lost a live word");
 }
 

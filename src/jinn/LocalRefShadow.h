@@ -16,15 +16,26 @@
 ///     a list of the words it owns. Delete does not search the list (it
 ///     only pops a newest entry); a stale entry is skipped at pop and
 ///     dropped by on-demand compaction.
-///   - One open-addressed table (OpenMap) maps each live word to the
-///     1-based depth of the topmost frame holding it. A use check is one
-///     probe; the overflow check reads the top frame's live count.
+///   - One entry per 20-bit local slot of the handle encoding (jvm/Handle.h)
+///     holds the word the shadow tracks in that slot and the 1-based depth
+///     of the topmost frame holding it. The entries are a vector grown by
+///     doubling. A use check is one bounds check, one load and a compare
+///     with the whole word, so a word of another generation or kind never
+///     matches; the overflow check reads the top frame's live count.
 ///
-/// The shadow has exactly the semantics of one word set per frame. A word
-/// may be acquired again while it is live in a lower frame; its new owned
-/// entry then remembers the table value it hides, and a pop or delete of
-/// the upper entry restores it. The shadow keys on whole handle words and
-/// assumes nothing about their encoding.
+/// The shadow has exactly the semantics of one word set per frame, with
+/// one addition the slot index brings: a slot holds one word at a time.
+/// The VM reissues a slot only after the word it held has died, so when an
+/// acquire finds another word in its slot, that word is dropped from every
+/// frame holding it (each frame's live count falls by one) and a later use
+/// of it reads untracked. A word may be acquired again while it is live in
+/// a lower frame; its new owned entry then remembers the entry value it
+/// hides, and a pop or delete of the upper entry restores it.
+///
+/// Only local handle words of the shadowed thread may be acquired (their
+/// thread field is the thread's id): the slot index is per thread. Any
+/// word may be looked up or released; one the shadow does not hold reads
+/// untracked.
 ///
 /// Thread-confined: only the thread whose transitions it shadows touches
 /// it (see LocalRefMachine).
@@ -34,7 +45,7 @@
 #ifndef JINN_JINN_LOCALREFSHADOW_H
 #define JINN_JINN_LOCALREFSHADOW_H
 
-#include "support/OpenMap.h"
+#include "jvm/Handle.h"
 
 #include <cstdint>
 #include <vector>
@@ -67,21 +78,39 @@ public:
       Top.Capacity = Capacity;
   }
 
-  /// Adds \p Word to the top frame (a no-op when the top frame already
-  /// holds it) and returns the top frame's live count.
+  /// Adds \p Word, a local handle of the shadowed thread, to the top frame
+  /// (a no-op when the top frame already holds it) and returns the top
+  /// frame's live count. A different word in \p Word's slot is dropped
+  /// first.
   size_t acquire(uint64_t Word) {
-    uint32_t &Holder = Table.findOrEmplace(Word, 0);
+    uint32_t Slot = slotOf(Word);
+    if (Slot >= Slots.size())
+      grow(Slot);
+    SlotEntry &Entry = Slots[Slot];
     Frame &Top = top();
-    if ((Holder & DepthMask) == Depth)
+    if (Entry.Word != Word) {
+      if (Entry.Word)
+        dropEntry(Entry);
+      Entry.Word = Word;
+    } else if ((Entry.Holder & DepthMask) == Depth) {
       return Top.Live;
+    }
     if (Top.Owned.size() >= 2 * size_t(Top.Live) + 16)
       compactTop();
-    Top.Owned.push_back({Word, Holder});
-    Holder = Depth | (Holder ? HidesBit : 0);
+    Top.Owned.push_back({Word, Entry.Holder});
+    Entry.Holder = Depth | (Entry.Holder ? HidesBit : 0);
     return ++Top.Live;
   }
   /// True when some frame holds \p Word.
-  bool tracks(uint64_t Word) const { return Table.find(Word) != nullptr; }
+  bool tracks(uint64_t Word) const {
+    uint32_t Slot = slotOf(Word);
+    return Slot < Slots.size() && Slots[Slot].Word == Word;
+  }
+  /// True when some frame holds a word in \p Word's slot, whichever word.
+  bool occupies(uint64_t Word) const {
+    uint32_t Slot = slotOf(Word);
+    return Slot < Slots.size() && Slots[Slot].Word != 0;
+  }
   /// DeleteLocalRef: removes \p Word from the topmost frame holding it.
   /// Returns false when no frame does.
   bool release(uint64_t Word);
@@ -94,15 +123,21 @@ public:
   size_t topOwnedEntries() const { return Frames[Depth - 1].Owned.size(); }
 
 private:
-  /// Table values: the holder's 1-based depth, plus HidesBit when a lower
+  /// Holder values: the holder's 1-based depth, plus HidesBit when a lower
   /// frame holds the word too. KeptBit marks words during compaction.
   static constexpr uint32_t HidesBit = 1u << 31;
   static constexpr uint32_t KeptBit = 1u << 30;
   static constexpr uint32_t DepthMask = KeptBit - 1;
 
+  /// One local slot: the word tracked there (0: none) and its holder value
+  /// (0 exactly when Word is 0).
+  struct SlotEntry {
+    uint64_t Word = 0;
+    uint32_t Holder = 0;
+  };
   struct OwnedWord {
     uint64_t Word;
-    uint32_t Hidden; ///< table value this entry hid when added (0: none)
+    uint32_t Hidden; ///< holder value this entry hid when added (0: none)
   };
   struct Frame {
     uint32_t Capacity = 16;
@@ -113,15 +148,33 @@ private:
     std::vector<OwnedWord> Owned;
   };
 
+  static uint32_t slotOf(uint64_t Word) {
+    namespace D = jvm::handle_detail;
+    return static_cast<uint32_t>((Word >> D::SlotShift) & D::SlotMask);
+  }
+  /// The entry of \p Word's slot if it holds \p Word, else nullptr.
+  SlotEntry *entryOf(uint64_t Word) {
+    uint32_t Slot = slotOf(Word);
+    return Slot < Slots.size() && Slots[Slot].Word == Word ? &Slots[Slot]
+                                                           : nullptr;
+  }
+
   Frame &top() { return Frames[Depth - 1]; }
   void popFrame();
   /// Drops the top frame's stale entries, keeping each live word's entry.
   void compactTop();
+  /// Grows the slot entries, doubling, until \p Slot has one.
+  void grow(uint32_t Slot);
+  /// Drops the word \p Entry holds from every frame holding it: a word the
+  /// VM can no longer have live, because it reissued the slot.
+  void dropEntry(SlotEntry &Entry);
+  /// The newest entry of \p F's owned list naming \p Word.
+  static const OwnedWord &newestOwned(const Frame &F, uint64_t Word);
 
   std::vector<Frame> Frames; ///< [0, Depth) active; the rest are spares
   uint32_t Depth = 0;
   std::vector<uint32_t> EntryDepths; ///< depth at each native entry
-  OpenMap<uint32_t> Table;           ///< word -> holder depth | HidesBit
+  std::vector<SlotEntry> Slots;      ///< indexed by local slot
 };
 
 } // namespace jinn::agent

@@ -5,10 +5,22 @@
 //===----------------------------------------------------------------------===//
 
 #include "jinn/Machines.h"
+#include "jinn/machines/MachineUtil.h"
 
 #include <algorithm>
+#include <cstdarg>
 
 using namespace jinn::agent;
+
+void jinn::agent::fail(TransitionContext &Ctx,
+                       const spec::StateMachineSpec &Spec, const char *Fmt,
+                       ...) {
+  va_list Args;
+  va_start(Args, Fmt);
+  std::string Message = formatStringV(Fmt, Args);
+  va_end(Args);
+  Ctx.reporter().violation(Ctx, Spec, Message);
+}
 
 std::vector<jinn::spec::MachineBase *> MachineSet::all() {
   return {&EnvState,         &ExceptionState, &CriticalState,

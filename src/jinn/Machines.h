@@ -30,8 +30,8 @@
 /// of atomic words indexed by the handle's global slot; the one table
 /// keyed by entity identity that any thread may touch (outstanding pins)
 /// is lock-striped so concurrent crossings contend only when they hash to
-/// the same shard. MachineSet::lockAcquires() counts how often those stripes,
-/// the only shadow lock, were taken.
+/// the same shard. MachineSet::lockAcquires() counts how often crossings
+/// took those stripes, the only shadow lock.
 ///
 /// Checks never call JNI functions; they inspect the VM through the
 /// policy-free JVMTI peek interface. (The paper's Jinn calls functions like
@@ -232,6 +232,11 @@ private:
   /// position, or -1 for a native method's returned reference; the text
   /// naming it is built only when a violation is reported.
   void useCheck(spec::TransitionContext &Ctx, uint64_t Word, int ArgIndex);
+  /// useCheck's rare half, for a word \p Shadow does not track: adopts a
+  /// pre-agent reference the VM holds live and reports a dead one.
+  [[gnu::cold, gnu::noinline]] void useUntracked(spec::TransitionContext &Ctx,
+                                                 LocalRefShadow &Shadow,
+                                                 uint64_t Word, int ArgIndex);
   void countChanged(uint32_t ThreadId, const LocalRefShadow &Shadow) {
     if (OnCountChange)
       OnCountChange(ThreadId, Shadow.liveCount());
@@ -324,9 +329,9 @@ struct MachineSet {
   std::vector<spec::MachineBase *>
   select(const std::vector<std::string> &Names);
 
-  /// Acquisitions of the pin stripes, the only shadow lock — the
-  /// contention proxy surfaced through the Diagnostics counters and
-  /// bench_mt_scaling.
+  /// Acquisitions of the pin stripes by crossings (the only shadow lock;
+  /// the VM-death sweep is not counted) — the contention proxy surfaced
+  /// through the Diagnostics counters and bench_mt_scaling.
   uint64_t lockAcquires() const {
     return PinnedResource.Outstanding.lockAcquires();
   }

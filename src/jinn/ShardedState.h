@@ -91,25 +91,27 @@ public:
     return std::unique_lock<std::mutex>(S.Mu);
   }
 
-  /// Total entries across shards (locks each shard in turn).
+  /// Total entries across shards (locks each shard in turn). A sweep, not
+  /// a crossing: its locks are not counted.
   size_t size() const {
     size_t N = 0;
     for (const Shard &S : Shards) {
-      auto Lock = lock(S);
+      std::lock_guard<std::mutex> Lock(S.Mu);
       N += S.Map.size();
     }
     return N;
   }
 
-  /// Visits every entry, one shard lock at a time.
+  /// Visits every entry, one shard lock at a time. A sweep, not a
+  /// crossing: its locks are not counted.
   template <typename Fn> void forEach(Fn &&Visit) const {
     for (const Shard &S : Shards) {
-      auto Lock = lock(S);
+      std::lock_guard<std::mutex> Lock(S.Mu);
       S.Map.forEach(Visit);
     }
   }
 
-  /// Total lock acquisitions so far (the contention proxy).
+  /// Lock acquisitions by crossings so far (the contention proxy).
   uint64_t lockAcquires() const {
     uint64_t N = 0;
     for (const Shard &S : Shards)

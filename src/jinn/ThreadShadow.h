@@ -129,8 +129,8 @@ private:
   }
   /// Installs a fresh block in \p Slot unless another thread won the race;
   /// either way returns the installed block.
-  static ThreadShadow &install(std::atomic<ThreadShadow *> &Slot,
-                               uint32_t FrameCapacity);
+  [[gnu::cold]] static ThreadShadow &
+  install(std::atomic<ThreadShadow *> &Slot, uint32_t FrameCapacity);
 
   ChunkDirectory<ThreadShadow *, 8, (jvm::MaxThreadIds >> 8)> Blocks;
 };

@@ -50,9 +50,9 @@ AccessControlMachine::AccessControlMachine() {
         if (!F)
           return; // invalid IDs belong to the entity-typing machine
         if (F->IsFinal)
-          Ctx.reporter().violation(
-              Ctx, Spec,
-              formatString("assignment to final field %s",
-                           F->qualifiedName().c_str()));
+          failWith(Ctx, Spec, [&] {
+            return formatString("assignment to final field %s",
+                                F->qualifiedName().c_str());
+          });
       }));
 }

@@ -99,7 +99,7 @@ CriticalNestingMachine::CriticalNestingMachine(ThreadShadows &Blocks)
             mutate::active(mutate::M::SpecCriticalGuardWeakened) ? 2 : 1;
         if (Threads.at(Ctx).CriticalNestingDepth.get() < Bound)
           return;
-        Ctx.reporter().violation(Ctx, Spec, NestedCriticalMsg);
+        fail(Ctx, Spec, "%s", NestedCriticalMsg);
       }));
   Spec.Transitions.back().Violation = NestedCriticalMsg;
 }

@@ -82,15 +82,14 @@ CriticalStateMachine::CriticalStateMachine(ThreadShadows &Blocks)
         uint64_t BufTarget = 0;
         bool Found = Buf && Ctx.releasedBuffer(Buf, BufTarget);
         if (!Found || Shadow.CriticalDepth.get() <= 0) {
-          Ctx.reporter().violation(
-              Ctx, Spec, "An unmatched critical-section release was issued");
+          fail(Ctx, Spec, "An unmatched critical-section release was issued");
           return;
         }
         HeldCounts *Held = Shadow.Held.find(BufTarget);
         if (!Held || Held->Criticals <= 0) {
-          Ctx.reporter().violation(Ctx, Spec,
-                                   "A critical resource was released that "
-                                   "this thread does not hold");
+          fail(Ctx, Spec,
+               "A critical resource was released that this thread does not "
+               "hold");
           return;
         }
         if (!mutate::active(mutate::M::SpecThreadShadowCriticalHeldKept))
@@ -110,9 +109,7 @@ CriticalStateMachine::CriticalStateMachine(ThreadShadows &Blocks)
       [this](TransitionContext &Ctx) {
         if (!inCritical(Ctx))
           return;
-        Ctx.reporter().violation(
-            Ctx, Spec,
-            "A JNI call was made inside a JNI critical section");
+        fail(Ctx, Spec, "A JNI call was made inside a JNI critical section");
       }));
 }
 

@@ -92,32 +92,30 @@ EntityTypingMachine::EntityTypingMachine() {
           jvm::MethodInfo *M = Ctx.call().methodArg();
           if (!M) {
             if (Ctx.call().methodArgWord())
-              Ctx.reporter().violation(
-                  Ctx, Spec, "The method ID is not a valid jmethodID");
+              fail(Ctx, Spec, "The method ID is not a valid jmethodID");
             return; // null IDs belong to the nullness machine
           }
           // Staticness must agree with the call family.
           if (Traits.Call == CallKind::Static && !M->IsStatic) {
-            Ctx.reporter().violation(
-                Ctx, Spec,
-                formatString("%s is not static but was called through "
-                             "CallStatic*",
-                             M->qualifiedName().c_str()));
+            failWith(Ctx, Spec, [&] {
+              return formatString("%s is not static but was called through "
+                                  "CallStatic*",
+                                  M->qualifiedName().c_str());
+            });
             return;
           }
           if ((Traits.Call == CallKind::Virtual ||
                Traits.Call == CallKind::Nonvirtual) &&
               M->IsStatic) {
-            Ctx.reporter().violation(
-                Ctx, Spec,
-                formatString("%s is static but was called through an "
-                             "instance-call function",
-                             M->qualifiedName().c_str()));
+            failWith(Ctx, Spec, [&] {
+              return formatString("%s is static but was called through an "
+                                  "instance-call function",
+                                  M->qualifiedName().c_str());
+            });
             return;
           }
           if (Traits.Call == CallKind::Ctor && M->Name != "<init>") {
-            Ctx.reporter().violation(
-                Ctx, Spec, "NewObject requires a constructor method ID");
+            fail(Ctx, Spec, "NewObject requires a constructor method ID");
             return;
           }
 
@@ -129,10 +127,8 @@ EntityTypingMachine::EntityTypingMachine() {
             if (Peek.S == jvm::Vm::PeekResult::Status::Live) {
               jvm::Klass *Have = Vm.klassOf(Peek.Target);
               if (Have && !Have->isSubclassOf(M->Owner)) {
-                Ctx.reporter().violation(
-                    Ctx, Spec,
-                    formatString("the receiver is not an instance of %s",
-                                 M->Owner->name().c_str()));
+                fail(Ctx, Spec, "the receiver is not an instance of %s",
+                     M->Owner->name().c_str());
                 return;
               }
             }
@@ -146,18 +142,14 @@ EntityTypingMachine::EntityTypingMachine() {
                 if (Traits.Call == CallKind::Static && Kl != M->Owner &&
                     !Kl->findDeclaredMethod(M->Name, M->Desc, true)) {
                   // The Eclipse/SWT case: the class only inherits it.
-                  Ctx.reporter().violation(
-                      Ctx, Spec,
-                      formatString("class %s does not declare the static "
-                                   "method %s%s",
-                                   Kl->name().c_str(), M->Name.c_str(),
-                                   M->Desc.c_str()));
+                  fail(Ctx, Spec,
+                       "class %s does not declare the static method %s%s",
+                       Kl->name().c_str(), M->Name.c_str(), M->Desc.c_str());
                   return;
                 }
                 if (Traits.Call == CallKind::Ctor && Kl != M->Owner) {
-                  Ctx.reporter().violation(
-                      Ctx, Spec,
-                      "the constructor belongs to a different class");
+                  fail(Ctx, Spec,
+                       "the constructor belongs to a different class");
                   return;
                 }
               }
@@ -168,13 +160,13 @@ EntityTypingMachine::EntityTypingMachine() {
           if (Traits.Call != CallKind::NotACall &&
               Traits.Call != CallKind::Ctor &&
               Traits.CallRet != M->Sig.Ret.Kind) {
-            Ctx.reporter().violation(
-                Ctx, Spec,
-                formatString("%s returns %s but was called through a "
-                             "Call<%s> function",
-                             M->qualifiedName().c_str(),
-                             jvm::typeName(M->Sig.Ret.Kind),
-                             jvm::typeName(Traits.CallRet)));
+            failWith(Ctx, Spec, [&] {
+              return formatString("%s returns %s but was called through a "
+                                  "Call<%s> function",
+                                  M->qualifiedName().c_str(),
+                                  jvm::typeName(M->Sig.Ret.Kind),
+                                  jvm::typeName(Traits.CallRet));
+            });
             return;
           }
 
@@ -186,11 +178,11 @@ EntityTypingMachine::EntityTypingMachine() {
               if (!Formal.isReference())
                 continue;
               if (!conformsTo(Ctx, jni::handleWord(Args[K].l), Formal)) {
-                Ctx.reporter().violation(
-                    Ctx, Spec,
-                    formatString("actual argument %zu does not conform to "
-                                 "formal type %s",
-                                 K + 1, Formal.toDescriptor().c_str()));
+                failWith(Ctx, Spec, [&] {
+                  return formatString("actual argument %zu does not conform "
+                                      "to formal type %s",
+                                      K + 1, Formal.toDescriptor().c_str());
+                });
                 return;
               }
             }
@@ -202,28 +194,27 @@ EntityTypingMachine::EntityTypingMachine() {
         jvm::FieldInfo *F = Ctx.call().fieldArg();
         if (!F) {
           if (Ctx.call().fieldArgWord())
-            Ctx.reporter().violation(Ctx, Spec,
-                                     "The field ID is not a valid jfieldID");
+            fail(Ctx, Spec, "The field ID is not a valid jfieldID");
           return;
         }
         if (!Traits.IsFieldGet && !Traits.IsFieldSet)
           return; // ToReflectedField: validity only
         if (F->IsStatic != Traits.IsStaticFieldOp) {
-          Ctx.reporter().violation(
-              Ctx, Spec,
-              formatString("%s %s static but the accessor is for %s fields",
-                           F->qualifiedName().c_str(),
-                           F->IsStatic ? "is" : "is not",
-                           Traits.IsStaticFieldOp ? "static" : "instance"));
+          failWith(Ctx, Spec, [&] {
+            return formatString(
+                "%s %s static but the accessor is for %s fields",
+                F->qualifiedName().c_str(), F->IsStatic ? "is" : "is not",
+                Traits.IsStaticFieldOp ? "static" : "instance");
+          });
           return;
         }
         if (F->Type.Kind != Traits.FieldKind) {
-          Ctx.reporter().violation(
-              Ctx, Spec,
-              formatString("%s has type %s but was accessed as %s",
-                           F->qualifiedName().c_str(),
-                           jvm::typeName(F->Type.Kind),
-                           jvm::typeName(Traits.FieldKind)));
+          failWith(Ctx, Spec, [&] {
+            return formatString("%s has type %s but was accessed as %s",
+                                F->qualifiedName().c_str(),
+                                jvm::typeName(F->Type.Kind),
+                                jvm::typeName(Traits.FieldKind));
+          });
           return;
         }
         uint64_t Recv = Ctx.call().refWord(0);
@@ -232,18 +223,14 @@ EntityTypingMachine::EntityTypingMachine() {
           if (!Traits.IsStaticFieldOp) {
             jvm::Klass *Have = Ctx.vm().klassOf(Peek.Target);
             if (Have && !Have->isSubclassOf(F->Owner)) {
-              Ctx.reporter().violation(
-                  Ctx, Spec,
-                  formatString("the receiver is not an instance of %s",
-                               F->Owner->name().c_str()));
+              fail(Ctx, Spec, "the receiver is not an instance of %s",
+                   F->Owner->name().c_str());
               return;
             }
           } else if (jvm::Klass *Kl = Ctx.vm().klassFromMirror(Peek.Target)) {
             if (!Kl->isSubclassOf(F->Owner)) {
-              Ctx.reporter().violation(
-                  Ctx, Spec,
-                  formatString("class %s does not have the field %s",
-                               Kl->name().c_str(), F->Name.c_str()));
+              fail(Ctx, Spec, "class %s does not have the field %s",
+                   Kl->name().c_str(), F->Name.c_str());
               return;
             }
           }
@@ -252,11 +239,11 @@ EntityTypingMachine::EntityTypingMachine() {
         if (Traits.IsFieldSet && Traits.FieldKind == JType::Object) {
           uint64_t Val = Ctx.call().refWord(2);
           if (!conformsTo(Ctx, Val, F->Type))
-            Ctx.reporter().violation(
-                Ctx, Spec,
-                formatString("the assigned value does not conform to the "
-                             "field type %s",
-                             F->Type.toDescriptor().c_str()));
+            failWith(Ctx, Spec, [&] {
+              return formatString("the assigned value does not conform to "
+                                  "the field type %s",
+                                  F->Type.toDescriptor().c_str());
+            });
         }
       }));
 }

@@ -38,19 +38,18 @@ JniEnvStateMachine::JniEnvStateMachine(ThreadShadows &Blocks)
         if (mutate::active(mutate::M::SpecEnvIdentitySwapped))
           Current = Ctx.threadId(); // mutant: x != x, never fires
         if (Current && Current != Ctx.threadId()) {
-          Ctx.reporter().violation(
-              Ctx, Spec,
-              formatString("The JNIEnv of thread \"%s\" was used while "
-                           "executing on thread \"%s\"",
-                           Ctx.threadName().c_str(),
-                           Ctx.currentThreadName().c_str()));
+          failWith(Ctx, Spec, [&] {
+            return formatString("The JNIEnv of thread \"%s\" was used while "
+                                "executing on thread \"%s\"",
+                                Ctx.threadName().c_str(),
+                                Ctx.currentThreadName().c_str());
+          });
           return;
         }
         uint64_t Expected =
             Threads.at(Ctx).ExpectedEnv.load(std::memory_order_relaxed);
         if (Expected && Expected != Ctx.envWord())
-          Ctx.reporter().violation(
-              Ctx, Spec, "A stale JNIEnv pointer was used for this thread");
+          fail(Ctx, Spec, "A stale JNIEnv pointer was used for this thread");
       }));
 }
 

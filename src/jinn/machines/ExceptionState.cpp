@@ -50,6 +50,6 @@ ExceptionStateMachine::ExceptionStateMachine() {
           return; // mutant: the pending-exception check never runs
         if (!Ctx.exceptionPending())
           return;
-        Ctx.reporter().violation(Ctx, Spec, "An exception is pending");
+        fail(Ctx, Spec, "An exception is pending");
       }));
 }

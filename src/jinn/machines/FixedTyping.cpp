@@ -109,12 +109,9 @@ FixedTypingMachine::FixedTypingMachine(const CriticalStateMachine &Critical)
           if (Peek.S != jvm::Vm::PeekResult::Status::Live)
             continue; // reference machines own liveness errors
           if (!satisfies(Ctx.vm(), Peek.Target, Param.Constraint)) {
-            Ctx.reporter().violation(
-                Ctx, Spec,
-                formatString("argument %d is not assignable to the "
-                             "expected type %s",
-                             I + 1,
-                             jni::refConstraintClassName(Param.Constraint)));
+            fail(Ctx, Spec,
+                 "argument %d is not assignable to the expected type %s",
+                 I + 1, jni::refConstraintClassName(Param.Constraint));
             return;
           }
         }

@@ -106,9 +106,8 @@ GlobalRefMachine::GlobalRefMachine() {
         if (Peek.S == jvm::Vm::PeekResult::Status::Live ||
             Peek.S == jvm::Vm::PeekResult::Status::ClearedWeak)
           return; // created before the agent attached; adopt the delete
-        Ctx.reporter().violation(
-            Ctx, Spec,
-            "a global reference was deleted twice (double free / dangling)");
+        fail(Ctx, Spec,
+             "a global reference was deleted twice (double free / dangling)");
       }));
 
   // Use: Call:C->Java with a global-kind reference argument.
@@ -131,13 +130,10 @@ GlobalRefMachine::GlobalRefMachine() {
             continue; // locals belong to the local-reference machine
           if (!dangling(Ctx, Word))
             continue;
-          Ctx.reporter().violation(
-              Ctx, Spec,
-              formatString("argument %d is a dangling %s reference "
-                           "(deleted earlier)",
-                           I + 1,
-                           Bits->Kind == RefKind::WeakGlobal ? "weak global"
-                                                             : "global"));
+          fail(Ctx, Spec,
+               "argument %d is a dangling %s reference (deleted earlier)",
+               I + 1,
+               Bits->Kind == RefKind::WeakGlobal ? "weak global" : "global");
           return;
         }
       }));
@@ -157,9 +153,7 @@ GlobalRefMachine::GlobalRefMachine() {
           return;
         if (!dangling(Ctx, Word))
           return;
-        Ctx.reporter().violation(
-            Ctx, Spec,
-            "a native method returned a dangling global reference");
+        fail(Ctx, Spec, "a native method returned a dangling global reference");
       }));
 }
 

@@ -76,7 +76,7 @@ LocalFrameNestingMachine::LocalFrameNestingMachine(ThreadShadows &Blocks)
         CounterOp::Pop, [this](TransitionContext &Ctx) {
           if (Threads.at(Ctx).LocalFrameDepth.get() > 0)
             return;
-          Ctx.reporter().violation(Ctx, Spec, UnmatchedPopMsg);
+          fail(Ctx, Spec, "%s", UnmatchedPopMsg);
         }));
     Spec.Transitions.back().Violation = UnmatchedPopMsg;
   }

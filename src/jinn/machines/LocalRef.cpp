@@ -52,10 +52,11 @@ bool isLocalUseFunction(const FnTraits &Traits) {
          Traits.Resource != ResourceRole::PopFrame;
 }
 
-/// True for a local reference word: the only words this machine acquires.
-bool isLocalWord(uint64_t Word) {
+/// True for a local reference word of thread \p Tid: the only words this
+/// machine acquires, because the shadow indexes a thread's words by slot.
+bool isOwnLocalWord(uint64_t Word, uint32_t Tid) {
   std::optional<jvm::HandleBits> Bits = jvm::decodeHandle(Word);
-  return Word && Bits && Bits->Kind == RefKind::Local;
+  return Word && Bits && Bits->Kind == RefKind::Local && Bits->Thread == Tid;
 }
 
 /// useCheck's position for a native method's returned reference.
@@ -93,11 +94,10 @@ void LocalRefMachine::acquire(TransitionContext &Ctx, LocalRefShadow &Shadow,
   if (mutate::active(mutate::M::SpecLocalRefOverflowOffByOne))
     Limit += 1;
   if (TopLive > Limit)
-    Ctx.reporter().violation(
-        Ctx, Spec,
-        formatString("local reference overflow: %zu live references exceed "
-                     "the ensured capacity of %u",
-                     TopLive, Shadow.topCapacity()));
+    fail(Ctx, Spec,
+         "local reference overflow: %zu live references exceed the ensured "
+         "capacity of %u",
+         TopLive, Shadow.topCapacity());
 }
 
 void LocalRefMachine::useCheck(TransitionContext &Ctx, uint64_t Word,
@@ -106,11 +106,11 @@ void LocalRefMachine::useCheck(TransitionContext &Ctx, uint64_t Word,
     return;
   std::optional<jvm::HandleBits> Bits = jvm::decodeHandle(Word);
   if (!Bits) {
-    Ctx.reporter().violation(
-        Ctx, Spec,
-        formatString("%s is not a JNI reference (a method or field ID, or "
-                     "a stray pointer?)",
-                     usedRefName(ArgIndex).c_str()));
+    failWith(Ctx, Spec, [ArgIndex] {
+      return formatString("%s is not a JNI reference (a method or field ID, "
+                          "or a stray pointer?)",
+                          usedRefName(ArgIndex).c_str());
+    });
     return;
   }
   if (Bits->Kind != RefKind::Local)
@@ -119,27 +119,36 @@ void LocalRefMachine::useCheck(TransitionContext &Ctx, uint64_t Word,
   if (Bits->Thread != Tid) {
     // Thread confinement: never touch the owning thread's shadow from
     // here — report and stop.
-    Ctx.reporter().violation(
-        Ctx, Spec,
-        formatString("%s is a local reference that belongs to thread %u, "
-                     "not to the current thread %u",
-                     usedRefName(ArgIndex).c_str(), Bits->Thread, Tid));
+    uint32_t Owner = Bits->Thread;
+    failWith(Ctx, Spec, [ArgIndex, Owner, Tid] {
+      return formatString("%s is a local reference that belongs to thread "
+                          "%u, not to the current thread %u",
+                          usedRefName(ArgIndex).c_str(), Owner, Tid);
+    });
     return;
   }
   LocalRefShadow &Shadow = shadowAt(Ctx);
-  if (Shadow.tracks(Word))
-    return; // tracked and live
-  // Untracked: adopt pre-agent references; report dead ones.
+  if (!Shadow.tracks(Word))
+    useUntracked(Ctx, Shadow, Word, ArgIndex);
+}
+
+void LocalRefMachine::useUntracked(TransitionContext &Ctx,
+                                   LocalRefShadow &Shadow, uint64_t Word,
+                                   int ArgIndex) {
+  if (mutate::active(mutate::M::SpecLocalRefSlotOccupancyMatch) &&
+      Shadow.occupies(Word))
+    return; // mutant: any word in the slot passes the use check
+  // Adopt pre-agent references; report dead ones.
   jvm::Vm::PeekResult Peek = peekRef(Ctx, Word);
   if (Peek.S == jvm::Vm::PeekResult::Status::Live) {
     Shadow.acquire(Word);
     return;
   }
-  Ctx.reporter().violation(
-      Ctx, Spec,
-      formatString("%s is a dangling local reference (its frame was popped "
-                   "or it was deleted)",
-                   usedRefName(ArgIndex).c_str()));
+  failWith(Ctx, Spec, [ArgIndex] {
+    return formatString("%s is a dangling local reference (its frame was "
+                        "popped or it was deleted)",
+                        usedRefName(ArgIndex).c_str());
+  });
 }
 
 LocalRefMachine::LocalRefMachine(ThreadShadows &Blocks) : Threads(Blocks) {
@@ -161,7 +170,9 @@ LocalRefMachine::LocalRefMachine(ThreadShadows &Blocks) : Threads(Blocks) {
         jvmti::CapturedCall &Call = Ctx.call();
         LocalRefShadow &Shadow = shadowAt(Ctx);
         Shadow.enterNative(Ctx.nativeFrameCapacity());
-        if (uint64_t Self = jni::handleWord(Call.self()); isLocalWord(Self))
+        uint32_t Tid = Ctx.threadId();
+        if (uint64_t Self = jni::handleWord(Call.self());
+            isOwnLocalWord(Self, Tid))
           acquire(Ctx, Shadow, Self);
         // The actuals the crossing carries: every formal live, the first
         // TraceEvent::MaxNativeArgs under replay.
@@ -171,7 +182,7 @@ LocalRefMachine::LocalRefMachine(ThreadShadows &Blocks) : Threads(Blocks) {
         for (size_t I = 0; I < Args.size(); ++I) {
           uint64_t Arg = Params[I].isReference() ? jni::handleWord(Args[I].l)
                                                  : 0;
-          if (isLocalWord(Arg))
+          if (isOwnLocalWord(Arg, Tid))
             acquire(Ctx, Shadow, Arg);
         }
       }));
@@ -187,7 +198,7 @@ LocalRefMachine::LocalRefMachine(ThreadShadows &Blocks) : Threads(Blocks) {
         if (!Ctx.call().returnIsRef())
           return;
         uint64_t Word = Ctx.call().returnWord();
-        if (isLocalWord(Word))
+        if (isOwnLocalWord(Word, Ctx.threadId()))
           acquire(Ctx, shadowAt(Ctx), Word);
       }));
 
@@ -257,9 +268,8 @@ LocalRefMachine::LocalRefMachine(ThreadShadows &Blocks) : Threads(Blocks) {
         jvm::Vm::PeekResult Peek = peekRef(Ctx, Word);
         if (Peek.S == jvm::Vm::PeekResult::Status::Live)
           return; // pre-agent reference; the delete is legitimate
-        Ctx.reporter().violation(
-            Ctx, Spec,
-            "DeleteLocalRef of a dead local reference (double free)");
+        fail(Ctx, Spec,
+             "DeleteLocalRef of a dead local reference (double free)");
       }));
 
   // Release at Call:C->Java of PopLocalFrame. The *underflow* (a pop with
@@ -291,10 +301,9 @@ LocalRefMachine::LocalRefMachine(ThreadShadows &Blocks) : Threads(Blocks) {
         size_t ExplicitLeaks = Shadow.exitNative();
         countChanged(Ctx.threadId(), Shadow);
         if (ExplicitLeaks > 0)
-          Ctx.reporter().violation(
-              Ctx, Spec,
-              formatString("%zu local reference frame(s) pushed with "
-                           "PushLocalFrame were never popped (leak)",
-                           ExplicitLeaks));
+          fail(Ctx, Spec,
+               "%zu local reference frame(s) pushed with PushLocalFrame were "
+               "never popped (leak)",
+               ExplicitLeaks);
       }));
 }

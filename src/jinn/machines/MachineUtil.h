@@ -38,6 +38,24 @@ inline uint64_t identityOf(TransitionContext &Ctx, uint64_t Word) {
   return Peek.Target.raw();
 }
 
+/// Reports a violation of \p Spec at \p Ctx, with a printf-style message,
+/// through Reporter::violation. Cold and out of line: a check's clean path
+/// carries none of the code that builds and delivers a report, so it stays
+/// a short leaf.
+[[gnu::cold, gnu::noinline]] void fail(TransitionContext &Ctx,
+                                       const spec::StateMachineSpec &Spec,
+                                       const char *Fmt, ...)
+    __attribute__((format(printf, 3, 4)));
+
+/// Same, for a message that needs computed strings (thread names,
+/// qualified member names): \p Message builds it inside the cold path.
+template <typename MessageFn>
+[[gnu::cold, gnu::noinline]] void failWith(TransitionContext &Ctx,
+                                           const spec::StateMachineSpec &Spec,
+                                           MessageFn &&Message) {
+  Ctx.reporter().violation(Ctx, Spec, Message());
+}
+
 /// Builds a state transition in one expression.
 inline StateTransition makeTransition(std::string From, std::string To,
                                       std::vector<LanguageTransition> At,

@@ -74,7 +74,7 @@ MonitorBalanceMachine::MonitorBalanceMachine(ThreadShadows &Blocks)
       CounterOp::Pop, [this](TransitionContext &Ctx) {
         if (Threads.at(Ctx).MonitorDepth.get() > 0)
           return;
-        Ctx.reporter().violation(Ctx, Spec, UnmatchedExitMsg);
+        fail(Ctx, Spec, "%s", UnmatchedExitMsg);
       }));
   Spec.Transitions.back().Violation = UnmatchedExitMsg;
 }

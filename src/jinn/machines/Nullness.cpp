@@ -48,9 +48,7 @@ NullnessMachine::NullnessMachine() {
           if (mutate::active(mutate::M::SpecNullnessInverted))
             IsNull = !IsNull;
           if (IsNull) {
-            Ctx.reporter().violation(
-                Ctx, Spec,
-                formatString("parameter %d must not be null", I + 1));
+            fail(Ctx, Spec, "parameter %d must not be null", I + 1);
             return;
           }
         }

@@ -80,10 +80,9 @@ PinnedResourceMachine::PinnedResourceMachine() {
         uint64_t BufTarget = 0;
         bool Found = Buf && Ctx.releasedBuffer(Buf, BufTarget);
         if (!Found) {
-          Ctx.reporter().violation(
-              Ctx, Spec,
-              "a pinned string/array buffer was released twice (double "
-              "free) or was never acquired");
+          fail(Ctx, Spec,
+               "a pinned string/array buffer was released twice (double free) "
+               "or was never acquired");
           return;
         }
         // A JNI_COMMIT release copies back without freeing.
@@ -110,10 +109,9 @@ PinnedResourceMachine::PinnedResourceMachine() {
           }
         }
         if (DoubleFree)
-          Ctx.reporter().violation(
-              Ctx, Spec,
-              "a pinned string/array resource was released that was not "
-              "acquired (double free)");
+          fail(Ctx, Spec,
+               "a pinned string/array resource was released that was not "
+               "acquired (double free)");
       }));
 }
 

@@ -22,56 +22,43 @@ NativeBindObserver::~NativeBindObserver() = default;
 // Thread-local current-thread registry
 //===----------------------------------------------------------------------===
 
-namespace {
-
-/// Which VM thread the calling OS thread stands for, per runtime. The epoch
-/// (a never-reused runtime id) invalidates entries left behind by destroyed
-/// runtimes whose heap address got recycled.
-struct CurrentEntry {
-  const JniRuntime *Rt = nullptr;
-  uint64_t Epoch = 0;
-  jvm::JThread *Thread = nullptr;
-};
-
-thread_local std::vector<CurrentEntry> CurrentEntries;
-
-std::atomic<uint64_t> NextRuntimeEpoch{1};
-
 /// Entries of destroyed runtimes cannot be purged eagerly (a runtime never
-/// sees other threads' vectors), so the registry is kept as a small LRU:
-/// hits migrate toward the front and the coldest entry is evicted once the
-/// list is full. A long-lived thread that touches many short-lived
-/// runtimes then keeps O(1) lookups instead of scanning every runtime it
-/// ever served.
-constexpr size_t MaxCurrentEntries = 16;
+/// sees other threads' registries), so the registry is kept as a small
+/// LRU: hits migrate one step toward the front, a new binding enters at
+/// the front and the coldest entry falls off the back once all 16 are in
+/// use. A long-lived thread that touches many short-lived runtimes then
+/// keeps O(1) lookups instead of scanning every runtime it ever served.
+/// The epoch (a never-reused runtime id) invalidates entries left behind
+/// by destroyed runtimes whose heap address got recycled.
+thread_local constinit JniRuntime::CurrentEntry
+    JniRuntime::CurrentEntries[MaxCurrentEntries] = {};
 
-CurrentEntry *findCurrentEntry(const JniRuntime *Rt, uint64_t Epoch) {
-  for (size_t I = 0; I < CurrentEntries.size(); ++I) {
-    if (CurrentEntries[I].Rt == Rt && CurrentEntries[I].Epoch == Epoch) {
-      if (I > 0)
-        std::swap(CurrentEntries[I - 1], CurrentEntries[I]);
-      return &CurrentEntries[I > 0 ? I - 1 : 0];
+namespace {
+std::atomic<uint64_t> NextRuntimeEpoch{1};
+} // namespace
+
+jvm::JThread *JniRuntime::currentThreadBehindFront() const {
+  for (size_t I = 1; I < MaxCurrentEntries; ++I) {
+    if (CurrentEntries[I].Rt == this && CurrentEntries[I].Epoch == RtEpoch) {
+      std::swap(CurrentEntries[I - 1], CurrentEntries[I]);
+      return CurrentEntries[I - 1].Thread;
     }
   }
   return nullptr;
 }
 
-} // namespace
-
-jvm::JThread *JniRuntime::currentThread() const {
-  if (const CurrentEntry *Entry = findCurrentEntry(this, RtEpoch))
-    return Entry->Thread;
-  return nullptr;
-}
-
 void JniRuntime::setCurrentThread(jvm::JThread *Thread) {
-  if (CurrentEntry *Entry = findCurrentEntry(this, RtEpoch)) {
-    Entry->Thread = Thread;
-    return;
+  for (size_t I = 0; I < MaxCurrentEntries; ++I) {
+    if (CurrentEntries[I].Rt == this && CurrentEntries[I].Epoch == RtEpoch) {
+      CurrentEntries[I].Thread = Thread;
+      if (I > 0)
+        std::swap(CurrentEntries[I - 1], CurrentEntries[I]);
+      return;
+    }
   }
-  if (CurrentEntries.size() >= MaxCurrentEntries)
-    CurrentEntries.pop_back();
-  CurrentEntries.insert(CurrentEntries.begin(), {this, RtEpoch, Thread});
+  std::move_backward(CurrentEntries, CurrentEntries + MaxCurrentEntries - 1,
+                     CurrentEntries + MaxCurrentEntries);
+  CurrentEntries[0] = {this, RtEpoch, Thread};
 }
 
 //===----------------------------------------------------------------------===

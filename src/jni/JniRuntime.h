@@ -103,8 +103,16 @@ public:
   /// null when the OS thread is detached. Backed by thread-local storage,
   /// so distinct OS threads each see their own binding (true multi-threaded
   /// execution); an epoch check guards against a destroyed runtime's
-  /// address being reused.
-  jvm::JThread *currentThread() const;
+  /// address being reused. The front entry of the registry is probed
+  /// inline: a thread that serves one runtime finds it there. (The fields
+  /// are read from the array element itself: with -fsanitize=null, GCC 12
+  /// miscompiles the null check of a reference bound to a thread_local
+  /// array element into a branch on stale flags, a false report.)
+  jvm::JThread *currentThread() const {
+    if (CurrentEntries[0].Rt == this && CurrentEntries[0].Epoch == RtEpoch)
+      return CurrentEntries[0].Thread;
+    return currentThreadBehindFront();
+  }
   void setCurrentThread(jvm::JThread *Thread);
 
   /// RAII current-thread switch used around native dispatch.
@@ -171,6 +179,22 @@ public:
   void onThreadEnd(jvm::JThread &Thread) override;
 
 private:
+  /// One binding of the calling OS thread's registry: which VM thread it
+  /// stands for in runtime \p Rt of epoch \p Epoch. An empty entry has a
+  /// null Rt.
+  struct CurrentEntry {
+    const JniRuntime *Rt;
+    uint64_t Epoch;
+    jvm::JThread *Thread;
+  };
+  /// The calling OS thread's registry, a small LRU (see JniRuntime.cpp).
+  static constexpr size_t MaxCurrentEntries = 16;
+  static thread_local constinit CurrentEntry
+      CurrentEntries[MaxCurrentEntries];
+
+  /// currentThread() for a runtime not at the front of the registry.
+  jvm::JThread *currentThreadBehindFront() const;
+
   std::vector<NativeBindObserver *> bindObserversSnapshot() const;
 
   jvm::Vm &TheVm;

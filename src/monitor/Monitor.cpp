@@ -6,6 +6,7 @@
 
 #include "monitor/Monitor.h"
 
+#include "support/Compiler.h"
 #include "support/Format.h"
 #include "support/Resource.h"
 
@@ -255,4 +256,24 @@ void JinnMonitor::finish() {
 MonitorSnapshot JinnMonitor::snapshot() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return snapshotLocked();
+}
+
+ReplayVerdict jinn::monitor::replayVerdict(size_t Matched,
+                                           size_t InlineReports,
+                                           uint64_t DroppedEvents) {
+  if (DroppedEvents > 0)
+    return ReplayVerdict::Incomplete;
+  return Matched == InlineReports ? ReplayVerdict::Pass : ReplayVerdict::Fail;
+}
+
+const char *jinn::monitor::replayVerdictName(ReplayVerdict Verdict) {
+  switch (Verdict) {
+  case ReplayVerdict::Pass:
+    return "PASS";
+  case ReplayVerdict::Fail:
+    return "FAIL";
+  case ReplayVerdict::Incomplete:
+    return "INCOMPLETE";
+  }
+  JINN_UNREACHABLE("invalid ReplayVerdict");
 }

@@ -133,6 +133,26 @@ private:
   bool Running = false;
 };
 
+/// The verdict of a replay check: do the reports replayed from a sink's
+/// retained trace reproduce the reports the agent made inline?
+enum class ReplayVerdict : uint8_t {
+  Pass,       ///< every inline report was reproduced
+  Fail,       ///< nothing was dropped, yet some inline report was not
+  Incomplete, ///< events were dropped: the retained trace is not the run
+};
+
+/// Judges a replay check in which \p Matched of \p InlineReports inline
+/// reports were reproduced from a retained trace that lost
+/// \p DroppedEvents events (recorder and sink drops together). With any
+/// drop the verdict is Incomplete: the replay contract covers retained
+/// events only, so a mismatch then says the retention window was too
+/// small, not that the contract broke.
+ReplayVerdict replayVerdict(size_t Matched, size_t InlineReports,
+                            uint64_t DroppedEvents);
+
+/// "PASS", "FAIL" or "INCOMPLETE".
+const char *replayVerdictName(ReplayVerdict Verdict);
+
 } // namespace jinn::monitor
 
 #endif // JINN_MONITOR_MONITOR_H

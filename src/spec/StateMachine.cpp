@@ -105,13 +105,6 @@ std::string TransitionContext::threadName() const {
   return Env->thread->name();
 }
 
-uint32_t TransitionContext::currentThreadId() const {
-  if (Snap)
-    return Snap->CurThreadId;
-  jvm::JThread *Cur = Env->runtime->currentThread();
-  return Cur ? Cur->id() : 0;
-}
-
 std::string TransitionContext::currentThreadName() const {
   if (Snap)
     return Call->replayEnv()->threadName(Snap->CurThreadId);

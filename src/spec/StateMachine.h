@@ -99,8 +99,11 @@ struct ThreadStartInfo {
 /// replayed — plus the reporter.
 class TransitionContext {
 public:
+  /// Resolves the site's thread id once: every check of the phase reads
+  /// it, so none of them walks Env -> JThread again.
   TransitionContext(jvmti::CapturedCall &Call, Reporter &Rep)
-      : Call(&Call), Env(Call.env()), Snap(Call.snapshot()), Rep(&Rep) {}
+      : Call(&Call), Env(Call.env()), Snap(Call.snapshot()), Rep(&Rep),
+        Tid(Snap ? Snap->ThreadId : Env->thread->id()) {}
 
   jvmti::CapturedCall &call() const { return *Call; }
 
@@ -116,17 +119,21 @@ public:
   // stable entities: klasses, method/field infos, the heap).
   //===------------------------------------------------------------------===
 
-  // The per-crossing thread facts (threadId, envWord, exceptionPending)
-  // are inline: several machines read them on every crossing.
+  // The per-crossing thread facts (threadId, currentThreadId, envWord,
+  // exceptionPending) are inline: several machines read them on every
+  // crossing.
 
   /// Id/name of the thread the JNIEnv at this site belongs to.
-  uint32_t threadId() const {
-    return Snap ? Snap->ThreadId : Env->thread->id();
-  }
+  uint32_t threadId() const { return Tid; }
   std::string threadName() const;
   /// Id/name of the thread actually executing the call (0/"" unknown); only
   /// differs from threadId() when code uses another thread's JNIEnv.
-  uint32_t currentThreadId() const;
+  uint32_t currentThreadId() const {
+    if (Snap)
+      return Snap->CurThreadId;
+    jvm::JThread *Cur = Env->runtime->currentThread();
+    return Cur ? Cur->id() : 0;
+  }
   std::string currentThreadName() const;
   /// Identity of the JNIEnv pointer used at this site.
   uint64_t envWord() const {
@@ -159,6 +166,7 @@ private:
   JNIEnv *Env;
   const jvmti::BoundarySnapshot *Snap;
   Reporter *Rep;
+  uint32_t Tid; ///< threadId(), resolved at construction
 };
 
 /// Code attached to one state transition: decides whether the transition

@@ -20,9 +20,9 @@ template <bool IsPost, bool Counting>
 void JniCheckProgram::runBlock(const Block &B, jvmti::CapturedCall &Call,
                                const uint32_t *MachineOf,
                                uint64_t *PerMachine) {
-  // One context per phase: it is a stateless view over the CapturedCall,
-  // so sharing it across the block's checks is observably identical to
-  // building one per check.
+  // One context per phase: a view over the CapturedCall that resolves the
+  // site's thread id once, so sharing it across the block's checks is
+  // observably identical to building one per check.
   TransitionContext Ctx(Call, *B.Rep);
   for (const Check *C = B.First, *End = B.First + B.Count; C != End; ++C) {
     if constexpr (Counting)

@@ -6,6 +6,9 @@
 
 #include "TestHarness.h"
 
+#include <new>
+#include <thread>
+
 using namespace jinn;
 using namespace jinn::testing;
 
@@ -97,6 +100,70 @@ TEST_F(InvokeInterface, AttachedThreadLocalRefsAreIndependent) {
   // Detach popped the worker's frames: the handle is dead.
   auto After = W.Vm.peekHandle(jni::handleWord(Ws), nullptr);
   EXPECT_EQ(After.S, jvm::Vm::PeekResult::Status::Stale);
+}
+
+//===----------------------------------------------------------------------===
+// The current-thread registry (one small LRU per OS thread)
+//===----------------------------------------------------------------------===
+
+/// Runs \p Body on a fresh OS thread, so it starts with an empty registry.
+template <typename Fn> void onFreshThread(Fn Body) {
+  std::thread Worker(Body);
+  Worker.join();
+}
+
+TEST(CurrentThreadRegistry, OneOsThreadAlternatesBetweenTwoRuntimes) {
+  VmWorld A, B;
+  char Name[] = "shared-os-thread";
+  onFreshThread([&] {
+    jvm::JThread &InA = A.Vm.attachThread(Name);
+    jvm::JThread &InB = B.Vm.attachThread(Name);
+    A.Rt.setCurrentThread(&InA);
+    B.Rt.setCurrentThread(&InB);
+    for (int I = 0; I < 8; ++I) {
+      // Each read moves its runtime to the front of the registry.
+      EXPECT_EQ(A.Rt.currentThread(), &InA);
+      EXPECT_EQ(B.Rt.currentThread(), &InB);
+      EXPECT_EQ(B.Rt.currentThread(), &InB);
+      EXPECT_EQ(A.Rt.currentThread(), &InA);
+    }
+    A.Rt.setCurrentThread(nullptr);
+    EXPECT_EQ(A.Rt.currentThread(), nullptr);
+    EXPECT_EQ(B.Rt.currentThread(), &InB);
+  });
+  // The bindings belong to that OS thread alone.
+  EXPECT_EQ(A.Rt.currentThread(), nullptr);
+  EXPECT_EQ(B.Rt.currentThread(), nullptr);
+}
+
+TEST(CurrentThreadRegistry, SeventeenthBindingEvictsTheColdest) {
+  std::vector<std::unique_ptr<VmWorld>> Worlds;
+  for (int I = 0; I < 17; ++I)
+    Worlds.push_back(std::make_unique<VmWorld>());
+  onFreshThread([&] {
+    for (auto &W : Worlds)
+      W->Rt.setCurrentThread(&W->main());
+    // Sixteen entries fit: the first binding fell off the back.
+    EXPECT_EQ(Worlds[0]->Rt.currentThread(), nullptr);
+    for (size_t I = 1; I < Worlds.size(); ++I)
+      EXPECT_EQ(Worlds[I]->Rt.currentThread(), &Worlds[I]->main()) << I;
+  });
+}
+
+TEST(CurrentThreadRegistry, ReusedRuntimeAddressReadsNull) {
+  jvm::Vm Vm;
+  alignas(jni::JniRuntime) unsigned char Storage[sizeof(jni::JniRuntime)];
+  onFreshThread([&] {
+    auto *First = new (Storage) jni::JniRuntime(Vm);
+    First->setCurrentThread(&Vm.mainThread());
+    EXPECT_EQ(First->currentThread(), &Vm.mainThread());
+    First->~JniRuntime();
+    // A new runtime at the same address carries a new epoch, so the
+    // binding the destroyed one left behind does not match it.
+    auto *Second = new (Storage) jni::JniRuntime(Vm);
+    EXPECT_EQ(Second->currentThread(), nullptr);
+    Second->~JniRuntime();
+  });
 }
 
 } // namespace

@@ -408,3 +408,21 @@ TEST(MonitorSoak, SamplingPredicateIsDeterministicAndNontrivial) {
   World.shutdown();
   Full.shutdown();
 }
+
+// jinn-monitor --replay's verdict. With nothing dropped it is the plain
+// contract check; once the recorder or the sink dropped events the
+// retained trace is not the whole run, so the check is INCOMPLETE rather
+// than PASS or FAIL.
+TEST(ReplayVerdict, DropsMakeTheCheckIncomplete) {
+  using monitor::ReplayVerdict;
+  using monitor::replayVerdict;
+  EXPECT_EQ(replayVerdict(32, 32, 0), ReplayVerdict::Pass);
+  EXPECT_EQ(replayVerdict(0, 0, 0), ReplayVerdict::Pass);
+  EXPECT_EQ(replayVerdict(31, 32, 0), ReplayVerdict::Fail);
+  EXPECT_EQ(replayVerdict(15, 32, 17000), ReplayVerdict::Incomplete);
+  EXPECT_EQ(replayVerdict(32, 32, 1), ReplayVerdict::Incomplete);
+  EXPECT_STREQ(monitor::replayVerdictName(ReplayVerdict::Pass), "PASS");
+  EXPECT_STREQ(monitor::replayVerdictName(ReplayVerdict::Fail), "FAIL");
+  EXPECT_STREQ(monitor::replayVerdictName(ReplayVerdict::Incomplete),
+               "INCOMPLETE");
+}

@@ -15,13 +15,15 @@
 ///     sequence always produces a report.
 ///  3. The shadow is the set-per-frame model: seeded random sequences give
 ///     the same live counts and verdicts from LocalRefShadow as from a
-///     plain stack of word sets kept here as the oracle, and the shadow's
-///     steady state allocates nothing.
+///     plain stack of word sets kept here as the oracle (with the slot
+///     rule: acquiring a word drops the other word of its slot), and the
+///     shadow's steady state allocates nothing.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestHarness.h"
 #include "jinn/LocalRefShadow.h"
+#include "jvm/Handle.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -185,8 +187,24 @@ TEST(LocalRefProperty, ShadowCountAgreesWithVmGroundTruth) {
 // The shadow against the set-per-frame model
 //===----------------------------------------------------------------------===
 
-/// The Figure 8 encoding in its plainest form: one word set per frame.
-/// LocalRefShadow must answer exactly as this does.
+/// A local handle word of thread 1, the thread every shadow below stands
+/// for.
+uint64_t localWord(uint32_t Slot, uint32_t Gen) {
+  jvm::HandleBits Bits;
+  Bits.Kind = jvm::RefKind::Local;
+  Bits.Thread = 1;
+  Bits.Slot = Slot;
+  Bits.Gen = Gen;
+  return jvm::encodeHandle(Bits);
+}
+
+uint32_t slotOf(uint64_t Word) { return jvm::decodeHandle(Word)->Slot; }
+
+/// The Figure 8 encoding in its plainest form: one word set per frame,
+/// plus the slot rule the VM guarantees (a slot is reissued only after
+/// its word died), under which acquiring a word drops any other word of
+/// its slot from every frame. LocalRefShadow must answer exactly as this
+/// does.
 class SetPerFrameOracle {
 public:
   explicit SetPerFrameOracle(uint32_t BaseCapacity) {
@@ -218,6 +236,10 @@ public:
     Frames.back().Capacity = std::max(Frames.back().Capacity, Capacity);
   }
   size_t acquire(uint64_t Word) {
+    for (Frame &F : Frames)
+      std::erase_if(F.Live, [Word](uint64_t Held) {
+        return Held != Word && slotOf(Held) == slotOf(Word);
+      });
     Frames.back().Live.insert(Word);
     return Frames.back().Live.size();
   }
@@ -277,15 +299,22 @@ Verdict deleteVerdict(ShadowT &S, uint64_t W, bool VmLive) {
 }
 
 /// A small pool of words so that words recur: acquired again while live in
-/// a lower frame, deleted twice, used after their frame was popped. Words
-/// 0-5 stand for pre-agent references the VM always reports live.
+/// a lower frame, deleted twice, used after their frame was popped. The
+/// pool has more words than slots, so words 32-39 share their slot with
+/// words 0-7 under a later generation and acquiring one drops the other.
+/// Words 0-5 stand for pre-agent references the VM always reports live.
 constexpr uint64_t PoolSize = 40;
+constexpr uint32_t PoolSlots = 32;
 constexpr uint64_t PreAgentWords = 6;
-uint64_t poolWord(uint64_t I) { return agent::mixBits(I + 1) | 1; }
+uint64_t poolWord(uint64_t I) {
+  return localWord(static_cast<uint32_t>(I % PoolSlots),
+                   static_cast<uint32_t>(1 + I / PoolSlots));
+}
 
 TEST(LocalRefShadowDifferential, RandomSequencesMatchSetPerFrameModel) {
   size_t MaxDepth = 0;
   uint64_t Recurring = 0; // acquires of a word some frame already holds
+  uint64_t Evicting = 0;  // acquires of a word whose slot holds another
   for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
     SplitMix64 Rng(Seed * 0x9E3779B97F4A7C15ULL);
     LocalRefShadow Shadow(4);
@@ -306,6 +335,7 @@ TEST(LocalRefShadowDifferential, RandomSequencesMatchSetPerFrameModel) {
         Oracle.enterNative(Capacity);
         for (uint64_t Arg : {W, poolWord(Rng.nextBelow(PoolSize))}) {
           Recurring += Oracle.tracks(Arg);
+          Evicting += !Oracle.tracks(Arg) && Shadow.occupies(Arg);
           ASSERT_EQ(acquireVerdict(Shadow, Arg), acquireVerdict(Oracle, Arg));
         }
       } else if (Op < 24) { // PushLocalFrame, or native return
@@ -323,6 +353,7 @@ TEST(LocalRefShadowDifferential, RandomSequencesMatchSetPerFrameModel) {
         Oracle.ensureCapacity(Capacity * 2);
       } else if (Op < 64) { // acquire (a JNI function returned W)
         Recurring += Oracle.tracks(W);
+        Evicting += !Oracle.tracks(W) && Shadow.occupies(W);
         ASSERT_EQ(acquireVerdict(Shadow, W), acquireVerdict(Oracle, W));
       } else if (Op < 82) { // use
         ASSERT_EQ(useVerdict(Shadow, W, VmLive), useVerdict(Oracle, W, VmLive));
@@ -345,29 +376,31 @@ TEST(LocalRefShadowDifferential, RandomSequencesMatchSetPerFrameModel) {
   }
   EXPECT_GE(MaxDepth, 64u);
   EXPECT_GT(Recurring, 1000u);
+  EXPECT_GT(Evicting, 1000u);
 }
 
 TEST(LocalRefShadowDifferential, CreateDeleteChurnKeepsOwnedListBounded) {
   LocalRefShadow Shadow;
-  // Delete the newest word each time: the entry goes at once.
-  for (uint64_t I = 1; I <= 100000; ++I) {
-    Shadow.acquire(poolWord(I));
-    ASSERT_TRUE(Shadow.release(poolWord(I)));
+  // Delete the newest word each time: the entry goes at once. The VM
+  // hands the freed slot out again under the next generation.
+  for (uint32_t I = 1; I <= 100000; ++I) {
+    Shadow.acquire(localWord(0, I));
+    ASSERT_TRUE(Shadow.release(localWord(0, I)));
     ASSERT_EQ(Shadow.topOwnedEntries(), 0u);
   }
   // Delete the previous word each time: stale entries pile up until
   // compaction drops them.
-  Shadow.acquire(poolWord(0));
-  for (uint64_t I = 1; I <= 100000; ++I) {
-    Shadow.acquire(poolWord(I));
-    ASSERT_TRUE(Shadow.release(poolWord(I - 1)));
+  Shadow.acquire(localWord(0, 0));
+  for (uint32_t I = 1; I <= 100000; ++I) {
+    Shadow.acquire(localWord(I % 2, I));
+    ASSERT_TRUE(Shadow.release(localWord((I - 1) % 2, I - 1)));
     ASSERT_EQ(Shadow.liveCount(), 1u);
     ASSERT_LE(Shadow.topOwnedEntries(), 2 * Shadow.liveCount() + 16);
   }
 }
 
 TEST(LocalRefShadowDifferential, WordReacquiredInUpperFrameSurvivesItsPop) {
-  const uint64_t W = poolWord(7);
+  const uint64_t W = localWord(7, 1);
   LocalRefShadow Shadow;
   Shadow.acquire(W);
   Shadow.pushFrame(16, /*Explicit=*/true);
@@ -392,16 +425,74 @@ TEST(LocalRefShadowDifferential, WordReacquiredInUpperFrameSurvivesItsPop) {
   EXPECT_FALSE(Shadow.release(W));
 }
 
+TEST(LocalRefShadowSlots, ReissuedSlotDropsTheDeadWordFromEveryFrame) {
+  const uint64_t Dead = localWord(3, 1), Reissued = localWord(3, 2);
+  LocalRefShadow Shadow;
+  Shadow.acquire(localWord(0, 1));
+  Shadow.acquire(Dead);
+  Shadow.pushFrame(16, /*Explicit=*/true);
+  Shadow.acquire(Dead); // held by both frames
+  Shadow.pushFrame(16, /*Explicit=*/true);
+  EXPECT_EQ(Shadow.liveCount(), 3u);
+  // The VM reissued the slot, so Dead died: it leaves both frames.
+  EXPECT_EQ(Shadow.acquire(Reissued), 1u);
+  EXPECT_EQ(Shadow.liveCount(), 2u);
+  EXPECT_FALSE(Shadow.tracks(Dead));
+  EXPECT_TRUE(Shadow.tracks(Reissued));
+  EXPECT_FALSE(Shadow.release(Dead)); // a double free from here on
+  // Pops skip the dropped word's stale entries.
+  EXPECT_TRUE(Shadow.popExplicitFrame());
+  EXPECT_FALSE(Shadow.tracks(Reissued));
+  EXPECT_EQ(Shadow.liveCount(), 1u);
+  EXPECT_TRUE(Shadow.popExplicitFrame());
+  EXPECT_EQ(Shadow.liveCount(), 1u);
+  EXPECT_TRUE(Shadow.tracks(localWord(0, 1)));
+  EXPECT_FALSE(Shadow.tracks(Dead));
+}
+
+TEST(LocalRefShadowSlots, OnlyTheWholeWordIsTracked) {
+  namespace D = jvm::handle_detail;
+  LocalRefShadow Shadow;
+  const uint64_t W = localWord(5, 7);
+  Shadow.acquire(W);
+  EXPECT_TRUE(Shadow.tracks(W));
+  // Same slot, another generation (a handle carries it mod 2^23).
+  EXPECT_FALSE(Shadow.tracks(localWord(5, 8)));
+  EXPECT_FALSE(Shadow.tracks(localWord(5, 6)));
+  EXPECT_FALSE(Shadow.tracks(W ^ (uint64_t(1) << D::GenShift)));
+  // Same slot and generation, another kind or thread.
+  jvm::HandleBits Global = *jvm::decodeHandle(W);
+  Global.Kind = jvm::RefKind::Global;
+  Global.Thread = 0;
+  EXPECT_FALSE(Shadow.tracks(jvm::encodeHandle(Global)));
+  jvm::HandleBits Foreign = *jvm::decodeHandle(W);
+  Foreign.Thread = 2;
+  EXPECT_FALSE(Shadow.tracks(jvm::encodeHandle(Foreign)));
+  EXPECT_FALSE(Shadow.release(jvm::encodeHandle(Foreign)));
+  // A slot beyond every entry reads untracked.
+  EXPECT_FALSE(Shadow.tracks(localWord(D::SlotMask, 7)));
+  // Generations wrap at 2^23: the newest and the oldest differ.
+  const uint64_t Newest = localWord(9, D::GenMask);
+  Shadow.acquire(Newest);
+  EXPECT_TRUE(Shadow.tracks(Newest));
+  EXPECT_FALSE(Shadow.tracks(localWord(9, 0)));
+  EXPECT_TRUE(Shadow.release(W));
+  EXPECT_TRUE(Shadow.release(Newest));
+  EXPECT_EQ(Shadow.liveCount(), 0u);
+}
+
 /// One native call's worth of shadow traffic on fresh words, like the
-/// words a VM hands out: entry with two arguments, uses, a JNI-returned
-/// reference deleted again, an explicit frame, and the return.
-void nativeCallCycle(LocalRefShadow &Shadow, uint64_t &NextWord) {
+/// words a VM hands out (freed slots come back under a new generation):
+/// entry with two arguments, uses, a JNI-returned reference deleted again,
+/// an explicit frame, and the return.
+void nativeCallCycle(LocalRefShadow &Shadow, uint32_t &Gen) {
   Shadow.enterNative(16);
-  uint64_t Self = poolWord(NextWord++), Arg = poolWord(NextWord++);
+  ++Gen;
+  uint64_t Self = localWord(0, Gen), Arg = localWord(1, Gen);
   Shadow.acquire(Self);
   Shadow.acquire(Arg);
   for (int I = 0; I < 4; ++I) {
-    uint64_t Made = poolWord(NextWord++);
+    uint64_t Made = localWord(2, ++Gen);
     Shadow.acquire(Made);
     (void)Shadow.tracks(Arg);
     (void)Shadow.tracks(Made);
@@ -409,16 +500,16 @@ void nativeCallCycle(LocalRefShadow &Shadow, uint64_t &NextWord) {
   }
   Shadow.ensureCapacity(32);
   Shadow.pushFrame(8, /*Explicit=*/true);
-  for (int I = 0; I < 6; ++I)
-    Shadow.acquire(poolWord(NextWord++));
-  Shadow.release(poolWord(NextWord - 6)); // oldest first: leaves an entry
+  for (uint32_t Slot = 3; Slot < 9; ++Slot)
+    Shadow.acquire(localWord(Slot, Gen));
+  Shadow.release(localWord(3, Gen)); // oldest first: leaves an entry
   Shadow.popExplicitFrame();
   Shadow.exitNative();
 }
 
 TEST(LocalRefShadowDifferential, SteadyStateAllocatesNothing) {
   LocalRefShadow Shadow;
-  uint64_t NextWord = 1;
+  uint32_t NextWord = 1;
   for (int I = 0; I < 64; ++I) // warm-up: frames, lists and table sized
     nativeCallCycle(Shadow, NextWord);
   uint64_t Before = HeapAllocations.load(std::memory_order_relaxed);

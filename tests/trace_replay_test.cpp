@@ -107,6 +107,41 @@ TEST(ReplayDeterminism, AllMicrosByteIdentical) {
   }
 }
 
+// A local used after the VM reissued its slot under a new generation is
+// dangling: the slot-indexed shadow compares whole words, and replay runs
+// the same shadow over the recorded crossings, so both report it alike.
+TEST(ReplayDeterminism, StaleLocalInReissuedSlotReportsAlike) {
+  ScenarioWorld World(recordingConfig(agent::TraceMode::RecordAndReplay));
+  World.runAsNative("ReissuedLocal", [](JNIEnv *Env) {
+    const JNINativeInterface_ *Fns = Env->functions;
+    jstring Old = Fns->NewStringUTF(Env, "old");
+    Fns->DeleteLocalRef(Env, Old);
+    jstring Reissued = Fns->NewStringUTF(Env, "new");
+    ASSERT_EQ(jvm::decodeHandle(jni::handleWord(Reissued))->Slot,
+              jvm::decodeHandle(jni::handleWord(Old))->Slot);
+    Fns->GetStringUTFLength(Env, Old);
+    Fns->ExceptionClear(Env);
+    Fns->GetStringUTFLength(Env, Reissued); // the live word stays clean
+    Fns->DeleteLocalRef(Env, Reissued);
+  });
+  World.shutdown();
+
+  const std::vector<agent::JinnReport> &Inline =
+      World.Jinn->reporter().reports();
+  ASSERT_EQ(Inline.size(), 1u);
+  EXPECT_EQ(Inline[0].Machine, "Local reference");
+  EXPECT_EQ(Inline[0].Function, "GetStringUTFLength");
+  EXPECT_NE(Inline[0].Message.find("argument 1 is a dangling local "
+                                   "reference"),
+            std::string::npos)
+      << Inline[0].Message;
+
+  trace::Trace Recorded = World.Jinn->recorder()->collect();
+  trace::ReplayResult Replayed = trace::replayTrace(Recorded, World.Vm);
+  EXPECT_EQ(Replayed.InexactCrossings, 0u);
+  expectReportsEqual(Inline, Replayed.Reports, "replay");
+}
+
 // Record-only traces carry no inline verdicts (no machines ran), but
 // replaying them must still catch every boundary-detectable bug.
 TEST(ReplayDeterminism, RecordOnlyReplayCatchesBugs) {

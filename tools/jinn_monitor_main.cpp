@@ -27,8 +27,10 @@
 ///     --snapshots PATH   JSONL snapshot stream file
 ///     --replay           verify sampled reports replay from the sink
 ///
-/// Exits 0 on success; 2 on usage errors; 1 when --replay verification
-/// fails or a seeded-bug run produced no reports.
+/// Exits 0 on success; 2 on usage errors or when --replay cannot verify
+/// because the recorder or the sink dropped events (INCOMPLETE); 1 when
+/// --replay verification fails with nothing dropped or a seeded-bug run
+/// produced no reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -196,14 +198,21 @@ int main(int Argc, char **Argv) {
           break;
         }
     }
-    bool Ok = Matched == InlineViolations;
+    uint64_t Dropped = Snap.DroppedEvents + Snap.Sink.DroppedEvents;
+    monitor::ReplayVerdict Verdict =
+        monitor::replayVerdict(Matched, InlineViolations, Dropped);
     std::fprintf(stderr,
                  "jinn-monitor: replay: %zu/%zu inline reports reproduced "
-                 "from %llu retained events (%zu replay reports): %s\n",
+                 "from %llu retained events (%zu replay reports, %llu "
+                 "events dropped): %s\n",
                  Matched, InlineViolations,
                  static_cast<unsigned long long>(Retained.Events.size()),
-                 Replayed.Reports.size(), Ok ? "PASS" : "FAIL");
-    if (!Ok)
+                 Replayed.Reports.size(),
+                 static_cast<unsigned long long>(Dropped),
+                 monitor::replayVerdictName(Verdict));
+    if (Verdict == monitor::ReplayVerdict::Incomplete)
+      Exit = 2;
+    else if (Verdict == monitor::ReplayVerdict::Fail)
       Exit = 1;
   }
   return Exit;
